@@ -52,7 +52,7 @@ def apply_rope(x: Tensor, positions: np.ndarray, tables: RopeTables) -> Tensor:
 
 
 def apply_rope_np(x: np.ndarray, positions: np.ndarray, tables: RopeTables) -> np.ndarray:
-    """Same rotation on a plain array (cache writes during decode)."""
+    """Same rotation on a plain array (decode queries and keys)."""
     half = x.shape[-1] // 2
     cos = tables.cos[positions]
     sin = tables.sin[positions]

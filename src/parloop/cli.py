@@ -33,7 +33,7 @@ from .costmodel import (
     sweep,
 )
 from .decode import generate, prefill
-from .errors import CheckpointError, ConfigError, DivergenceError, ParloopError
+from .errors import CheckpointError, ConfigError, DivergenceError, ParloopError, TokenError
 from .model import ModelConfig, forward, init_parameters
 from .tasks import eval_accuracy, make_task
 from .train import TrainConfig, train
@@ -288,7 +288,6 @@ def cmd_train(args, argv) -> int:
 
 def cmd_generate(args, argv) -> int:
     params, _ = load_checkpoint(args.checkpoint)
-    vocab = params.config.vocab
     if args.text is not None:
         prompt = np.frombuffer(args.text.encode("utf-8"), dtype=np.uint8).astype(np.int64)
     else:
@@ -298,8 +297,6 @@ def cmd_generate(args, argv) -> int:
             raise ConfigError(f"prompt must be space-separated integers: {e}") from e
     if prompt.size == 0:
         raise ConfigError("empty prompt")
-    if prompt.min() < 0 or prompt.max() >= vocab:
-        raise ConfigError(f"prompt ids must be in [0, {vocab})")
     sess = prefill(params, prompt)
     toks = generate(sess, args.tokens, temperature=args.temperature,
                     seed=args.seed)
@@ -383,7 +380,7 @@ def run(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args, argv)
-    except (ConfigError, CheckpointError) as e:
+    except (ConfigError, CheckpointError, TokenError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except DivergenceError as e:

@@ -9,8 +9,12 @@ most ``window`` of their own entries in per-loop rings. One token therefore
 costs one pass regardless of the loop count.
 
 The serial wirings decode the ordinary way: ``vanilla`` is the single-pass
-special case, ``vanilla_loop`` re-runs the stack ``loops`` times per token
-against per-loop caches.
+special case, ``vanilla_loop`` runs the same per-layer body ``loops`` times
+per token, one row at a time against per-loop caches.
+
+Attention is grouped-query: the query heads that share a key/value head are
+stacked into one matrix and multiplied with that head's cached keys and
+values in place, so a step never copies or repeats the cache.
 
 Everything here is plain numpy under no_grad semantics; the training
 forward is reused verbatim for prefill so the handoff is exact.
@@ -22,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import SharedKVCache, WindowKVCache
-from .errors import CapacityError, NumericError
+from .attention import SharedKVCache, WindowKVCache, apply_rope_np
+from .errors import CapacityError, NumericError, TokenError
 from .model import Parameters, forward, gate_for_loop
 from .tensor import Rng, no_grad
 
@@ -46,6 +50,21 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
         raise NumericError("attention scores contain NaN")
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def grouped_attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Attention of queries [rows, heads, dh] over keys/values [kv_heads, m, dh].
+
+    Query head h reads key/value head h // groups. The heads of a group are
+    stacked as [kv_heads, rows * groups, dh], so two batched matmuls read
+    each key/value head in place; the cache is never repeated or copied.
+    """
+    rows, heads, dh = q.shape
+    kh = k.shape[0]
+    qg = q.reshape(rows, kh, heads // kh, dh).transpose(1, 0, 2, 3).reshape(kh, -1, dh)
+    att = _softmax((qg * (1.0 / np.sqrt(dh))) @ k.transpose(0, 2, 1))
+    y = (att @ v).reshape(kh, rows, heads // kh, dh)
+    return y.transpose(1, 0, 2, 3).reshape(rows, heads, dh)
 
 
 @dataclass
@@ -121,117 +140,87 @@ class DecodeSession:
             return self.loop_decode_step(token)
         return self.decode_step(token)
 
-    def _check_capacity(self) -> None:
-        if self.position >= self.cfg.max_seq:
-            raise CapacityError(
-                f"position {self.position} is at max_seq {self.cfg.max_seq}")
-
     def decode_step(self, token: int) -> np.ndarray:
         """One batched pass advancing every loop stage by one step."""
-        self._check_capacity()
-        cfg, params = self.cfg, self.params
-        p = self.position
-        heads, kh, dh = cfg.n_heads, cfg.n_kv_heads, cfg.d_head
-        groups = cfg.kv_groups
-        scale = 1.0 / np.sqrt(dh)
-        rows = cfg.loops
-
-        e = params.embedding.data[token]
+        e = self._embed(token)
+        p, rows = self.position, self.cfg.loops
         x = np.tile(e, (rows, 1))
         for r in range(1, rows):
             x[r] += self.inflight[r - 1]
-        self.last_microbatch = MicroBatch(inputs=x.copy(), position=p,
+        self.last_microbatch = MicroBatch(inputs=x, position=p,
                                           loop_of_row=tuple(range(1, rows + 1)))
+        hidden = self._stack_pass(x, p, self.shared)
+        self.inflight = list(hidden[:-1])
+        self.shared.length = p + 1
+        self.passes += 1
+        return self._advance(hidden[-1])
 
+    def loop_decode_step(self, token: int) -> np.ndarray:
+        """Serial reference step: the stack runs ``loops`` times for one
+        token, each pass one row against that loop's own cache."""
+        e = self._embed(token)
+        p = self.position
+        x = e[None]
+        for cache in self.per_loop:
+            hidden = self._stack_pass(x, p, cache)
+            x = e + hidden
+            cache.length = p + 1
+            self.passes += 1
+        return self._advance(hidden[0])
+
+    def _stack_pass(self, x: np.ndarray, p: int, cache: SharedKVCache) -> np.ndarray:
+        """The block stack over rows ``x`` [rows, d_model] at position ``p``.
+
+        Row 0 writes its keys/values to ``cache`` and every row attends over
+        it; with gswa, row r >= 1 also attends over the window ring of loop
+        r + 1 and the head-wise gate mixes the two. Returns the final-norm
+        output [rows, d_model].
+        """
+        cfg, params = self.cfg, self.params
+        rows = x.shape[0]
+        heads, kh, dh = cfg.n_heads, cfg.n_kv_heads, cfg.d_head
         for li, layer in enumerate(params.layers):
             h = _rms(x, layer.attn_norm.data, cfg.norm_eps)
             q_full = h @ layer.wq.data
-            q = self._rope(q_full.reshape(rows, heads, dh), p)
-            k = h @ layer.wk.data
+            q = apply_rope_np(q_full.reshape(rows, heads, dh), p, params.rope)
+            k = apply_rope_np((h @ layer.wk.data).reshape(rows, kh, dh), p, params.rope)
             v = (h @ layer.wv.data).reshape(rows, kh, dh)
-            kr = self._rope(k.reshape(rows, kh, dh), p)
 
-            self.shared.write(li, p, kr[0], v[0])
-            ks, vs = self.shared.view(li, p + 1)
-            ks = np.repeat(ks, groups, axis=0)
-            vs = np.repeat(vs, groups, axis=0)
-            att = _softmax(np.einsum("rhd,hmd->rhm", q, ks) * scale)
-            y = np.einsum("rhm,hmd->rhd", att, vs)
+            cache.write(li, p, k[0], v[0])
+            y = grouped_attend(q, *cache.view(li, p + 1))
 
             if cfg.gswa:
                 for r in range(1, rows):
                     ring = self.rings[(li, r + 1)]
-                    ring.write(p, kr[r], v[r])
+                    ring.write(p, k[r], v[r])
                     kw, vw, _ = ring.gather(p)
-                    kw = np.repeat(kw, groups, axis=0)
-                    vw = np.repeat(vw, groups, axis=0)
-                    a = _softmax(np.einsum("hd,hmd->hm", q[r], kw) * scale)
-                    y_local = np.einsum("hm,hmd->hd", a, vw)
+                    y_local = grouped_attend(q[r:r + 1], kw, vw)[0]
                     gp = gate_for_loop(layer, cfg, r + 1)
-                    g = _sigmoid(q_full[r] @ gp.weight.data + gp.bias.data)
-                    y[r] = g[:, None] * y_local + (1.0 - g)[:, None] * y[r]
+                    g = _sigmoid(q_full[r] @ gp.weight.data + gp.bias.data)[:, None]
+                    y[r] = g * y_local + (1.0 - g) * y[r]
 
             x = x + y.reshape(rows, heads * dh) @ layer.wo.data
-            hm = _rms(x, layer.mlp_norm.data, cfg.norm_eps)
-            x = x + (_silu(hm @ layer.w_gate.data) * (hm @ layer.w_up.data)) @ layer.w_down.data
-
-        hidden = _rms(x, params.final_norm.data, cfg.norm_eps)
-        self.inflight = [hidden[r].copy() for r in range(rows - 1)]
-        logits = hidden[rows - 1] @ self._head()
-        self.shared.length = p + 1
-        self.position = p + 1
-        self.steps += 1
-        self.passes += 1
-        self.last_logits = logits
-        return logits
-
-    def loop_decode_step(self, token: int) -> np.ndarray:
-        """Serial reference step: the stack runs ``loops`` times for one token."""
-        self._check_capacity()
-        cfg, params = self.cfg, self.params
-        p = self.position
-        e = params.embedding.data[token]
-        hidden = None
-        for loop_index in range(1, cfg.loops + 1):
-            inp = e if loop_index == 1 else e + hidden
-            hidden = self._single_row_pass(inp, p, self.per_loop[loop_index - 1])
-            self.passes += 1
-        for cache in self.per_loop:
-            cache.length = p + 1
-        self.position = p + 1
-        self.steps += 1
-        self.last_logits = hidden @ self._head()
-        return self.last_logits
-
-    def _single_row_pass(self, x: np.ndarray, p: int, cache: SharedKVCache) -> np.ndarray:
-        """Ordinary incremental pass for one row against one full cache."""
-        cfg, params = self.cfg, self.params
-        heads, kh, dh = cfg.n_heads, cfg.n_kv_heads, cfg.d_head
-        scale = 1.0 / np.sqrt(dh)
-        for li, layer in enumerate(params.layers):
-            h = _rms(x, layer.attn_norm.data, cfg.norm_eps)
-            q = self._rope((h @ layer.wq.data).reshape(heads, dh), p)
-            k = self._rope((h @ layer.wk.data).reshape(kh, dh), p)
-            v = (h @ layer.wv.data).reshape(kh, dh)
-            cache.write(li, p, k, v)
-            ks, vs = cache.view(li, p + 1)
-            ks = np.repeat(ks, cfg.kv_groups, axis=0)
-            vs = np.repeat(vs, cfg.kv_groups, axis=0)
-            att = _softmax(np.einsum("hd,hmd->hm", q, ks) * scale)
-            y = np.einsum("hm,hmd->hd", att, vs)
-            x = x + y.reshape(heads * dh) @ layer.wo.data
             hm = _rms(x, layer.mlp_norm.data, cfg.norm_eps)
             x = x + (_silu(hm @ layer.w_gate.data) * (hm @ layer.w_up.data)) @ layer.w_down.data
         return _rms(x, params.final_norm.data, cfg.norm_eps)
 
     # -- helpers ---------------------------------------------------------
 
-    def _rope(self, x: np.ndarray, p: int) -> np.ndarray:
-        tables = self.params.rope
-        half = x.shape[-1] // 2
-        c, s = tables.cos[p], tables.sin[p]
-        x1, x2 = x[..., :half], x[..., half:]
-        return np.concatenate([x1 * c - x2 * s, x1 * s + x2 * c], axis=-1)
+    def _embed(self, token: int) -> np.ndarray:
+        """Check capacity and the token id; return the token's embedding row."""
+        if self.position >= self.cfg.max_seq:
+            raise CapacityError(
+                f"position {self.position} is at max_seq {self.cfg.max_seq}")
+        if not 0 <= token < self.cfg.vocab:
+            raise TokenError(f"token id {token} is outside [0, {self.cfg.vocab})")
+        return self.params.embedding.data[token]
+
+    def _advance(self, hidden: np.ndarray) -> np.ndarray:
+        """Close a step: move to the next position and emit its logits."""
+        self.position += 1
+        self.steps += 1
+        self.last_logits = hidden @ self._head()
+        return self.last_logits
 
     def _head(self) -> np.ndarray:
         if self.params.head is not None:
@@ -262,8 +251,9 @@ def _select(logits: np.ndarray, temperature: float, rng: Rng | None) -> int:
         return int(np.argmax(logits))
     z = logits / temperature
     e = np.exp(z - z.max())
-    probs = e / e.sum()
-    return int(np.searchsorted(np.cumsum(probs), rng.random()))
+    cdf = np.cumsum(e / e.sum())
+    # rounding can leave cdf[-1] just below 1, and a draw above it past the end
+    return min(int(np.searchsorted(cdf, rng.random())), len(cdf) - 1)
 
 
 def generate(session: DecodeSession, n_tokens: int, temperature: float = 0.0,

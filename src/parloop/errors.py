@@ -25,6 +25,10 @@ class EmptyInputError(ParloopError):
     """A token sequence was empty where at least one token is required."""
 
 
+class TokenError(ParloopError):
+    """A token id lies outside [0, vocab)."""
+
+
 class CapacityError(ParloopError):
     """Sequence position exceeds the configured maximum length."""
 

@@ -34,7 +34,7 @@ from .attention import (
     global_attend,
     sliding_window_attend,
 )
-from .errors import CapacityError, ConfigError, EmptyInputError
+from .errors import CapacityError, ConfigError, EmptyInputError, TokenError
 from .tensor import Rng, Tensor, concat, embedding as gather_rows, repeat_heads, rmsnorm, silu, zeros
 
 MODES = ("vanilla", "vanilla_loop", "plt")
@@ -310,6 +310,8 @@ def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False)
     n = tokens.shape[1]
     if n > cfg.max_seq:
         raise CapacityError(f"sequence length {n} exceeds max_seq {cfg.max_seq}")
+    if tokens.min() < 0 or tokens.max() >= cfg.vocab:
+        raise TokenError(f"token ids must be in [0, {cfg.vocab})")
     positions = np.arange(n)
     e = gather_rows(params.embedding, tokens)
 

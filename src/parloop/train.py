@@ -10,7 +10,7 @@ import numpy as np
 
 from .checkpoint import save_checkpoint
 from .decode import prefill
-from .errors import DivergenceError, NumericError
+from .errors import CapacityError, DivergenceError, NumericError
 from .model import ModelConfig, forward, init_parameters
 from .tasks import TaskSpec, cross_entropy_loss, eval_accuracy
 from .tensor import Rng, global_grad_norm
@@ -140,6 +140,7 @@ def train(params, task: TaskSpec, cfg: TrainConfig) -> TrainResult:
 # ---------------------------------------------------------------------------
 
 LADDER = ("vanilla", "loop", "kvshare", "plt")
+PROBE_STEPS = 8  # greedy decode steps of the ablation's counter probe
 
 
 def ladder_config(arch: str, base: dict, loops: int, window: int) -> ModelConfig:
@@ -165,16 +166,19 @@ def ablation_run(task: TaskSpec, base_model: dict, tcfg: TrainConfig,
     Returns one dict per rung: final loss, scored-position accuracy,
     decode pass and cache counters from a short generation probe.
     """
+    probe = task.sample(Rng(tcfg.seed).fork("probe"), 1)[0][0]
+    configs = [ladder_config(arch, base_model, loops, window) for arch in archs]
+    if any(len(probe) + PROBE_STEPS > cfg.max_seq for cfg in configs):
+        raise CapacityError(f"a {len(probe)}-token probe plus {PROBE_STEPS} "
+                            f"decode steps exceeds max_seq")
     rows = []
-    for arch in archs:
-        cfg = ladder_config(arch, base_model, loops, window)
+    for arch, cfg in zip(archs, configs):
         params = init_parameters(cfg, tcfg.seed)
         res = train(params, task, tcfg)
         acc = eval_accuracy(lambda toks: forward(params, toks), task,
                             seed=tcfg.seed + 1)
-        probe, _ = task.sample(Rng(tcfg.seed).fork("probe"), 1)
-        sess = prefill(params, probe[0])
-        for _ in range(8):
+        sess = prefill(params, probe)
+        for _ in range(PROBE_STEPS):
             sess.step(int(np.argmax(sess.last_logits)))
         rows.append({
             "arch": arch,

@@ -5,8 +5,9 @@ the quadratic recompute-from-scratch oracle."""
 import numpy as np
 import pytest
 
-from parloop.decode import DecodeSession, generate, prefill
-from parloop.errors import CapacityError, EmptyInputError
+from parloop.attention import SharedKVCache, WindowKVCache
+from parloop.decode import DecodeSession, _select, generate, grouped_attend, prefill
+from parloop.errors import CapacityError, EmptyInputError, TokenError
 from parloop.model import ModelConfig, forward, init_parameters
 
 
@@ -27,6 +28,7 @@ ALL_MODES = [
     dict(mode="plt", loops=3, gswa=True, window=3),
     dict(mode="plt", loops=4, gswa=True, window=2, per_loop_gates=True),
     dict(mode="plt", loops=3, gswa=True, window=8, n_kv_heads=4),
+    dict(mode="plt", loops=2, gswa=True, window=4, n_kv_heads=1),
 ]
 
 
@@ -261,3 +263,83 @@ class TestModeEquivalences:
             (la if mode == "vanilla" else lb).extend(logs)
         for x, y in zip(la, lb):
             assert np.max(np.abs(x - y)) < 1e-12
+
+
+def repeat_einsum_attend(q, k, v):
+    """Reference: repeat every key/value head to the query-head count."""
+    groups = q.shape[1] // k.shape[0]
+    k = np.repeat(k, groups, axis=0)
+    v = np.repeat(v, groups, axis=0)
+    scores = np.einsum("rhd,hmd->rhm", q, k) / np.sqrt(q.shape[-1])
+    att = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    att /= att.sum(axis=-1, keepdims=True)
+    return np.einsum("rhm,hmd->rhd", att, v)
+
+
+class TestGroupedAttend:
+    @pytest.mark.parametrize("groups", [1, 2, 4, 8])
+    @pytest.mark.parametrize("source", ["shared", "window"])
+    def test_matches_repeated_cache(self, groups, source):
+        rng = np.random.default_rng(groups)
+        kh, dh, rows = 2, 6, 3
+        if source == "shared":   # strided view of a partly written cache
+            cache = SharedKVCache(1, kh, dh, max_seq=16)
+            cache.write_block(0, 0, rng.standard_normal((kh, 10, dh)),
+                              rng.standard_normal((kh, 10, dh)))
+            k, v = cache.view(0, 10)
+        else:                    # ring holding 5 of its 8 slots
+            ring = WindowKVCache(8, kh, dh)
+            for pos in range(5):
+                ring.write(pos, rng.standard_normal((kh, dh)),
+                           rng.standard_normal((kh, dh)))
+            k, v, _ = ring.gather(4)
+            assert k.shape == (kh, 5, dh)
+        q = rng.standard_normal((rows, kh * groups, dh))
+        got = grouped_attend(q, k, v)
+        assert got.shape == q.shape
+        assert np.max(np.abs(got - repeat_einsum_attend(q, k, v))) < 1e-9
+
+
+class _FixedDraw:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+class TestSelect:
+    def test_draw_above_the_last_cdf_value_picks_the_last_token(self):
+        rng = np.random.default_rng(0)
+        for _ in range(100):   # ~44% of 256-way softmaxes sum to just under 1
+            logits = rng.standard_normal(256)
+            e = np.exp(logits - logits.max())
+            top = np.cumsum(e / e.sum())[-1]
+            if top < 1.0:
+                break
+        assert top < 1.0
+        u = np.nextafter(top, 1.0)
+        assert _select(logits, 1.0, _FixedDraw(u)) == 255
+
+
+class TestTokenRange:
+    @pytest.mark.parametrize("mode_kw", [dict(mode="vanilla_loop", loops=2),
+                                         dict(mode="plt", loops=2)])
+    @pytest.mark.parametrize("bad", [-1, 17])
+    def test_step_rejects_out_of_range_id(self, mode_kw, bad):
+        cfg = small(**mode_kw)
+        assert cfg.vocab == 17
+        sess = prefill(init_parameters(cfg, 0), np.arange(4))
+        with pytest.raises(TokenError):
+            sess.step(bad)
+        assert sess.position == 4 and sess.steps == 0
+        sess.step(cfg.vocab - 1)
+
+    @pytest.mark.parametrize("bad", [-1, 17])
+    def test_prefill_and_forward_reject_out_of_range_ids(self, bad):
+        params = init_parameters(small(), 0)
+        prompt = np.array([1, bad, 2])
+        with pytest.raises(TokenError):
+            prefill(params, prompt)
+        with pytest.raises(TokenError):
+            forward(params, prompt)

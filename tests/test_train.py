@@ -1,16 +1,18 @@
 """Tasks, optimizer mechanics, schedule shape, and loop determinism."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from parloop.checkpoint import load_checkpoint
-from parloop.errors import ConfigError, DivergenceError
+from parloop.errors import CapacityError, ConfigError, DivergenceError
 from parloop.model import ModelConfig, forward, init_parameters
 from parloop.tasks import cross_entropy_loss, eval_accuracy, make_task
 from parloop.tensor import Rng, Tensor
 from parloop.train import (
+    PROBE_STEPS,
     Adam,
     TrainConfig,
     ablation_run,
@@ -273,3 +275,18 @@ class TestAblationLadder(FastSetup):
         txt = format_ablation(rows)
         for arch in ("vanilla", "loop", "kvshare", "plt"):
             assert arch in txt
+
+    def test_probe_past_max_seq_is_rejected_before_training(self, monkeypatch):
+        task = self.task()
+        base = dict(vocab=task.vocab, d_model=16, n_layers=1, n_heads=2, d_ff=32,
+                    max_seq=task.seq_len + PROBE_STEPS - 1)
+        train_module = importlib.import_module("parloop.train")
+        monkeypatch.setattr(train_module, "train",
+                            lambda *a, **kw: pytest.fail("a rung was trained"))
+        with pytest.raises(CapacityError):
+            ablation_run(task, base, TrainConfig(steps=1, batch_size=4, seed=0))
+        monkeypatch.undo()
+        base["max_seq"] += 1   # the probe exactly fits
+        rows = ablation_run(task, base, TrainConfig(steps=1, batch_size=4, seed=0),
+                            archs=("plt",))
+        assert rows[0]["passes_per_token"] == 1.0
