@@ -20,6 +20,7 @@ from .model import ModelConfig, Parameters, init_parameters
 
 MAGIC = b"PLTCKPT1"
 VERSION = 1
+DTYPES = ("float64", "float32")   # the dtypes a Tensor can hold
 
 
 def save_checkpoint(path, params: Parameters, extra: dict | None = None) -> None:
@@ -67,21 +68,33 @@ def load_checkpoint(path):
         manifest = json.loads(data[16:16 + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"unreadable manifest: {e}") from e
+    if not isinstance(manifest, dict):
+        raise CheckpointError("manifest is not a JSON object")
     if manifest.get("version") != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {manifest.get('version')}")
     try:
         cfg = ModelConfig(**manifest["config"])
     except (TypeError, KeyError) as e:
         raise CheckpointError(f"bad config in manifest: {e}") from e
+    if manifest.get("dtype") not in DTYPES:
+        raise CheckpointError(
+            f"unsupported payload dtype {manifest.get('dtype')!r}, expected one of {DTYPES}")
     dtype = np.dtype(manifest["dtype"]).newbyteorder("<")
+    if not isinstance(manifest.get("tensors"), list):
+        raise CheckpointError("manifest 'tensors' is not a list")
     payload = data[16 + mlen:]
 
     params = init_parameters(cfg, seed=0)
     named = params.named_tensors()
     seen = set()
     for entry in manifest["tensors"]:
-        name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
-        if name not in named:
+        try:
+            name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
+        except (TypeError, KeyError) as e:
+            raise CheckpointError(f"malformed tensor entry {entry!r}: {e!r}") from e
+        if not isinstance(offset, int) or offset < 0:
+            raise CheckpointError(f"bad offset {offset!r} for tensor {name!r}")
+        if not isinstance(name, str) or name not in named:
             raise CheckpointError(f"unknown tensor {name!r} in checkpoint")
         t = named[name]
         if t.data.shape != shape:

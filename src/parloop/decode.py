@@ -12,9 +12,11 @@ The serial wirings decode the ordinary way: ``vanilla`` is the single-pass
 special case, ``vanilla_loop`` runs the same per-layer body ``loops`` times
 per token, one row at a time against per-loop caches.
 
-Attention is grouped-query: the query heads that share a key/value head are
-stacked into one matrix and multiplied with that head's cached keys and
-values in place, so a step never copies or repeats the cache.
+Attention runs through the training forward's kernel
+(``attention.attention_np``): the query heads that share a key/value head
+read that head's cached keys and values in place, so a step never copies or
+repeats the cache, and since every row of a step sits at one position the
+kernel builds no mask.
 
 Everything here is plain numpy under no_grad semantics; the training
 forward is reused verbatim for prefill so the handoff is exact.
@@ -26,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import SharedKVCache, WindowKVCache, apply_rope_np
-from .errors import CapacityError, NumericError, TokenError
+from .attention import SharedKVCache, WindowKVCache, apply_rope_np, attention_np
+from .errors import CapacityError, ConfigError, DimensionError, TokenError
 from .model import Parameters, forward, gate_for_loop
 from .tensor import Rng, no_grad
 
@@ -43,28 +45,6 @@ def _silu(x: np.ndarray) -> np.ndarray:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    if np.isnan(scores).any():
-        raise NumericError("attention scores contain NaN")
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def grouped_attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Attention of queries [rows, heads, dh] over keys/values [kv_heads, m, dh].
-
-    Query head h reads key/value head h // groups. The heads of a group are
-    stacked as [kv_heads, rows * groups, dh], so two batched matmuls read
-    each key/value head in place; the cache is never repeated or copied.
-    """
-    rows, heads, dh = q.shape
-    kh = k.shape[0]
-    qg = q.reshape(rows, kh, heads // kh, dh).transpose(1, 0, 2, 3).reshape(kh, -1, dh)
-    att = _softmax((qg * (1.0 / np.sqrt(dh))) @ k.transpose(0, 2, 1))
-    y = (att @ v).reshape(kh, rows, heads // kh, dh)
-    return y.transpose(1, 0, 2, 3).reshape(rows, heads, dh)
 
 
 @dataclass
@@ -88,7 +68,8 @@ class DecodeSession:
         cfg = params.config
         prompt = np.asarray(prompt)
         if prompt.ndim != 1:
-            raise ValueError("prompt must be a 1-d array of token ids")
+            raise DimensionError(
+                f"prompt must be a 1-d array of token ids, got shape {prompt.shape}")
         self.params = params
         self.cfg = cfg
         n = len(prompt)
@@ -179,6 +160,7 @@ class DecodeSession:
         cfg, params = self.cfg, self.params
         rows = x.shape[0]
         heads, kh, dh = cfg.n_heads, cfg.n_kv_heads, cfg.d_head
+        at = [p] * rows   # every row queries position p
         for li, layer in enumerate(params.layers):
             h = _rms(x, layer.attn_norm.data, cfg.norm_eps)
             q_full = h @ layer.wq.data
@@ -187,14 +169,15 @@ class DecodeSession:
             v = (h @ layer.wv.data).reshape(rows, kh, dh)
 
             cache.write(li, p, k[0], v[0])
-            y = grouped_attend(q, *cache.view(li, p + 1))
+            y = attention_np(q.transpose(1, 0, 2), *cache.view(li, p + 1), at).transpose(1, 0, 2)
 
             if cfg.gswa:
                 for r in range(1, rows):
                     ring = self.rings[(li, r + 1)]
                     ring.write(p, k[r], v[r])
-                    kw, vw, _ = ring.gather(p)
-                    y_local = grouped_attend(q[r:r + 1], kw, vw)[0]
+                    kw, vw, kpos = ring.gather(p)
+                    y_local = attention_np(q[r][:, None], kw, vw, at[:1], int(kpos[0]),
+                                           cfg.window)[:, 0]
                     gp = gate_for_loop(layer, cfg, r + 1)
                     g = _sigmoid(q_full[r] @ gp.weight.data + gp.bias.data)[:, None]
                     y[r] = g * y_local + (1.0 - g) * y[r]
@@ -211,6 +194,8 @@ class DecodeSession:
         if self.position >= self.cfg.max_seq:
             raise CapacityError(
                 f"position {self.position} is at max_seq {self.cfg.max_seq}")
+        if not isinstance(token, (int, np.integer)):
+            raise TokenError(f"token id {token!r} is not an integer")
         if not 0 <= token < self.cfg.vocab:
             raise TokenError(f"token id {token} is outside [0, {self.cfg.vocab})")
         return self.params.embedding.data[token]
@@ -261,7 +246,7 @@ def generate(session: DecodeSession, n_tokens: int, temperature: float = 0.0,
     """Emit n_tokens continuations; every emitted token is fed back, so the
     session stays consistent for further calls."""
     if n_tokens < 1:
-        raise ValueError("n_tokens must be >= 1")
+        raise ConfigError(f"n_tokens must be >= 1, got {n_tokens}")
     if session.position + n_tokens > session.cfg.max_seq:
         raise CapacityError(
             f"{n_tokens} tokens from position {session.position} would exceed "

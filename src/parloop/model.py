@@ -28,14 +28,13 @@ from .attention import (
     GateParams,
     RopeTables,
     apply_rope,
+    attention,
     build_rope_tables,
     gate_values,
     gated_fuse,
-    global_attend,
-    sliding_window_attend,
 )
-from .errors import CapacityError, ConfigError, EmptyInputError, TokenError
-from .tensor import Rng, Tensor, concat, embedding as gather_rows, repeat_heads, rmsnorm, silu, zeros
+from .errors import CapacityError, ConfigError, EmptyInputError, InvalidLoopError, TokenError
+from .tensor import Rng, Tensor, concat, embedding as gather_rows, rmsnorm, silu, zeros
 
 MODES = ("vanilla", "vanilla_loop", "plt")
 
@@ -99,10 +98,6 @@ class ModelConfig:
     @property
     def d_head(self) -> int:
         return self.d_model // self.n_heads
-
-    @property
-    def kv_groups(self) -> int:
-        return self.n_heads // self.n_kv_heads
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -238,9 +233,11 @@ def block_stack_forward(params: Parameters, x: Tensor, positions: np.ndarray,
     had no use for private keys).
     """
     cfg = params.config
-    n = x.shape[1]
     own_kv = []
     use_local = shared_kv is not None and cfg.gswa
+    if use_local and loop_index < 2:
+        raise InvalidLoopError(
+            f"sliding-window path is defined for loops >= 2, got {loop_index}")
     for li, layer in enumerate(params.layers):
         h = rmsnorm(x, layer.attn_norm, cfg.norm_eps)
         q_full = h @ layer.wq
@@ -252,17 +249,11 @@ def block_stack_forward(params: Parameters, x: Tensor, positions: np.ndarray,
             k = v = None
         own_kv.append((k, v))
         if shared_kv is None:
-            y = global_attend(q, repeat_heads(k, cfg.kv_groups),
-                              repeat_heads(v, cfg.kv_groups), positions, positions)
+            y = attention(q, k, v, positions)
         else:
-            ks, vs = shared_kv[li]
-            m = ks.shape[-2]
-            y = global_attend(q, repeat_heads(ks, cfg.kv_groups),
-                              repeat_heads(vs, cfg.kv_groups), positions, np.arange(m))
+            y = attention(q, *shared_kv[li], positions)
             if use_local:
-                y_local = sliding_window_attend(
-                    q, repeat_heads(k, cfg.kv_groups), repeat_heads(v, cfg.kv_groups),
-                    positions, positions, cfg.window, loop_index)
+                y_local = attention(q, k, v, positions, cfg.window)
                 g = gate_values(gate_for_loop(layer, cfg, loop_index), q_full)
                 y = gated_fuse(g, y_local, y)
         x = x + merge_heads(y) @ layer.wo
@@ -307,6 +298,8 @@ def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False)
         tokens = tokens[None, :]
     if tokens.ndim != 2 or tokens.shape[1] == 0 or tokens.shape[0] == 0:
         raise EmptyInputError(f"expected non-empty [batch, seq] token ids, got shape {tokens.shape}")
+    if not np.issubdtype(tokens.dtype, np.integer):
+        raise TokenError(f"token ids must be integers, got dtype {tokens.dtype}")
     n = tokens.shape[1]
     if n > cfg.max_seq:
         raise CapacityError(f"sequence length {n} exceeds max_seq {cfg.max_seq}")

@@ -386,23 +386,6 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return out
 
 
-def repeat_heads(x: Tensor, reps: int) -> Tensor:
-    """Repeat axis -3 (the head axis of a [..., heads, seq, dim] tensor)."""
-    if reps == 1:
-        return x
-    out = Tensor(np.repeat(x.data, reps, axis=-3), x.requires_grad and _GRAD_ENABLED)
-    if out.requires_grad:
-        src = x.shape
-        grouped = src[:-3] + (src[-3], reps) + src[-2:]
-
-        def bwd(g):
-            x._accum(g.reshape(grouped).sum(axis=-3))
-
-        out._parents = (x,)
-        out._backward = bwd
-    return out
-
-
 def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
     """Mean negative log-likelihood of `targets` under row-softmax of logits.
 

@@ -5,14 +5,10 @@ from holding; a check passes when its error is within tolerance. Exact
 invariants (causality, gate saturation, cache bounds) use zero tolerance;
 the decode-against-training check carries genuine floating-point noise, so
 it takes the caller's tolerance and honestly fails at zero.
-
-Checks are independent; PLT_THREADS > 1 runs them concurrently.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,19 +161,13 @@ def check_gradients(seed: int = 0, tol: float = 1e-4) -> CheckResult:
 
 def run_all(seed: int = 0, tolerance: float = 1e-9,
             include_grad: bool = True) -> list:
-    """Run every check, honoring PLT_THREADS for concurrency."""
-    jobs = [
-        lambda: check_teacher_forcing(seed, tolerance),
-        lambda: check_causality(seed),
-        lambda: check_gate_limits(seed),
-        lambda: check_cache_bounds(seed),
+    """Run every check, one after another."""
+    results = [
+        check_teacher_forcing(seed, tolerance),
+        check_causality(seed),
+        check_gate_limits(seed),
+        check_cache_bounds(seed),
     ]
     if include_grad:
-        jobs.append(lambda: check_gradients(seed))
-    threads = int(os.environ.get("PLT_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda j: j(), jobs))
-    else:
-        results = [j() for j in jobs]
+        results.append(check_gradients(seed))
     return results

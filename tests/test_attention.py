@@ -6,22 +6,26 @@ import numpy as np
 import pytest
 
 from parloop.attention import (
+    BLOCK,
     GateParams,
     SharedKVCache,
     WindowKVCache,
     apply_rope,
     apply_rope_np,
-    attend,
+    attention,
+    attention_np,
     band_mask,
     build_rope_tables,
     causal_mask,
     gate_values,
     gated_fuse,
-    global_attend,
-    sliding_window_attend,
 )
-from parloop.errors import CapacityError, EmptyContextError, InvalidLoopError
-from parloop.tensor import Tensor, repeat_heads
+from parloop.errors import CapacityError, EmptyContextError, InvalidLoopError, NumericError
+from parloop.gradcheck import grad_check
+from parloop.model import ModelConfig, block_stack_forward, forward, init_parameters
+from parloop.tensor import Tensor
+
+from test_tensor import numeric_grad, rel
 
 
 def naive_attend(q, k, v, allowed):
@@ -101,14 +105,19 @@ class TestMasks:
                                         [True, True, True, False]]))
 
 
+def allowed_set(n, window=0):
+    """Visibility of key j from query i over positions 0 .. n - 1."""
+    i, j = np.arange(n)[:, None], np.arange(n)[None, :]
+    return (j <= i) & ((j > i - window) if window else True)
+
+
 class TestAttendCore:
     def test_causal_matches_bruteforce(self, rng):
         h, n, dh = 3, 5, 4
         q = rng.normal(size=(h, n, dh))
         k = rng.normal(size=(h, n, dh))
         v = rng.normal(size=(h, n, dh))
-        out = global_attend(Tensor(q), Tensor(k), Tensor(v),
-                            np.arange(n), np.arange(n)).data
+        out = attention(Tensor(q), Tensor(k), Tensor(v), np.arange(n)).data
         want = naive_attend(q, k, v, np.tril(np.ones((n, n), dtype=bool)))
         assert np.max(np.abs(out - want)) < 1e-12
 
@@ -117,8 +126,7 @@ class TestAttendCore:
         q = rng.normal(size=(h, n, dh))
         k = rng.normal(size=(h, n, dh))
         v = rng.normal(size=(h, n, dh))
-        out = sliding_window_attend(Tensor(q), Tensor(k), Tensor(v),
-                                    np.arange(n), np.arange(n), w, loop_index=2).data
+        out = attention(Tensor(q), Tensor(k), Tensor(v), np.arange(n), w).data
         allowed = np.zeros((n, n), dtype=bool)
         for i in range(n):
             for j in range(n):
@@ -129,24 +137,113 @@ class TestAttendCore:
         q = rng.normal(size=(4, 5, 8))
         k = rng.normal(size=(2, 5, 8))
         v = rng.normal(size=(2, 5, 8))
-        mask = causal_mask(np.arange(5), np.arange(5))
-        out = attend(Tensor(q), repeat_heads(Tensor(k), 2),
-                     repeat_heads(Tensor(v), 2), mask).data
+        out = attention(Tensor(q), Tensor(k), Tensor(v), np.arange(5)).data
         want = naive_attend(q, np.repeat(k, 2, axis=0), np.repeat(v, 2, axis=0),
                             np.tril(np.ones((5, 5), dtype=bool)))
         assert np.max(np.abs(out - want)) < 1e-12
 
     def test_fully_blocked_row_raises(self, rng):
-        q = Tensor(rng.normal(size=(1, 2, 4)))
-        k = Tensor(rng.normal(size=(1, 2, 4)))
-        mask = np.array([[0.0, -np.inf], [-np.inf, -np.inf]])
-        with pytest.raises(EmptyContextError):
-            attend(q, k, k, mask)
+        q = rng.normal(size=(1, 2, 4))
+        k = rng.normal(size=(1, 2, 4))
+        with pytest.raises(EmptyContextError):   # query 0 precedes keys 1, 2
+            attention_np(q, k, k, np.arange(2), k_start=1)
+        with pytest.raises(EmptyContextError):   # query 5 is past keys 0, 1
+            attention_np(q, k, k, np.array([4, 5]), window=4)
 
-    def test_window_before_first_loop_rejected(self, rng):
-        q = Tensor(rng.normal(size=(1, 3, 4)))
+    def test_window_before_first_loop_rejected(self):
+        cfg = ModelConfig(vocab=11, d_model=8, n_layers=1, n_heads=2, mode="plt",
+                          loops=2, gswa=True, window=2, max_seq=8)
+        params = init_parameters(cfg, 0)
+        states = forward(params, np.arange(3), return_states=True)
         with pytest.raises(InvalidLoopError):
-            sliding_window_attend(q, q, q, np.arange(3), np.arange(3), 2, loop_index=1)
+            block_stack_forward(params, states.hidden_per_loop[0], np.arange(3),
+                                loop_index=1, shared_kv=states.shared_kv)
+
+    def test_nan_score_raises(self, rng):
+        q = rng.normal(size=(2, 3, 4))
+        k = rng.normal(size=(2, 3, 4))
+        q[1, 2, 0] = np.nan
+        with pytest.raises(NumericError):
+            attention_np(q, k, k, np.arange(3))
+
+
+class TestKernel:
+    """The tiled kernel against the per-head oracle across tile boundaries."""
+
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    @pytest.mark.parametrize("n", [1, BLOCK, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("window", [0, 5, BLOCK + 7, 2 * BLOCK + 3])
+    def test_matches_naive_oracle(self, n, window, groups):
+        rng = np.random.default_rng(1000 * n + 10 * window + groups)
+        kh, dh = 2, 4
+        q = rng.normal(size=(kh * groups, n, dh))
+        k = rng.normal(size=(kh, n, dh))
+        v = rng.normal(size=(kh, n, dh))
+        out = attention_np(q, k, v, np.arange(n), window=window)
+        want = naive_attend(q, np.repeat(k, groups, axis=0),
+                            np.repeat(v, groups, axis=0), allowed_set(n, window))
+        assert np.max(np.abs(out - want)) < 1e-12
+
+    @pytest.mark.parametrize("window", [0, 5])
+    def test_grads_match_finite_differences_across_tiles(self, window):
+        rng = np.random.default_rng(window)
+        b, kh, groups, n, dh = 2, 2, 2, BLOCK + 6, 4
+        q = Tensor(rng.normal(size=(b, kh * groups, n, dh)), requires_grad=True)
+        k = Tensor(rng.normal(size=(b, kh, n, dh)), requires_grad=True)
+        v = Tensor(rng.normal(size=(b, kh, n, dh)), requires_grad=True)
+        w = rng.normal(size=q.shape)
+
+        def loss_fn():
+            return (attention(q, k, v, np.arange(n), window) * w).sum()
+
+        res = grad_check(loss_fn, {"q": q, "k": k, "v": v}, tol=1e-4,
+                         max_coords=40, seed=window)
+        assert res.passed, res.summary()
+
+    def test_grouped_kv_grad_sums_over_copies(self, rng):
+        q = Tensor(rng.normal(size=(2, 6, 3, 4)), requires_grad=True)
+        k = Tensor(rng.normal(size=(2, 2, 3, 4)), requires_grad=True)
+        w = rng.normal(size=(2, 6, 3, 4))
+        (attention(q, k, k, np.arange(3)) * w).sum().backward()
+
+        def f(kv):
+            kr = np.repeat(kv, 3, axis=-3)
+            return float(sum((naive_attend(q.data[b], kr[b], kr[b], allowed_set(3))
+                              * w[b]).sum() for b in range(2)))
+        assert rel(k.grad, numeric_grad(f, k.data.copy())) < 1e-6
+
+    def test_rows_at_one_position_build_no_mask(self, rng, monkeypatch):
+        import parloop.attention as attn
+
+        def no_mask(*args):
+            raise AssertionError("mask built for a single-position tile")
+        monkeypatch.setattr(attn, "causal_mask", no_mask)
+        monkeypatch.setattr(attn, "band_mask", no_mask)
+        q = rng.normal(size=(4, 3, 4))      # three rows, all at position 6
+        k = rng.normal(size=(2, 7, 4))
+        out = attention_np(q, k, k, np.full(3, 6))
+        want = naive_attend(q, np.repeat(k, 2, axis=0), np.repeat(k, 2, axis=0),
+                            np.ones((3, 7), dtype=bool))
+        assert np.max(np.abs(out - want)) < 1e-12
+        ring = attention_np(q, k[:, 3:], k[:, 3:], np.full(3, 6), k_start=3, window=4)
+        assert np.array_equal(ring, attention_np(q, k[:, 3:], k[:, 3:], np.full(3, 6),
+                                                 k_start=3))
+
+    @pytest.mark.parametrize("kw", [dict(mode="vanilla"),
+                                    dict(mode="vanilla_loop", loops=2),
+                                    dict(mode="plt", loops=3, gswa=True, window=5)])
+    def test_perturbing_after_a_tile_boundary_keeps_earlier_logits(self, kw):
+        cfg = ModelConfig(vocab=13, d_model=16, n_layers=2, n_heads=4, n_kv_heads=2,
+                          d_ff=24, max_seq=2 * BLOCK, **kw)
+        params = init_parameters(cfg, 5)
+        tokens = np.random.default_rng(2).integers(0, 13, size=BLOCK + 12)
+        j = BLOCK + 4
+        bumped = tokens.copy()
+        bumped[j] = (bumped[j] + 1) % 13
+        a = forward(params, tokens).data[0]
+        b = forward(params, bumped).data[0]
+        assert np.array_equal(a[:j], b[:j])
+        assert not np.array_equal(a[j], b[j])
 
 
 class TestGate:

@@ -5,9 +5,10 @@ the quadratic recompute-from-scratch oracle."""
 import numpy as np
 import pytest
 
-from parloop.attention import SharedKVCache, WindowKVCache
-from parloop.decode import DecodeSession, _select, generate, grouped_attend, prefill
-from parloop.errors import CapacityError, EmptyInputError, TokenError
+from parloop.attention import SharedKVCache, WindowKVCache, attention_np
+from parloop.decode import DecodeSession, _select, generate, prefill
+from parloop.errors import (CapacityError, ConfigError, DimensionError, EmptyInputError,
+                            TokenError)
 from parloop.model import ModelConfig, forward, init_parameters
 
 
@@ -224,6 +225,17 @@ class TestGenerate:
         with pytest.raises(EmptyInputError):
             prefill(params, np.array([], dtype=int))
 
+    def test_two_dimensional_prompt_rejected(self):
+        params = init_parameters(small(), seed=0)
+        with pytest.raises(DimensionError):
+            prefill(params, np.arange(6).reshape(2, 3))
+
+    def test_zero_tokens_rejected(self):
+        sess = prefill(init_parameters(small(), seed=0), np.arange(4))
+        with pytest.raises(ConfigError):
+            generate(sess, 0)
+        assert sess.steps == 0
+
 
 class TestMicroBatch:
     def test_rows_are_embedding_plus_carries(self):
@@ -277,6 +289,9 @@ def repeat_einsum_attend(q, k, v):
 
 
 class TestGroupedAttend:
+    """The kernel called the way a decode step calls it: rows [rows, heads,
+    dh] at one position against a cache view or a ring gather."""
+
     @pytest.mark.parametrize("groups", [1, 2, 4, 8])
     @pytest.mark.parametrize("source", ["shared", "window"])
     def test_matches_repeated_cache(self, groups, source):
@@ -287,15 +302,19 @@ class TestGroupedAttend:
             cache.write_block(0, 0, rng.standard_normal((kh, 10, dh)),
                               rng.standard_normal((kh, 10, dh)))
             k, v = cache.view(0, 10)
+            k_start, window = 0, 0
         else:                    # ring holding 5 of its 8 slots
             ring = WindowKVCache(8, kh, dh)
             for pos in range(5):
                 ring.write(pos, rng.standard_normal((kh, dh)),
                            rng.standard_normal((kh, dh)))
-            k, v, _ = ring.gather(4)
+            k, v, pos = ring.gather(4)
             assert k.shape == (kh, 5, dh)
+            k_start, window = pos[0], 8
         q = rng.standard_normal((rows, kh * groups, dh))
-        got = grouped_attend(q, k, v)
+        at = k_start + k.shape[1] - 1
+        got = attention_np(q.transpose(1, 0, 2), k, v, np.full(rows, at),
+                           k_start, window).transpose(1, 0, 2)
         assert got.shape == q.shape
         assert np.max(np.abs(got - repeat_einsum_attend(q, k, v))) < 1e-9
 
@@ -334,6 +353,22 @@ class TestTokenRange:
             sess.step(bad)
         assert sess.position == 4 and sess.steps == 0
         sess.step(cfg.vocab - 1)
+
+    @pytest.mark.parametrize("mode_kw", [dict(mode="vanilla_loop", loops=2),
+                                         dict(mode="plt", loops=2)])
+    def test_step_rejects_non_integer_id(self, mode_kw):
+        sess = prefill(init_parameters(small(**mode_kw), 0), np.arange(4))
+        with pytest.raises(TokenError):
+            sess.step(3.5)
+        assert sess.position == 4 and sess.steps == 0
+
+    def test_prefill_and_forward_reject_non_integer_ids(self):
+        params = init_parameters(small(), 0)
+        prompt = np.array([1.5, 2.0])
+        with pytest.raises(TokenError):
+            prefill(params, prompt)
+        with pytest.raises(TokenError):
+            forward(params, prompt)
 
     @pytest.mark.parametrize("bad", [-1, 17])
     def test_prefill_and_forward_reject_out_of_range_ids(self, bad):

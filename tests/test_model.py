@@ -2,6 +2,9 @@
 invariants: the one-position shift, single-pass equivalences, information
 flow through the loop chain, parameter and FLOP accounting, checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -272,6 +275,26 @@ class TestCheckpoint:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent.ckpt")
+
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda m: m.update(dtype="float99"), id="bad-dtype-string"),
+        pytest.param(lambda m: m["tensors"][0].pop("offset"), id="missing-offset"),
+        pytest.param(lambda m: m["tensors"][1].update(offset=-8), id="negative-offset"),
+        pytest.param(lambda m: m.update(tensors=7), id="tensors-not-a-list"),
+        pytest.param(lambda m: [1, 2], id="manifest-not-an-object"),
+        pytest.param(lambda m: m.update(dtype="int8"), id="int8-dtype"),
+    ])
+    def test_malformed_manifest_rejected(self, tmp_path, corrupt):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, init_parameters(small(), seed=0))
+        data = p.read_bytes()
+        (mlen,) = struct.unpack("<Q", data[8:16])
+        manifest = json.loads(data[16:16 + mlen])
+        manifest = corrupt(manifest) or manifest
+        blob = json.dumps(manifest).encode()
+        p.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + mlen:])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(p)
 
 
 class TestInitialization:

@@ -14,7 +14,6 @@ from parloop.tensor import (
     embedding,
     matmul,
     no_grad,
-    repeat_heads,
     rmsnorm,
     sigmoid,
     silu,
@@ -235,16 +234,6 @@ class TestEmbeddingAndGather:
         want[3] = 1.0
         want[0] = 1.0
         assert np.allclose(table.grad, want)
-
-    def test_repeat_heads_grad_sums_over_copies(self, rng):
-        x = Tensor(rng.normal(size=(2, 2, 3, 4)), requires_grad=True)
-        y = repeat_heads(x, 3)
-        assert y.shape == (2, 6, 3, 4)
-        w = rng.normal(size=(2, 6, 3, 4))
-        (y * w).sum().backward()
-        def f(v):
-            return float((np.repeat(v, 3, axis=-3) * w).sum())
-        assert rel(x.grad, numeric_grad(f, x.data.copy())) < 1e-6
 
 
 class TestCrossEntropy:
