@@ -19,7 +19,7 @@ from parloop.tensor import Rng
 rng = Rng(5)
 
 print("--- ring buffer: bounded, ordered, overwrites oldest ---")
-ring = WindowKVCache(window=4, n_kv_heads=1, d_head=6, dtype=np.float64)
+ring = WindowKVCache(window=4, n_kv_heads=1, d_head=6)
 for pos in range(7):
     ring.write(pos, rng.normal((1, 6)), rng.normal((1, 6)))
     k, v, positions = ring.gather(query_pos=pos)

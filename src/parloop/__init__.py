@@ -58,7 +58,7 @@ from .model import (
     init_parameters,
 )
 from .tasks import TaskSpec, cross_entropy_loss, eval_accuracy, make_task
-from .tensor import Rng, Tensor, no_grad, set_default_dtype
+from .tensor import Rng, Tensor, no_grad
 from .train import (
     Adam,
     TrainConfig,
@@ -84,5 +84,5 @@ __all__ = [
     "gate_values", "gated_fuse", "generate", "grad_check", "init_parameters",
     "latency_ratio", "load_checkpoint", "make_task", "no_grad", "prefill",
     "report_csv", "report_text", "run_all", "save_checkpoint",
-    "set_default_dtype", "standin_config", "sweep", "train", "variant_config",
+    "standin_config", "sweep", "train", "variant_config",
 ]

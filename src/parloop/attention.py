@@ -12,7 +12,9 @@ op with its own block-wise backward.
 Conventions: query/key/value tensors are [..., heads, seq, d_head]; masks
 are additive float arrays broadcastable to the score shape, 0 where allowed
 and -inf where blocked. Rotary rotation uses the half-split layout (first
-half of head dims pairs with the second half).
+half of head dims pairs with the second half); ``apply_rope_np`` is its one
+implementation, and ``apply_rope`` runs it as a single tape op whose
+backward is the inverse rotation.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, EmptyContextError, NumericError
-from .tensor import Tensor, concat, grad_enabled, sigmoid
+from .errors import CapacityError, ConfigError, EmptyContextError, NumericError
+from .tensor import Tensor, grad_enabled, sigmoid
 
 NEG_INF = float("-inf")
 
@@ -41,30 +43,32 @@ class RopeTables:
 
 def build_rope_tables(max_seq: int, d_head: int, theta: float = 10000.0) -> RopeTables:
     if d_head % 2 != 0:
-        raise ValueError("d_head must be even for rotary embedding")
+        raise ConfigError(f"d_head {d_head} must be even for rotary embedding")
     half = d_head // 2
     freqs = theta ** (-np.arange(half, dtype=np.float64) / half)
     angles = np.arange(max_seq, dtype=np.float64)[:, None] * freqs[None, :]
     return RopeTables(cos=np.cos(angles), sin=np.sin(angles))
 
 
-def apply_rope(x: Tensor, positions: np.ndarray, tables: RopeTables) -> Tensor:
-    """Rotate [..., seq, d_head] by the per-entry positions. Differentiable."""
+def apply_rope_np(x: np.ndarray, positions, tables: RopeTables) -> np.ndarray:
+    """Rotate [..., seq, d_head] by the per-entry positions (an int rotates
+    every row by one position)."""
     half = x.shape[-1] // 2
     cos = tables.cos[positions]  # [seq, half], broadcasts over leading dims
     sin = tables.sin[positions]
-    x1 = x[..., :half]
-    x2 = x[..., half:]
-    return concat([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
-
-
-def apply_rope_np(x: np.ndarray, positions: np.ndarray, tables: RopeTables) -> np.ndarray:
-    """Same rotation on a plain array (decode queries and keys)."""
-    half = x.shape[-1] // 2
-    cos = tables.cos[positions]
-    sin = tables.sin[positions]
     x1, x2 = x[..., :half], x[..., half:]
     return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+
+
+def apply_rope(x: Tensor, positions: np.ndarray, tables: RopeTables) -> Tensor:
+    """``apply_rope_np`` as one tape op; its backward is the inverse rotation."""
+    out = Tensor(apply_rope_np(x.data, positions, tables), x.requires_grad and grad_enabled())
+    if out.requires_grad:
+        def bwd(g):
+            x._accum(apply_rope_np(g, positions, RopeTables(tables.cos, -tables.sin)))
+        out._parents = (x,)
+        out._backward = bwd
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +86,7 @@ def causal_mask(q_positions: np.ndarray, k_positions: np.ndarray) -> np.ndarray:
 def band_mask(q_positions: np.ndarray, k_positions: np.ndarray, window: int) -> np.ndarray:
     """Sliding-window causal mask: key in (q - window, q]. Shape [nq, nk]."""
     if window < 1:
-        raise ValueError("window must be >= 1")
+        raise ConfigError(f"window must be >= 1, got {window}")
     q = np.asarray(q_positions)[:, None]
     k = np.asarray(k_positions)[None, :]
     return np.where((k <= q) & (k > q - window), 0.0, NEG_INF)
@@ -240,10 +244,9 @@ class SharedKVCache:
     it (queries in the same step slice up to pos + 1).
     """
 
-    def __init__(self, n_layers: int, n_kv_heads: int, d_head: int,
-                 max_seq: int, dtype=np.float64):
+    def __init__(self, n_layers: int, n_kv_heads: int, d_head: int, max_seq: int):
         self.max_seq = max_seq
-        self.k = np.zeros((n_layers, n_kv_heads, max_seq, d_head), dtype=dtype)
+        self.k = np.zeros((n_layers, n_kv_heads, max_seq, d_head))
         self.v = np.zeros_like(self.k)
         self.length = 0
 
@@ -266,9 +269,6 @@ class SharedKVCache:
         """Keys/values for positions [0, upto) as [n_kv_heads, upto, d_head]."""
         return self.k[layer, :, :upto, :], self.v[layer, :, :upto, :]
 
-    def entries(self) -> int:
-        return self.length
-
 
 class WindowKVCache:
     """Fixed-size ring of the last `window` positions for one (layer, loop).
@@ -277,11 +277,11 @@ class WindowKVCache:
     window regardless of how long decoding runs.
     """
 
-    def __init__(self, window: int, n_kv_heads: int, d_head: int, dtype=np.float64):
+    def __init__(self, window: int, n_kv_heads: int, d_head: int):
         if window < 1:
-            raise ValueError("window must be >= 1")
+            raise ConfigError(f"window must be >= 1, got {window}")
         self.window = window
-        self.k = np.zeros((window, n_kv_heads, d_head), dtype=dtype)
+        self.k = np.zeros((window, n_kv_heads, d_head))
         self.v = np.zeros_like(self.k)
         self.positions = np.full(window, -1, dtype=np.int64)
 

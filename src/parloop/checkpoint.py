@@ -4,7 +4,8 @@ Layout: 8-byte magic, little-endian uint64 manifest length, UTF-8 JSON
 manifest, then the raw tensor payload. The manifest records the model
 config, the payload dtype, and per-tensor name/shape/offset, with offsets
 relative to the start of the payload. Tensors are stored little-endian in
-the order listed.
+the order listed. Saves write float64; a float32 payload is read and
+widened to float64, the only dtype a Tensor holds.
 """
 
 from __future__ import annotations
@@ -16,29 +17,26 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import CheckpointError
-from .model import ModelConfig, Parameters, init_parameters
+from .model import ModelConfig, Parameters, build_parameters
 
 MAGIC = b"PLTCKPT1"
 VERSION = 1
-DTYPES = ("float64", "float32")   # the dtypes a Tensor can hold
+DTYPES = ("float64", "float32")
 
 
 def save_checkpoint(path, params: Parameters, extra: dict | None = None) -> None:
-    named = params.named_tensors()
-    dtype = np.dtype(params.embedding.data.dtype)
     tensors = []
     offset = 0
     chunks = []
-    for name, t in named.items():
-        arr = np.ascontiguousarray(t.data, dtype=dtype)
-        raw = arr.astype(dtype.newbyteorder("<"), copy=False).tobytes()
-        tensors.append({"name": name, "shape": list(arr.shape), "offset": offset})
+    for name, t in params.named_tensors().items():
+        raw = np.ascontiguousarray(t.data, dtype="<f8").tobytes()
+        tensors.append({"name": name, "shape": list(t.shape), "offset": offset})
         chunks.append(raw)
         offset += len(raw)
     manifest = {
         "version": VERSION,
         "config": asdict(params.config),
-        "dtype": dtype.name,
+        "dtype": "float64",
         "extra": extra or {},
         "tensors": tensors,
     }
@@ -84,7 +82,7 @@ def load_checkpoint(path):
         raise CheckpointError("manifest 'tensors' is not a list")
     payload = data[16 + mlen:]
 
-    params = init_parameters(cfg, seed=0)
+    params = build_parameters(cfg, np.zeros)
     named = params.named_tensors()
     seen = set()
     for entry in manifest["tensors"]:
@@ -105,7 +103,7 @@ def load_checkpoint(path):
         if offset + nbytes > len(payload):
             raise CheckpointError(f"truncated payload at tensor {name!r}")
         arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
-        t.data = arr.astype(dtype.newbyteorder("="), copy=True).reshape(shape)
+        t.data = arr.astype(np.float64).reshape(shape)
         seen.add(name)
     missing = set(named) - seen
     if missing:

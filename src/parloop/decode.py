@@ -18,6 +18,14 @@ read that head's cached keys and values in place, so a step never copies or
 repeats the cache, and since every row of a step sits at one position the
 kernel builds no mask.
 
+Every other formula of a step is also the plain-array kernel that the tape
+op runs: ``rmsnorm_np``, ``silu_np`` and ``sigmoid_np`` from ``tensor``,
+``apply_rope_np`` and ``gated_fuse`` from ``attention``, and the output
+projection from ``model.head_weight``; no forward formula is defined here.
+Only the per-layer body (``_stack_pass``) is kept apart from
+``model.block_stack_forward``, because its rows advance different loops in
+one pass.
+
 Everything here is plain numpy under no_grad semantics; the training
 forward is reused verbatim for prefill so the handoff is exact.
 """
@@ -28,23 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import SharedKVCache, WindowKVCache, apply_rope_np, attention_np
+from .attention import SharedKVCache, WindowKVCache, apply_rope_np, attention_np, gated_fuse
 from .errors import CapacityError, ConfigError, DimensionError, TokenError
-from .model import Parameters, forward, gate_for_loop
-from .tensor import Rng, no_grad
-
-
-def _rms(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
-    return x / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps) * gain
-
-
-def _silu(x: np.ndarray) -> np.ndarray:
-    return x / (1.0 + np.exp(-x))
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+from .model import Parameters, forward, gate_for_loop, head_weight
+from .tensor import Rng, no_grad, rmsnorm_np, sigmoid_np, silu_np
 
 
 @dataclass
@@ -73,7 +68,6 @@ class DecodeSession:
         self.params = params
         self.cfg = cfg
         n = len(prompt)
-        dt = params.embedding.data.dtype
         dh, kh = cfg.d_head, cfg.n_kv_heads
 
         with no_grad():
@@ -84,13 +78,13 @@ class DecodeSession:
         self.per_loop: list = []
         if cfg.mode == "vanilla_loop":
             for kv in states.own_kv_per_loop:
-                cache = SharedKVCache(cfg.n_layers, kh, dh, cfg.max_seq, dt)
+                cache = SharedKVCache(cfg.n_layers, kh, dh, cfg.max_seq)
                 for li, (k, v) in enumerate(kv):
                     cache.write_block(li, 0, k.data[0], v.data[0])
                 cache.length = n
                 self.per_loop.append(cache)
         else:
-            self.shared = SharedKVCache(cfg.n_layers, kh, dh, cfg.max_seq, dt)
+            self.shared = SharedKVCache(cfg.n_layers, kh, dh, cfg.max_seq)
             first_kv = states.shared_kv if cfg.kv_share else states.own_kv_per_loop[0]
             for li, (k, v) in enumerate(first_kv):
                 self.shared.write_block(li, 0, k.data[0], v.data[0])
@@ -99,7 +93,7 @@ class DecodeSession:
                 for loop_index in range(2, cfg.loops + 1):
                     kv = states.own_kv_per_loop[loop_index - 1]
                     for li, (k, v) in enumerate(kv):
-                        ring = WindowKVCache(cfg.window, kh, dh, dt)
+                        ring = WindowKVCache(cfg.window, kh, dh)
                         for q in range(max(0, n - cfg.window), n):
                             ring.write(q, k.data[0, :, q, :], v.data[0, :, q, :])
                         self.rings[(li, loop_index)] = ring
@@ -162,7 +156,7 @@ class DecodeSession:
         heads, kh, dh = cfg.n_heads, cfg.n_kv_heads, cfg.d_head
         at = [p] * rows   # every row queries position p
         for li, layer in enumerate(params.layers):
-            h = _rms(x, layer.attn_norm.data, cfg.norm_eps)
+            h = rmsnorm_np(x, layer.attn_norm.data, cfg.norm_eps)
             q_full = h @ layer.wq.data
             q = apply_rope_np(q_full.reshape(rows, heads, dh), p, params.rope)
             k = apply_rope_np((h @ layer.wk.data).reshape(rows, kh, dh), p, params.rope)
@@ -179,13 +173,13 @@ class DecodeSession:
                     y_local = attention_np(q[r][:, None], kw, vw, at[:1], int(kpos[0]),
                                            cfg.window)[:, 0]
                     gp = gate_for_loop(layer, cfg, r + 1)
-                    g = _sigmoid(q_full[r] @ gp.weight.data + gp.bias.data)[:, None]
-                    y[r] = g * y_local + (1.0 - g) * y[r]
+                    g = sigmoid_np(q_full[r] @ gp.weight.data + gp.bias.data)[:, None]
+                    y[r] = gated_fuse(g, y_local, y[r])
 
             x = x + y.reshape(rows, heads * dh) @ layer.wo.data
-            hm = _rms(x, layer.mlp_norm.data, cfg.norm_eps)
-            x = x + (_silu(hm @ layer.w_gate.data) * (hm @ layer.w_up.data)) @ layer.w_down.data
-        return _rms(x, params.final_norm.data, cfg.norm_eps)
+            hm = rmsnorm_np(x, layer.mlp_norm.data, cfg.norm_eps)
+            x = x + (silu_np(hm @ layer.w_gate.data) * (hm @ layer.w_up.data)) @ layer.w_down.data
+        return rmsnorm_np(x, params.final_norm.data, cfg.norm_eps)
 
     # -- helpers ---------------------------------------------------------
 
@@ -204,13 +198,8 @@ class DecodeSession:
         """Close a step: move to the next position and emit its logits."""
         self.position += 1
         self.steps += 1
-        self.last_logits = hidden @ self._head()
+        self.last_logits = hidden @ head_weight(self.params).data
         return self.last_logits
-
-    def _head(self) -> np.ndarray:
-        if self.params.head is not None:
-            return self.params.head.data
-        return self.params.embedding.data.T
 
     @property
     def passes_per_token(self) -> float:

@@ -20,7 +20,7 @@ a single batched pass over displaced tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,9 +99,6 @@ class ModelConfig:
     def d_head(self) -> int:
         return self.d_model // self.n_heads
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class LayerParams:
@@ -148,17 +145,20 @@ class Parameters:
             out["head"] = self.head
         return out
 
-    def trainable(self) -> dict:
-        return self.named_tensors()
-
 
 def init_parameters(cfg: ModelConfig, seed: int, std: float = 0.02) -> Parameters:
     """Draw weights in a fixed order so a seed fully determines the model."""
     rng = Rng(seed)
+    return build_parameters(cfg, lambda shape: rng.normal(shape, std))
+
+
+def build_parameters(cfg: ModelConfig, weight) -> Parameters:
+    """The parameter layout of ``cfg``: norm gains are ones, gate biases
+    zeros, and every matrix is ``weight(shape)``, called in a fixed order."""
     dh, kh = cfg.d_head, cfg.n_kv_heads
 
     def w(shape):
-        return Tensor(rng.normal(shape, std), requires_grad=True)
+        return Tensor(weight(shape), requires_grad=True)
 
     def ones(n):
         return Tensor(np.ones(n), requires_grad=True)
@@ -280,10 +280,11 @@ class LoopActivations:
     own_kv_per_loop: list          # loops x layers x (roped_k | None, v | None)
 
 
-def head_logits(params: Parameters, h: Tensor) -> Tensor:
+def head_weight(params: Parameters) -> Tensor:
+    """The output projection [d_model, vocab]; the transposed embedding when tied."""
     if params.head is not None:
-        return h @ params.head
-    return h @ params.embedding.transpose()
+        return params.head
+    return params.embedding.transpose()
 
 
 def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False):
@@ -322,7 +323,7 @@ def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False)
             params, b, positions, loop_index=loop_index, shared_kv=shared)
         hiddens.append(hidden)
         kv_per_loop.append(own_kv)
-    logits = head_logits(params, hiddens[-1])
+    logits = hiddens[-1] @ head_weight(params)
     if return_states:
         return LoopActivations(logits=logits, hidden_per_loop=hiddens,
                                shared_kv=shared, own_kv_per_loop=kv_per_loop)

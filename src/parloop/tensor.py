@@ -2,10 +2,14 @@
 
 The op set is sized for a small transformer: batched matmul, broadcasting
 elementwise arithmetic, reductions, shape ops, gather/embedding, and fused
-softmax / rmsnorm / sigmoid / silu / cross-entropy kernels. Data is float64
-by default (the reference precision); ``set_default_dtype`` switches to
-float32 at looser tolerances. Tensors are immutable after construction
-except for gradient accumulation during ``backward``.
+rmsnorm / sigmoid / silu / cross-entropy ops. Data is float64 (the
+reference precision). Tensors are immutable after construction except for
+gradient accumulation during ``backward``.
+
+Each fused forward formula is a plain-array kernel (``rmsnorm_np``,
+``sigmoid_np``, ``silu_np``) that the tape op calls for its forward value
+and that decoding calls directly, so training and decode run the same
+arithmetic.
 """
 
 from __future__ import annotations
@@ -16,23 +20,9 @@ import zlib
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from .errors import DimensionError, EmptyInputError
 
 _GRAD_ENABLED = True
-_DEFAULT_DTYPE = np.float64
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the dtype used for all subsequently created tensors."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.float64, np.float32):
-        raise ValueError(f"unsupported dtype {dtype}")
-    _DEFAULT_DTYPE = dtype.type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
 
 
 @contextlib.contextmanager
@@ -68,7 +58,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
@@ -88,17 +78,11 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def item(self) -> float:
         return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     # -- autodiff ------------------------------------------------------
 
@@ -257,12 +241,8 @@ def _toposort(root: Tensor) -> list:
 # ---------------------------------------------------------------------------
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad)
-
-
 def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_DEFAULT_DTYPE), requires_grad)
+    return Tensor(np.zeros(shape), requires_grad)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -302,10 +282,14 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return out
 
 
+def sigmoid_np(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) without overflow; saturates to exactly 0 and 1."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    xd = x.data
-    s = np.where(xd >= 0, 1.0 / (1.0 + np.exp(-np.abs(xd))),
-                 np.exp(-np.abs(xd)) / (1.0 + np.exp(-np.abs(xd))))
+    s = sigmoid_np(x.data)
     out = Tensor(s, x.requires_grad and _GRAD_ENABLED)
     if out.requires_grad:
         out._parents = (x,)
@@ -313,56 +297,46 @@ def sigmoid(x: Tensor) -> Tensor:
     return out
 
 
+def silu_np(x: np.ndarray) -> np.ndarray:
+    """x * sigmoid(x) with a single exp (it need not saturate exactly)."""
+    return x / (1.0 + np.exp(-x))
+
+
 def silu(x: Tensor) -> Tensor:
-    """x * sigmoid(x)."""
     xd = x.data
-    s = 1.0 / (1.0 + np.exp(-xd))
-    out = Tensor(xd * s, x.requires_grad and _GRAD_ENABLED)
-    if out.requires_grad:
-        out._parents = (x,)
-        out._backward = lambda g: x._accum(g * (s + xd * s * (1.0 - s)))
-    return out
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis, stabilized by max subtraction.
-
-    Entries may be -inf (masked out); a row that is entirely -inf or contains
-    NaN raises NumericError.
-    """
-    xd = x.data
-    if np.isnan(xd).any():
-        raise NumericError("softmax input contains NaN")
-    m = np.max(xd, axis=-1, keepdims=True)
-    if np.isneginf(m).any():
-        raise NumericError("softmax row with no finite entry")
-    e = np.exp(xd - m)
-    p = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(p, x.requires_grad and _GRAD_ENABLED)
+    y = silu_np(xd)
+    out = Tensor(y, x.requires_grad and _GRAD_ENABLED)
     if out.requires_grad:
         def bwd(g):
-            dot = (g * p).sum(axis=-1, keepdims=True)
-            x._accum(p * (g - dot))
+            # sigmoid(x) is silu(x) / x, and 1/2 at x = 0
+            s = np.divide(y, xd, out=np.full_like(xd, 0.5), where=xd != 0)
+            x._accum(g * (s + y * (1.0 - s)))
         out._parents = (x,)
         out._backward = bwd
     return out
 
 
-def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
+def _inv_rms(x: np.ndarray, eps: float) -> np.ndarray:
+    return 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps)
+
+
+def rmsnorm_np(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
     """x / sqrt(mean(x^2, last) + eps) * gain."""
+    return x * _inv_rms(x, eps) * gain
+
+
+def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     if gain.shape != (x.shape[-1],):
         raise DimensionError(f"rmsnorm gain shape {gain.shape} != ({x.shape[-1]},)")
     xd = x.data
     d = xd.shape[-1]
-    inv = 1.0 / np.sqrt((xd * xd).mean(axis=-1, keepdims=True) + eps)
-    y = xd * inv * gain.data
     req = _GRAD_ENABLED and (x.requires_grad or gain.requires_grad)
-    out = Tensor(y, req)
+    out = Tensor(rmsnorm_np(xd, gain.data, eps), req)
     if req:
         def bwd(g):
+            inv = _inv_rms(xd, eps)
             if gain.requires_grad:
-                gg = (g * xd * inv).reshape(-1, d).sum(axis=0)
-                gain._accum(gg)
+                gain._accum((g * xd * inv).reshape(-1, d).sum(axis=0))
             if x.requires_grad:
                 gw = g * gain.data
                 dot = (gw * xd).sum(axis=-1, keepdims=True)
@@ -403,7 +377,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None =
         mask = np.asarray(mask, dtype=bool)
     count = int(mask.sum())
     if count == 0:
-        raise ValueError("cross_entropy: every position is masked out")
+        raise EmptyInputError("cross_entropy: every position is masked out")
     ld = logits.data
     m = ld.max(axis=-1, keepdims=True)
     e = np.exp(ld - m)
@@ -450,10 +424,7 @@ class Rng:
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def normal(self, shape, std: float = 1.0) -> np.ndarray:
-        return self._gen.normal(0.0, std, size=shape).astype(_DEFAULT_DTYPE)
-
-    def uniform(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        return self._gen.uniform(low, high, size=shape).astype(_DEFAULT_DTYPE)
+        return self._gen.normal(0.0, std, size=shape)
 
     def integers(self, low: int, high: int, shape=None) -> np.ndarray:
         return self._gen.integers(low, high, size=shape)

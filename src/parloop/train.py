@@ -10,7 +10,7 @@ import numpy as np
 
 from .checkpoint import save_checkpoint
 from .decode import prefill
-from .errors import CapacityError, DivergenceError, NumericError
+from .errors import CapacityError, ConfigError, DivergenceError, NumericError
 from .model import ModelConfig, forward, init_parameters
 from .tasks import TaskSpec, cross_entropy_loss, eval_accuracy
 from .tensor import Rng, global_grad_norm
@@ -155,7 +155,7 @@ def ladder_config(arch: str, base: dict, loops: int, window: int) -> ModelConfig
     elif arch == "plt":
         kw.update(mode="plt", loops=loops, gswa=True, window=window)
     else:
-        raise ValueError(f"unknown ladder rung {arch!r}")
+        raise ConfigError(f"unknown ladder rung {arch!r}, expected one of {LADDER}")
     return ModelConfig(**kw)
 
 

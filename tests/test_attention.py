@@ -20,7 +20,13 @@ from parloop.attention import (
     gate_values,
     gated_fuse,
 )
-from parloop.errors import CapacityError, EmptyContextError, InvalidLoopError, NumericError
+from parloop.errors import (
+    CapacityError,
+    ConfigError,
+    EmptyContextError,
+    InvalidLoopError,
+    NumericError,
+)
 from parloop.gradcheck import grad_check
 from parloop.model import ModelConfig, block_stack_forward, forward, init_parameters
 from parloop.tensor import Tensor
@@ -79,8 +85,20 @@ class TestRope:
         b = apply_rope_np(x, pos, tables)
         assert np.array_equal(a, b)
 
+    def test_single_op_grad_against_central_differences(self, rng):
+        tables = build_rope_tables(16, 6)
+        xv = rng.normal(size=(2, 3, 7, 6))
+        pos = np.array([3, 0, 5, 5, 1, 9, 2])
+        w = rng.normal(size=xv.shape)
+        x = Tensor(xv, requires_grad=True)
+        y = apply_rope(x, pos, tables)
+        assert y._parents == (x,)  # one tape node
+        (y * w).sum().backward()
+        g = numeric_grad(lambda v: float((apply_rope_np(v, pos, tables) * w).sum()), xv.copy())
+        assert rel(x.grad, g) < 1e-6
+
     def test_odd_head_dim_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             build_rope_tables(8, 5)
 
 
@@ -97,6 +115,8 @@ class TestMasks:
     def test_band_width_one_is_self_only(self):
         m = band_mask(np.arange(3), np.arange(3), window=1)
         assert np.array_equal(np.isfinite(m), np.eye(3, dtype=bool))
+        with pytest.raises(ConfigError):
+            band_mask(np.arange(3), np.arange(3), window=0)
 
     def test_offset_query_positions(self):
         m = causal_mask(np.array([6, 7]), np.arange(5, 9))
@@ -342,5 +362,5 @@ class TestWindowKVCache:
         assert k.shape == (1, 2, 2)
 
     def test_minimum_window_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             WindowKVCache(window=0, n_kv_heads=1, d_head=2)

@@ -19,7 +19,7 @@ from parloop.model import (
     init_parameters,
     shift_right,
 )
-from parloop.tensor import Tensor, cross_entropy
+from parloop.tensor import Rng, Tensor, cross_entropy
 
 from reference_impl import ref_forward, weights_of
 
@@ -255,6 +255,42 @@ class TestCheckpoint:
         tokens = np.arange(6)
         assert np.array_equal(forward(params, tokens).data,
                               forward(loaded, tokens).data)
+
+    def test_load_draws_no_random_weights(self, tmp_path, monkeypatch):
+        params = init_parameters(small(mode="plt", loops=2, gswa=True, window=3), seed=5)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random weights")
+
+        monkeypatch.setattr(Rng, "normal", refuse)
+        loaded, _ = load_checkpoint(path)
+        for name, t in params.named_tensors().items():
+            assert np.array_equal(t.data, loaded.named_tensors()[name].data), name
+
+    def test_float32_payload_is_widened_to_float64(self, tmp_path):
+        params = init_parameters(small(), seed=3)
+        path = tmp_path / "f32.ckpt"
+        save_checkpoint(path, params)
+        data = path.read_bytes()
+        (mlen,) = struct.unpack("<Q", data[8:16])
+        manifest = json.loads(data[16:16 + mlen])
+        manifest["dtype"] = "float32"
+        named = params.named_tensors()
+        chunks, offset = [], 0
+        for entry in manifest["tensors"]:
+            chunks.append(named[entry["name"]].data.astype("<f4").tobytes())
+            entry["offset"] = offset
+            offset += len(chunks[-1])
+        blob = json.dumps(manifest).encode()
+        path.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + b"".join(chunks))
+        loaded, _ = load_checkpoint(path)
+        for name, t in named.items():
+            got = loaded.named_tensors()[name].data
+            assert got.dtype == np.float64, name
+            assert np.array_equal(got, t.data.astype(np.float32).astype(np.float64)), name
+        assert forward(loaded, np.arange(6)).data.dtype == np.float64
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "x.ckpt"

@@ -258,7 +258,7 @@ class TestAblationLadder(FastSetup):
         assert k.mode == "plt" and not k.gswa
         p = ladder_config("plt", base, 2, 4)
         assert p.mode == "plt" and p.gswa and p.window == 4
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ladder_config("mystery", base, 2, 4)
 
     def test_smoke_run_reports_counters(self):
