@@ -3,8 +3,11 @@
 The op set is sized for a small transformer: batched matmul, broadcasting
 elementwise arithmetic, reductions, shape ops, gather/embedding, and fused
 rmsnorm / sigmoid / silu / cross-entropy ops. Data is float64 (the
-reference precision). Tensors are immutable after construction except for
-gradient accumulation during ``backward``.
+reference precision). Tensors are immutable after construction. Gradients
+are bound, never written in place: the first gradient a tensor receives
+becomes its ``.grad`` as is (possibly a view, or an array another tensor
+also holds), and each later one rebinds ``.grad`` to a new sum. Code that
+scales a gradient must assign a new array.
 
 Each fused forward formula is a plain-array kernel (``rmsnorm_np``,
 ``sigmoid_np``, ``silu_np``) that the tape op calls for its forward value
@@ -87,7 +90,9 @@ class Tensor:
     # -- autodiff ------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar; accumulates into .grad buffers."""
+        """Reverse-mode sweep from a scalar, setting .grad on every tensor it
+        reaches. Gradients are bound and rebound (see the module docstring),
+        never written in place: treat .grad as read-only."""
         if self.size != 1:
             raise DimensionError("backward() requires a scalar tensor")
         order = _toposort(self)
@@ -97,9 +102,7 @@ class Tensor:
                 node._backward(node.grad)
 
     def _accum(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        self.grad = g if self.grad is None else self.grad + g
 
     # -- elementwise arithmetic ---------------------------------------
 
@@ -167,10 +170,15 @@ class Tensor:
         out = Tensor(self.data[idx], self.requires_grad and _GRAD_ENABLED)
         if out.requires_grad:
             src_shape = self.shape
+            basic = all(i is None or i is Ellipsis or isinstance(i, (int, np.integer, slice))
+                        for i in (idx if isinstance(idx, tuple) else (idx,)))
 
             def bwd(g):
                 buf = np.zeros(src_shape, dtype=g.dtype)
-                np.add.at(buf, idx, g)
+                if basic:
+                    buf[idx] = g  # a basic index names each element at most once
+                else:
+                    np.add.at(buf, idx, g)
                 self._accum(buf)
 
             out._parents = (self,)
@@ -189,7 +197,7 @@ class Tensor:
                 if axis is not None and not keepdims:
                     axes = axis if isinstance(axis, tuple) else (axis,)
                     g = np.expand_dims(g, axes)
-                self._accum(np.broadcast_to(g, src_shape).copy())
+                self._accum(np.broadcast_to(g, src_shape))
 
             out._parents = (self,)
             out._backward = bwd
@@ -257,7 +265,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def bwd(g):
             if a.requires_grad:
                 a._accum(_unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape))
-            if b.requires_grad:
+            if b.requires_grad and b.ndim == 2:
+                # a weight: one GEMM over every leading row; np.matmul would
+                # form one product per batch entry and then sum them
+                b._accum(a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            elif b.requires_grad:
                 b._accum(_unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape))
         out._parents = (a, b)
         out._backward = bwd

@@ -54,10 +54,12 @@ class Adam:
         for k, t in self.tensors.items():
             if t.grad is None:
                 continue
-            g = t.grad
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
-            t.data -= lr * (self.m[k] / c1) / (np.sqrt(self.v[k] / c2) + self.eps)
+            g, m, v = t.grad, self.m[k], self.v[k]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            t.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 def clip_global_norm(tensors, max_norm: float) -> float:
@@ -67,7 +69,7 @@ def clip_global_norm(tensors, max_norm: float) -> float:
         scale = max_norm / norm
         for t in tensors:
             if t.grad is not None:
-                t.grad *= scale
+                t.grad = t.grad * scale  # a grad may be shared; never scale in place
     return norm
 
 

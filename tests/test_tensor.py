@@ -92,13 +92,41 @@ class TestMatmul:
         assert rel(b.grad, gb) < 1e-6
 
     def test_batched_with_broadcast_weight(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
-        w = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
-        (matmul(x, w)).sum().backward()
-        gw = numeric_grad(lambda ww: float((x.data @ ww).sum()), w.data.copy())
-        gx = numeric_grad(lambda xx: float((xx @ w.data).sum()), x.data.copy())
-        assert rel(w.grad, gw) < 1e-6
-        assert rel(x.grad, gx) < 1e-6
+        for x_shape, w_shape, tied in (
+                ((2, 3, 4, 5), (5, 6), False),
+                ((32, 17, 64), (64, 128), False),  # a training-step projection
+                ((4, 7, 8), (8, 11), True)):       # the tied head: a transposed table
+            self.check_weight_grad(rng, x_shape, w_shape, tied)
+
+    @staticmethod
+    def check_weight_grad(rng, x_shape, w_shape, tied):
+        x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+        if tied:
+            table = Tensor(rng.normal(size=w_shape[::-1]), requires_grad=True)
+            w = table.transpose()
+            assert not w.data.flags.c_contiguous
+        else:
+            table = w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+        u = rng.normal(size=x_shape[:-1] + w_shape[-1:])
+        (matmul(x, w) * u).sum().backward()
+        # the batched outer products, summed over the leading axes; the two
+        # sum the same products in another order, so the error is measured
+        # against the gradient's largest entry
+        lead = tuple(range(len(x_shape) - 2))
+        want_w = np.matmul(x.data.swapaxes(-1, -2), u).sum(axis=lead)
+        assert np.abs(w.grad - want_w).max() < 1e-12 * np.abs(want_w).max()
+        assert np.array_equal(table.grad, w.grad.T if tied else w.grad)
+        # central differences on (at most) 40 coordinates of each operand; the
+        # loss is linear in each, so a unit step adds no truncation error
+        for t, grad, loss in (
+                (x, x.grad, lambda v: float(((v @ w.data) * u).sum())),
+                (table, table.grad, lambda v: float(((x.data @ (v.T if tied else v)) * u).sum()))):
+            for i in rng.choice(t.size, size=min(40, t.size), replace=False):
+                e = np.zeros(t.size)
+                e[i] = 1.0
+                e = e.reshape(t.shape)
+                fd = (loss(t.data + e) - loss(t.data - e)) / 2.0
+                assert rel(grad.reshape(-1)[i], fd) < 1e-6
 
     def test_inner_extent_mismatch_raises(self):
         with pytest.raises(DimensionError):
@@ -115,6 +143,23 @@ class TestShapes:
             return float((t * t).sum())
         g = numeric_grad(f, x.data.copy())
         assert rel(x.grad, g) < 1e-6
+
+    def test_basic_slice_backward_equals_add_at(self, rng):
+        h = Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
+        u = rng.normal(size=(3, 4, 4))
+        (h[:, :-1, :] * u).sum().backward()
+        want = np.zeros(h.shape)
+        np.add.at(want, (slice(None), slice(None, -1), slice(None)), u)
+        assert np.array_equal(h.grad, want)
+
+    def test_mixed_index_accumulates_repeats(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        u = rng.normal(size=(2, 4, 4))
+        (x[:, np.array([2, 0, 2, 2]), :] * u).sum().backward()
+        want = np.zeros(x.shape)
+        want[:, 2] = u[:, 0] + u[:, 2] + u[:, 3]
+        want[:, 0] = u[:, 1]
+        assert np.allclose(x.grad, want, rtol=0, atol=1e-15)
 
     def test_getitem_repeated_index_accumulates(self):
         x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
@@ -270,6 +315,15 @@ class TestTapeMechanics:
         y = x * 3.0
         (y * y).sum().backward()
         assert np.allclose(x.grad, 2 * 3.0 * 3.0 * 2.0)
+
+    def test_shared_and_viewed_gradients(self, rng):
+        # x + x and a leaf reached through reshape / swapaxes views: grads
+        # are bound as views or shared arrays, and each path must still count
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        c = rng.normal(size=(3, 2))
+        a = x.reshape(3, 2).swapaxes(0, 1).swapaxes(0, 1)
+        ((a * c).sum() + (x + x).reshape(6).sum() + x.swapaxes(0, 1).sum()).backward()
+        assert np.allclose(x.grad, c.reshape(2, 3) + 3.0, rtol=0, atol=1e-15)
 
     def test_reused_node_in_two_branches(self):
         x = Tensor(np.array([1.5]), requires_grad=True)

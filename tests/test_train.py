@@ -116,6 +116,23 @@ class TestAdam:
             x -= 0.05 * (m / (1 - 0.9 ** t)) / (math.sqrt(v / (1 - 0.99 ** t)) + 1e-8)
             assert abs(p.data[0] - x) < 1e-12
 
+    def test_in_place_moments_match_the_formula_bitwise(self):
+        rng = np.random.default_rng(3)
+        p = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        opt = Adam({"p": p}, beta1=0.9, beta2=0.95, eps=1e-8)
+        m_buf = opt.m["p"]
+        x, m, v = p.data.copy(), np.zeros((4, 3)), np.zeros((4, 3))
+        for t in range(1, 4):
+            g = rng.normal(size=(4, 3))
+            p.grad = g.copy()
+            opt.step(lr=0.01)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.95 * v + (1.0 - 0.95) * (g * g)
+            x -= 0.01 * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.95 ** t)) + 1e-8)
+            assert np.array_equal(p.data, x)
+            assert np.array_equal(p.grad, g)
+        assert opt.m["p"] is m_buf
+
     def test_missing_gradient_leaves_tensor_alone(self):
         p = Tensor(np.ones(2), requires_grad=True)
         q = Tensor(np.ones(2), requires_grad=True)
@@ -133,6 +150,19 @@ class TestClip:
         norm = clip_global_norm([p], 1.5)
         assert abs(norm - 6.0) < 1e-12
         assert abs(np.linalg.norm(p.grad) - 1.5) < 1e-12
+
+    def test_shared_gradient_is_scaled_once(self):
+        # x + y hands both leaves one upstream array; clipping must not
+        # scale it in place, which would scale the shared array twice
+        x = Tensor(np.zeros(2), requires_grad=True)
+        y = Tensor(np.zeros(2), requires_grad=True)
+        w = np.array([3.0, 4.0])
+        ((x + y) * w).sum().backward()
+        assert x.grad is y.grad
+        norm = clip_global_norm([x, y], 1.0)
+        assert norm == math.sqrt(50.0)
+        want = w * (1.0 / math.sqrt(50.0))
+        assert np.array_equal(x.grad, want) and np.array_equal(y.grad, want)
 
     def test_short_gradient_untouched(self):
         p = Tensor(np.zeros(4), requires_grad=True)
