@@ -45,6 +45,7 @@ from .errors import (
     InvalidLoopError,
     NumericError,
     ParloopError,
+    PositionError,
     TokenError,
 )
 from .gradcheck import grad_check
@@ -76,8 +77,9 @@ __all__ = [
     "ConfigError", "DecodeSession", "DimensionError", "DivergenceError",
     "EmptyContextError", "EmptyInputError", "GateParams", "HardwareProfile",
     "InvalidLoopError", "ModelConfig", "NumericError", "Parameters",
-    "ParloopError", "Rng", "SharedKVCache", "StepCost", "TaskSpec", "Tensor",
-    "TokenError", "TrainConfig", "TrainResult", "WindowKVCache", "ablation_run",
+    "ParloopError", "PositionError", "Rng", "SharedKVCache", "StepCost",
+    "TaskSpec", "Tensor", "TokenError", "TrainConfig", "TrainResult",
+    "WindowKVCache", "ablation_run",
     "band_mask", "causal_mask", "count_flops_per_token", "count_params",
     "count_params_from_config", "cross_entropy_loss", "decode_step_cost",
     "default_profile", "eval_accuracy", "format_ablation", "forward",

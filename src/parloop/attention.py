@@ -6,8 +6,13 @@ The kernel is the only attention implementation; prefill, training and
 decode all run it. Query heads that share a key/value head are stacked
 against that head's keys and values in place (grouped-query attention), and
 queries are tiled in fixed blocks that each visit only the band of keys
-they can see, in the manner of FlashAttention. On the tape it is a single
-op with its own block-wise backward.
+they can see, in the manner of FlashAttention; rows that share one position
+and fit one block (a decode step) skip the tiling. On the tape it is a
+single op with its own block-wise backward.
+
+The window ring is mirrored (each position is stored twice, ``window``
+slots apart), so the positions it holds are always one ordered, contiguous
+run that ``gather`` returns as views.
 
 Conventions: query/key/value tensors are [..., heads, seq, d_head]; masks
 are additive float arrays broadcastable to the score shape, 0 where allowed
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, EmptyContextError, NumericError
+from .errors import CapacityError, ConfigError, EmptyContextError, NumericError, PositionError
 from .tensor import Tensor, grad_enabled, sigmoid
 
 NEG_INF = float("-inf")
@@ -105,6 +110,18 @@ def band_mask(q_positions: np.ndarray, k_positions: np.ndarray, window: int) -> 
 BLOCK = 32
 
 
+def _softmax_rows(s: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of scores ``s``, in place; NaN (or a row
+    without a finite score) raises NumericError."""
+    top = s.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
+        raise NumericError("attention scores contain NaN or a row with no finite entry")
+    s -= top
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
 def attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_pos,
                  k_start: int = 0, window: int = 0, tiles: list | None = None) -> np.ndarray:
     """Grouped, block-banded scaled dot-product attention on plain arrays.
@@ -119,9 +136,12 @@ def attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_pos,
     Rows are tiled BLOCK at a time, and each tile multiplies against just
     the key range [lo, hi) its rows can see; a mask is built only for a tile
     in which some row cannot see that whole range, so a tile whose rows share
-    one position (a decode step) never builds one. When ``tiles`` is a list,
-    each tile's (i0, i1, lo, hi, probabilities) is appended to it, with
-    [i0, i1) its rows and [lo, hi) its key indices, for the backward pass.
+    one position never builds one. When ``tiles`` is a list, each tile's
+    (i0, i1, lo, hi, probabilities) is appended to it, with [i0, i1) its rows
+    and [lo, hi) its key indices, for the backward pass. Rows that fit one
+    tile and share one position (a decode step) skip the tiling: the same
+    operations run once on the whole query, so the result is bitwise the
+    tiled one.
 
     A query with no visible key raises EmptyContextError; NaN (or a row
     without a finite score) raises NumericError.
@@ -133,6 +153,11 @@ def attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_pos,
     if m == 0 or k_start > q_pos[0] or (window and k_end <= q_pos[-1] - window + 1):
         raise EmptyContextError("query position with no attendable key")
     scale = 1.0 / math.sqrt(dh)
+    if tiles is None and n <= BLOCK and q_pos[0] == q_pos[-1]:
+        lo = max(0, q_pos[0] - window + 1 - k_start) if window else 0
+        hi = min(m, q_pos[0] + 1 - k_start)
+        s = (q.reshape(*lead, kh, groups * n, dh) * scale) @ k[..., lo:hi, :].swapaxes(-1, -2)
+        return (_softmax_rows(s) @ v[..., lo:hi, :]).reshape(q.shape)
     q5 = q.reshape(*lead, kh, groups, n, dh)
     out = []
     for i0 in range(0, n, BLOCK):
@@ -148,12 +173,7 @@ def attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_pos,
             kp = np.arange(lo, hi)
             band += (band_mask(q_pos[i0:i1], kp, window) if window
                      else causal_mask(q_pos[i0:i1], kp))
-        top = s.max(axis=-1, keepdims=True)
-        if not np.isfinite(top).all():
-            raise NumericError("attention scores contain NaN or a row with no finite entry")
-        s -= top
-        np.exp(s, out=s)
-        s /= s.sum(axis=-1, keepdims=True)
+        _softmax_rows(s)
         out.append((s @ v[..., lo - k_start:hi - k_start, :]).reshape(
             *lead, kh, groups, i1 - i0, dh))
         if tiles is not None:
@@ -273,37 +293,62 @@ class SharedKVCache:
 class WindowKVCache:
     """Fixed-size ring of the last `window` positions for one (layer, loop).
 
-    Slot for position p is p % window, so occupancy never exceeds the
-    window regardless of how long decoding runs.
+    The ring is mirrored: keys/values are [n_kv_heads, 2 * window, d_head],
+    and position p is written to slot p % window and again to slot
+    p % window + window. Any run of at most `window` consecutive positions
+    therefore sits in one contiguous, ordered stretch of slots, so `gather`
+    hands out views and never sorts or copies. Positions are written in
+    order (`lo` is the oldest held, `hi` the newest), and occupancy never
+    exceeds the window regardless of how long decoding runs.
     """
 
     def __init__(self, window: int, n_kv_heads: int, d_head: int):
         if window < 1:
             raise ConfigError(f"window must be >= 1, got {window}")
         self.window = window
-        self.k = np.zeros((window, n_kv_heads, d_head))
+        self.k = np.zeros((n_kv_heads, 2 * window, d_head))
         self.v = np.zeros_like(self.k)
-        self.positions = np.full(window, -1, dtype=np.int64)
+        self.lo, self.hi = 0, -1   # empty while hi < lo
+
+    def _hold(self, start: int, end: int) -> None:
+        """Record that positions [start, end] were just written, in order."""
+        empty = self.hi < self.lo
+        if not empty and start != self.hi + 1:
+            raise PositionError(f"ring write at position {start}, expected {self.hi + 1}")
+        self.lo = max(start if empty else self.lo, end - self.window + 1)
+        self.hi = end
 
     def write(self, pos: int, k: np.ndarray, v: np.ndarray) -> None:
-        slot = pos % self.window
-        self.k[slot] = k
-        self.v[slot] = v
-        self.positions[slot] = pos
+        """Store the next position's keys/values ([n_kv_heads, d_head])."""
+        self._hold(pos, pos)
+        both = slice(pos % self.window, None, self.window)   # the slot and its mirror
+        self.k[:, both] = k[:, None]
+        self.v[:, both] = v[:, None]
+
+    def write_block(self, start: int, k: np.ndarray, v: np.ndarray) -> None:
+        """Store a run of positions ([n_kv_heads, n, d_head]) from `start`;
+        only the last `window` of them are kept."""
+        n = k.shape[-2]
+        if n == 0:
+            return
+        self._hold(start, start + n - 1)
+        keep = min(n, self.window)
+        slots = np.arange(start + n - keep, start + n) % self.window
+        for half in (slots, slots + self.window):
+            self.k[:, half] = k[:, n - keep:]
+            self.v[:, half] = v[:, n - keep:]
 
     def gather(self, query_pos: int):
         """All held entries visible from `query_pos`, ordered by position.
 
-        Returns (k, v, positions) with k/v as [n_kv_heads, m, d_head].
+        Returns (k, v, positions) with k/v as [n_kv_heads, m, d_head] views
+        of the ring.
         """
-        valid = (self.positions >= 0) & (self.positions > query_pos - self.window) \
-            & (self.positions <= query_pos)
-        idx = np.nonzero(valid)[0]
-        order = np.argsort(self.positions[idx])
-        idx = idx[order]
-        k = self.k[idx].transpose(1, 0, 2)
-        v = self.v[idx].transpose(1, 0, 2)
-        return k, v, self.positions[idx]
+        lo = max(self.lo, query_pos - self.window + 1)
+        hi = min(self.hi, query_pos)
+        s = lo % self.window
+        m = max(hi - lo + 1, 0)
+        return self.k[:, s:s + m], self.v[:, s:s + m], np.arange(lo, lo + m)
 
     def entries(self) -> int:
-        return int((self.positions >= 0).sum())
+        return self.hi - self.lo + 1

@@ -6,7 +6,9 @@ loop, row r is the token from r steps ago entering loop r+1 (its carry
 arrives through the ``inflight`` states). All rows query the same position,
 the first row's keys/values extend the shared cache, and later rows keep at
 most ``window`` of their own entries in per-loop rings. One token therefore
-costs one pass regardless of the loop count.
+costs one pass regardless of the loop count. The rings are mirrored, so a
+row reads its window as ordered views without sorting or copying, and a
+session seeds each ring from the prompt with one block write.
 
 The serial wirings decode the ordinary way: ``vanilla`` is the single-pass
 special case, ``vanilla_loop`` runs the same per-layer body ``loops`` times
@@ -16,7 +18,7 @@ Attention runs through the training forward's kernel
 (``attention.attention_np``): the query heads that share a key/value head
 read that head's cached keys and values in place, so a step never copies or
 repeats the cache, and since every row of a step sits at one position the
-kernel builds no mask.
+kernel takes its single-block path and builds no mask.
 
 Every other formula of a step is also the plain-array kernel that the tape
 op runs: ``rmsnorm_np``, ``silu_np`` and ``sigmoid_np`` from ``tensor``,
@@ -32,6 +34,8 @@ forward is reused verbatim for prefill so the handoff is exact.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,9 +98,12 @@ class DecodeSession:
                     kv = states.own_kv_per_loop[loop_index - 1]
                     for li, (k, v) in enumerate(kv):
                         ring = WindowKVCache(cfg.window, kh, dh)
-                        for q in range(max(0, n - cfg.window), n):
-                            ring.write(q, k.data[0, :, q, :], v.data[0, :, q, :])
+                        ring.write_block(0, k.data[0], v.data[0])
                         self.rings[(li, loop_index)] = ring
+        # per layer, the window ring and gate that row r >= 1 of a step uses
+        self._windows = [[(self.rings[li, r + 1], gate_for_loop(layer, cfg, r + 1))
+                          for r in range(1, cfg.loops)]
+                         for li, layer in enumerate(params.layers)] if cfg.gswa else []
 
         self.inflight = [states.hidden_per_loop[l].data[0, n - 1].copy()
                          for l in range(cfg.loops - 1)]
@@ -158,21 +165,20 @@ class DecodeSession:
         for li, layer in enumerate(params.layers):
             h = rmsnorm_np(x, layer.attn_norm.data, cfg.norm_eps)
             q_full = h @ layer.wq.data
-            q = apply_rope_np(q_full.reshape(rows, heads, dh), p, params.rope)
-            k = apply_rope_np((h @ layer.wk.data).reshape(rows, kh, dh), p, params.rope)
+            qk = np.concatenate([q_full, h @ layer.wk.data], axis=1)   # one rotary call
+            qk = apply_rope_np(qk.reshape(rows, heads + kh, dh), p, params.rope)
+            q, k = qk[:, :heads], qk[:, heads:]
             v = (h @ layer.wv.data).reshape(rows, kh, dh)
 
             cache.write(li, p, k[0], v[0])
             y = attention_np(q.transpose(1, 0, 2), *cache.view(li, p + 1), at).transpose(1, 0, 2)
 
             if cfg.gswa:
-                for r in range(1, rows):
-                    ring = self.rings[(li, r + 1)]
+                for r, (ring, gp) in enumerate(self._windows[li], 1):
                     ring.write(p, k[r], v[r])
-                    kw, vw, kpos = ring.gather(p)
-                    y_local = attention_np(q[r][:, None], kw, vw, at[:1], int(kpos[0]),
+                    kw, vw, _ = ring.gather(p)
+                    y_local = attention_np(q[r][:, None], kw, vw, at[:1], ring.lo,
                                            cfg.window)[:, 0]
-                    gp = gate_for_loop(layer, cfg, r + 1)
                     g = sigmoid_np(q_full[r] @ gp.weight.data + gp.bias.data)[:, None]
                     y[r] = gated_fuse(g, y_local, y[r])
 
@@ -188,7 +194,7 @@ class DecodeSession:
         if self.position >= self.cfg.max_seq:
             raise CapacityError(
                 f"position {self.position} is at max_seq {self.cfg.max_seq}")
-        if not isinstance(token, (int, np.integer)):
+        if not _is_int(token):
             raise TokenError(f"token id {token!r} is not an integer")
         if not 0 <= token < self.cfg.vocab:
             raise TokenError(f"token id {token} is outside [0, {self.cfg.vocab})")
@@ -215,6 +221,11 @@ class DecodeSession:
                 "total": shared + window + per_loop}
 
 
+def _is_int(x) -> bool:
+    """An integer that is not a bool (``True`` would index as a mask)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def prefill(params: Parameters, prompt: np.ndarray) -> DecodeSession:
     """Run the training forward over the prompt and seed a session from it."""
     return DecodeSession(params, prompt)
@@ -234,8 +245,10 @@ def generate(session: DecodeSession, n_tokens: int, temperature: float = 0.0,
              seed: int = 0) -> list:
     """Emit n_tokens continuations; every emitted token is fed back, so the
     session stays consistent for further calls."""
-    if n_tokens < 1:
-        raise ConfigError(f"n_tokens must be >= 1, got {n_tokens}")
+    if not _is_int(n_tokens) or n_tokens < 1:
+        raise ConfigError(f"n_tokens must be an integer >= 1, got {n_tokens!r}")
+    if not isinstance(temperature, numbers.Real) or math.isnan(temperature):
+        raise ConfigError(f"temperature must be a number, not {temperature!r}")
     if session.position + n_tokens > session.cfg.max_seq:
         raise CapacityError(
             f"{n_tokens} tokens from position {session.position} would exceed "

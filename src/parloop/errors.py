@@ -29,6 +29,10 @@ class TokenError(ParloopError):
     """A token id lies outside [0, vocab)."""
 
 
+class PositionError(ParloopError):
+    """A cache write is not at the next position."""
+
+
 class CapacityError(ParloopError):
     """Sequence position exceeds the configured maximum length."""
 

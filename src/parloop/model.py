@@ -20,6 +20,7 @@ a single batched pass over displaced tokens.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,8 @@ class ModelConfig:
             raise ConfigError("loops must be >= 1")
         if self.max_seq < 1:
             raise ConfigError("max_seq must be >= 1")
+        if not 0.0 < self.norm_eps < math.inf:
+            raise ConfigError(f"norm_eps must be positive and finite, got {self.norm_eps}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.d_head % 2 != 0:

@@ -23,7 +23,7 @@ import zlib
 
 import numpy as np
 
-from .errors import DimensionError, EmptyInputError
+from .errors import DimensionError, EmptyInputError, NumericError
 
 _GRAD_ENABLED = True
 
@@ -329,7 +329,11 @@ def silu(x: Tensor) -> Tensor:
 
 
 def _inv_rms(x: np.ndarray, eps: float) -> np.ndarray:
-    return 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps)
+    # the mean as sum / d: the same arithmetic as .mean(), without its Python wrapper
+    ms = (x * x).sum(axis=-1, keepdims=True) / x.shape[-1]
+    if not ms.max() < math.inf:   # NaN fails the comparison too
+        raise NumericError("rmsnorm input has a non-finite mean square (NaN or overflow)")
+    return 1.0 / np.sqrt(ms + eps)
 
 
 def rmsnorm_np(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:

@@ -102,6 +102,8 @@ def train(params, task: TaskSpec, cfg: TrainConfig) -> TrainResult:
     Raises DivergenceError the moment the loss stops being finite, with
     the step and recent loss history in the message.
     """
+    if cfg.steps < 1:
+        raise ConfigError(f"steps must be >= 1, got {cfg.steps}")
     named = params.named_tensors()
     opt = Adam(named, cfg.beta1, cfg.beta2, cfg.eps)
     data_rng = Rng(cfg.seed).fork("task-data")
@@ -126,7 +128,7 @@ def train(params, task: TaskSpec, cfg: TrainConfig) -> TrainResult:
         opt.step(lr)
         result.losses.append(loss_val)
         result.lrs.append(lr)
-    result.final_loss = result.losses[-1] if result.losses else float("nan")
+    result.final_loss = result.losses[-1]
     if cfg.log_path:
         with open(cfg.log_path, "w") as f:
             f.write(result.log_csv())

@@ -249,6 +249,40 @@ class TestKernel:
         assert np.array_equal(ring, attention_np(q, k[:, 3:], k[:, 3:], np.full(3, 6),
                                                  k_start=3))
 
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    @pytest.mark.parametrize("source", ["shared", "ring"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_single_tile_path_is_bitwise_the_tiled_path(self, groups, source, rows):
+        rng = np.random.default_rng(10 * groups + rows)
+        kh, dh, p = 2, 8, 20
+        kv = rng.normal(size=(2, kh, 24, dh))
+        if source == "shared":   # a cache view holding keys past the query, too
+            cache = SharedKVCache(1, kh, dh, max_seq=32)
+            cache.write_block(0, 0, kv[0], kv[1])
+            (k, v), k_start, window = cache.view(0, 24), 0, 0
+        else:
+            ring = WindowKVCache(6, kh, dh)
+            ring.write_block(0, kv[0, :, :p + 1], kv[1, :, :p + 1])
+            k, v, _ = ring.gather(p)
+            k_start, window = ring.lo, 6
+        q = rng.normal(size=(rows, kh * groups, dh)).transpose(1, 0, 2)  # as decode passes it
+        at = [p] * rows
+        fast = attention_np(q, k, v, at, k_start, window)
+        assert np.array_equal(fast, attention_np(q, k, v, at, k_start, window, tiles=[]))
+
+    def test_single_tile_path_keeps_its_errors(self, rng):
+        q = rng.normal(size=(4, 1, 8))
+        k = rng.normal(size=(2, 5, 8))
+        with pytest.raises(EmptyContextError):      # no keys at all
+            attention_np(q, k[:, :0], k[:, :0], [4])
+        with pytest.raises(EmptyContextError):      # every key after the query
+            attention_np(q, k, k, [2], k_start=3)
+        with pytest.raises(EmptyContextError):      # every key before the window
+            attention_np(q, k, k, [20], k_start=3, window=4)
+        q[1, 0, 3] = np.nan
+        with pytest.raises(NumericError):
+            attention_np(q, k, k, [7], k_start=3)
+
     @pytest.mark.parametrize("kw", [dict(mode="vanilla"),
                                     dict(mode="vanilla_loop", loops=2),
                                     dict(mode="plt", loops=3, gswa=True, window=5)])
@@ -364,3 +398,34 @@ class TestWindowKVCache:
     def test_minimum_window_rejected(self):
         with pytest.raises(ConfigError):
             WindowKVCache(window=0, n_kv_heads=1, d_head=2)
+
+    @pytest.mark.parametrize("window", [1, 3, 4])
+    def test_gather_returns_ordered_views_across_wraps(self, rng, window):
+        c = WindowKVCache(window=window, n_kv_heads=2, d_head=3)
+        stored = {}
+        for p in range(4 * window + 2):     # partly filled first, then 4 wraps
+            stored[p] = rng.normal(size=(2, 2, 3))
+            c.write(p, *stored[p])
+            k, v, pos = c.gather(query_pos=p)
+            assert np.shares_memory(k, c.k) and np.shares_memory(v, c.v)
+            assert list(pos) == list(range(max(0, p - window + 1), p + 1))
+            assert c.entries() == len(pos) == min(p + 1, window)
+            for i, q in enumerate(pos):
+                assert np.array_equal(k[:, i], stored[q][0])
+                assert np.array_equal(v[:, i], stored[q][1])
+
+    @pytest.mark.parametrize("start, n", [(0, 1), (0, 3), (0, 4), (0, 11), (6, 2)])
+    def test_block_write_matches_position_writes(self, rng, start, n):
+        kv = rng.normal(size=(2, 2, n + 5, 3))
+        a = WindowKVCache(window=4, n_kv_heads=2, d_head=3)
+        b = WindowKVCache(window=4, n_kv_heads=2, d_head=3)
+        a.write_block(start, kv[0, :, :n], kv[1, :, :n])
+        for i in range(n + 5):   # b by single writes; both carry on past the block
+            if i >= n:
+                a.write(start + i, kv[0, :, i], kv[1, :, i])
+            b.write(start + i, kv[0, :, i], kv[1, :, i])
+            if i >= n - 1:
+                assert a.entries() == b.entries()
+                for q in range(start, start + i + 1):
+                    for x, y in zip(a.gather(q), b.gather(q)):
+                        assert np.array_equal(x, y)

@@ -70,6 +70,22 @@ class TestTeacherForcing:
         assert teacher_forcing_gap(cfg, seed=1, tokens=tokens, split=2) < 1e-12
 
 
+class TestGatedWindowDecode:
+    """Decode parity past several ring wrap-arounds, for windows of one, shorter
+    than the prompt and longer than it."""
+
+    @pytest.mark.parametrize("per_loop_gates", [False, True])
+    @pytest.mark.parametrize("window", [1, 3, 9])
+    @pytest.mark.parametrize("loops", [2, 3, 4])
+    def test_step_logits_match_full_forward(self, loops, window, per_loop_gates):
+        cfg = small(mode="plt", loops=loops, gswa=True, window=window,
+                    per_loop_gates=per_loop_gates)
+        split = 6
+        tokens = np.random.default_rng(loops).integers(
+            0, cfg.vocab, size=split + 2 * window + 3)
+        assert teacher_forcing_gap(cfg, seed=window, tokens=tokens, split=split) < 1e-9
+
+
 class TestSessionStateHandoff:
     def test_steps_reach_the_same_state_as_a_longer_prefill(self):
         cfg = small(mode="plt", loops=3, gswa=True, window=4)

@@ -4,7 +4,7 @@ differences computed directly on numpy arrays, independent of the tape."""
 import numpy as np
 import pytest
 
-from parloop.errors import DimensionError, EmptyInputError
+from parloop.errors import DimensionError, EmptyInputError, NumericError
 from parloop.gradcheck import grad_check
 from parloop.tensor import (
     Rng,
@@ -235,6 +235,18 @@ class TestRmsnorm:
     def test_gain_shape_mismatch_raises(self):
         with pytest.raises(DimensionError):
             rmsnorm(Tensor(np.zeros((2, 4))), Tensor(np.zeros(3)))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [1e200, np.inf, np.nan])
+    def test_non_finite_mean_square_raises(self, rng, bad):
+        x = rng.normal(size=(3, 8))
+        x[1, 2] = bad
+        with pytest.raises(NumericError):
+            rmsnorm_np(x, np.ones(8), 1e-6)
+        with pytest.raises(NumericError):
+            rmsnorm(Tensor(x), Tensor(np.ones(8)))
+        x[1, 2] = 1e150   # squares stay finite: a normal result
+        assert np.isfinite(rmsnorm_np(x, np.ones(8), 1e-6)).all()
 
 
 class TestEmbeddingAndGather:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from parloop.checkpoint import load_checkpoint
-from parloop.errors import CapacityError, ConfigError, DivergenceError
+from parloop.errors import CapacityError, ConfigError, DivergenceError, NumericError
 from parloop.model import ModelConfig, forward, init_parameters
 from parloop.tasks import cross_entropy_loss, eval_accuracy, make_task
 from parloop.tensor import Rng, Tensor
@@ -254,6 +254,20 @@ class TestTrainLoop(FastSetup):
         params.embedding.data *= 1e200  # drives the head logits to +/- inf
         with pytest.raises(DivergenceError):
             train(params, task, TrainConfig(steps=5, batch_size=8, seed=0))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mode_kw", [dict(mode="vanilla"),
+                                         dict(mode="plt", loops=2, gswa=True, window=2)])
+    def test_overflowing_norm_input_raises_at_step_0(self, mode_kw):
+        task = self.task()
+        params = init_parameters(self.cfg(task, **mode_kw), seed=0)
+        params.embedding.data *= 1e200   # x * x overflows inside rmsnorm
+        tokens, _ = task.sample(Rng(0), 2)
+        with pytest.raises(NumericError):
+            forward(params, tokens)
+        with pytest.raises(DivergenceError) as e:
+            train(params, task, TrainConfig(steps=5, batch_size=8, seed=0))
+        assert "step 0" in str(e.value)
 
 
 class TestEvalAccuracy(FastSetup):
