@@ -44,6 +44,10 @@ print(f"model: {cfg.loops} loops over {cfg.n_layers} shared layers, "
 print(f"tokens replayed:     {len(tokens)}")
 print(f"stack passes logged: {sess.passes} for {sess.steps} decode steps "
       f"(+{sess.prefill_passes} prefill)")
+long = prefill(params, tokens)
+print(f"prefill stack rows:  {sess.prefill_rows} for the 4-token prompt, "
+      f"{long.prefill_rows} for all {len(tokens)} tokens "
+      f"(vs {cfg.loops * len(tokens)} for every loop in full)")
 print(f"worst |logit gap| vs full forward: {worst:.3e}")
 
 banner("2. the serial wiring pays `loops` passes for the same tokens")

@@ -182,15 +182,16 @@ def attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_pos,
     return y.reshape(q.shape)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, q_pos, window: int = 0) -> Tensor:
-    """``attention_np`` as one tape op, keys at positions 0 .. m - 1.
+def attention(q: Tensor, k: Tensor, v: Tensor, q_pos, window: int = 0,
+              k_start: int = 0) -> Tensor:
+    """``attention_np`` as one tape op, keys at positions k_start .. k_start + m - 1.
 
     The backward pass walks the saved tiles and forms each tile's share of
     dQ, dK and dV from its kept probabilities, without a dense score matrix.
     """
     req = grad_enabled() and (q.requires_grad or k.requires_grad or v.requires_grad)
     tiles = [] if req else None
-    y = attention_np(q.data, k.data, v.data, q_pos, 0, window, tiles)
+    y = attention_np(q.data, k.data, v.data, q_pos, k_start, window, tiles)
     out = Tensor(y, req)
     if req:
         def bwd(g):

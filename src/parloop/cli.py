@@ -308,7 +308,8 @@ def cmd_generate(args, argv) -> int:
         counts = sess.kv_entry_count()
         print(f"passes/token={sess.passes_per_token:.2f} steps={sess.steps} "
               f"kv_shared={counts['shared']} kv_window={counts['window']} "
-              f"kv_per_loop={counts['per_loop']}", file=sys.stderr)
+              f"kv_per_loop={counts['per_loop']} prefill_rows={sess.prefill_rows}",
+              file=sys.stderr)
     return 0
 
 
@@ -352,7 +353,9 @@ def cmd_bench(args, argv) -> int:
     params = init_parameters(cfg, args.seed)
     rng = np.random.default_rng(args.seed)
     prompt = rng.integers(0, cfg.vocab, size=args.prompt_len)
+    t0 = time.perf_counter()
     sess = prefill(params, prompt)
+    prefill_ms = (time.perf_counter() - t0) * 1e3
     times = []
     logits = sess.last_logits
     for _ in range(args.steps):
@@ -364,7 +367,8 @@ def cmd_bench(args, argv) -> int:
     p90 = statistics.quantiles(times, n=10)[-1] * 1e3 if len(times) >= 10 \
         else max(times) * 1e3
     print(f"mode={cfg.mode} loops={cfg.loops} steps={args.steps} "
-          f"median={med:.3f}ms p90={p90:.3f}ms passes/token={sess.passes_per_token:.1f}")
+          f"prefill={prefill_ms:.3f}ms median={med:.3f}ms p90={p90:.3f}ms "
+          f"passes/token={sess.passes_per_token:.1f} prefill_rows={sess.prefill_rows}")
     return 0
 
 

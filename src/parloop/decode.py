@@ -28,8 +28,13 @@ Only the per-layer body (``_stack_pass``) is kept apart from
 ``model.block_stack_forward``, because its rows advance different loops in
 one pass.
 
-Everything here is plain numpy under no_grad semantics; the training
-forward is reused verbatim for prefill so the handoff is exact.
+Prefill is the training forward under no_grad, asked for its loop states
+(``forward(..., return_states=True)``). Loop 1 runs the whole prompt, as it
+fills the shared cache; each later plt loop runs only the suffix a session
+reads (its carry at n - 1, the last logits and, with gswa, the ring seeds
+at [n - window, n)), from ``model.prefill_starts``. The rows it drops feed
+nothing a step reads, so the handoff is exact. Everything here is plain
+numpy under no_grad semantics.
 """
 
 from __future__ import annotations
@@ -60,7 +65,10 @@ class DecodeSession:
 
     Counters: ``steps`` counts tokens pushed through ``step``; ``passes``
     counts block-stack passes those steps cost (the parallel wiring pays 1
-    per token, the serial loop pays ``loops``).
+    per token, the serial loop pays ``loops``). ``prefill_rows`` counts the
+    stack rows prefill ran, summed over loops: ``loops * n`` for the serial
+    wirings, far fewer for plt, whose later loops run only the suffix a
+    session reads.
     """
 
     def __init__(self, params: Parameters, prompt: np.ndarray):
@@ -98,19 +106,20 @@ class DecodeSession:
                     kv = states.own_kv_per_loop[loop_index - 1]
                     for li, (k, v) in enumerate(kv):
                         ring = WindowKVCache(cfg.window, kh, dh)
-                        ring.write_block(0, k.data[0], v.data[0])
+                        ring.write_block(states.starts[loop_index - 1], k.data[0], v.data[0])
                         self.rings[(li, loop_index)] = ring
         # per layer, the window ring and gate that row r >= 1 of a step uses
         self._windows = [[(self.rings[li, r + 1], gate_for_loop(layer, cfg, r + 1))
                           for r in range(1, cfg.loops)]
                          for li, layer in enumerate(params.layers)] if cfg.gswa else []
 
-        self.inflight = [states.hidden_per_loop[l].data[0, n - 1].copy()
+        self.inflight = [states.hidden_per_loop[l].data[0, -1].copy()
                          for l in range(cfg.loops - 1)]
-        self.last_logits = states.logits.data[0, n - 1].copy()
+        self.last_logits = states.logits.data[0, -1].copy()
         self.last_microbatch: MicroBatch | None = None
         self.position = n
         self.prefill_passes = cfg.loops
+        self.prefill_rows = sum(n - s for s in states.starts)
         self.steps = 0
         self.passes = 0
 
@@ -227,7 +236,8 @@ def _is_int(x) -> bool:
 
 
 def prefill(params: Parameters, prompt: np.ndarray) -> DecodeSession:
-    """Run the training forward over the prompt and seed a session from it."""
+    """Run the forward over the prompt (later plt loops over the suffix
+    decode reads) and seed a session from it."""
     return DecodeSession(params, prompt)
 
 

@@ -224,12 +224,13 @@ def block_stack_forward(params: Parameters, x: Tensor, positions: np.ndarray,
                         loop_index: int = 1, shared_kv: list | None = None):
     """One pass of the shared block stack plus the final norm.
 
-    x: [b, n, d_model]. When `shared_kv` is given (list over layers of
-    (roped_k, v) tensors shaped [b, kv_heads, m, d_head]) the pass is a
+    x: [b, n, d_model], row i at position positions[i] (consecutive). When
+    `shared_kv` is given (list over layers of (roped_k, v) tensors shaped
+    [b, kv_heads, m, d_head] at positions 0 .. m - 1) the pass is a
     non-first loop of the sharing mode: global attention reads from it and,
     with gating enabled, a sliding window over this pass's own keys/values
-    is mixed in per head. Otherwise the pass runs plain causal
-    self-attention.
+    is mixed in per head; such a pass may start past position 0. Otherwise
+    the pass runs plain causal self-attention.
 
     Returns (hidden, own_kv): hidden is the post-norm output, own_kv the
     per-layer (roped_k, v) this pass produced (None entries when the pass
@@ -256,7 +257,7 @@ def block_stack_forward(params: Parameters, x: Tensor, positions: np.ndarray,
         else:
             y = attention(q, *shared_kv[li], positions)
             if use_local:
-                y_local = attention(q, k, v, positions, cfg.window)
+                y_local = attention(q, k, v, positions, cfg.window, k_start=positions[0])
                 g = gate_values(gate_for_loop(layer, cfg, loop_index), q_full)
                 y = gated_fuse(g, y_local, y)
         x = x + merge_heads(y) @ layer.wo
@@ -275,12 +276,42 @@ def shift_right(h: Tensor) -> Tensor:
 
 @dataclass
 class LoopActivations:
-    """Everything a decode session needs to take over after a full pass."""
+    """What a decode session reads to take over after prefill.
 
-    logits: Tensor                 # [b, n, vocab]
-    hidden_per_loop: list          # loops x Tensor [b, n, d_model]
+    Loop l ran on positions [starts[l - 1], n) only (see ``prefill_starts``);
+    every per-loop entry covers those rows, and ``logits`` the last loop's.
+    """
+
+    logits: Tensor                 # [b, n - starts[-1], vocab]
+    hidden_per_loop: list          # loops x Tensor [b, n - start, d_model]
     shared_kv: list | None         # layers x (roped_k, v), first-pass keys/values
     own_kv_per_loop: list          # loops x layers x (roped_k | None, v | None)
+    starts: list                   # loops x first position computed
+
+
+def prefill_starts(cfg: ModelConfig, n: int) -> list:
+    """The first position each loop must compute for an n-token prompt so
+    that decoding can take over: the carry at n - 1, the last logits and,
+    with gswa, the ring seeds at [n - window, n).
+
+    Loop 1 fills the shared cache, and every loop of ``vanilla_loop`` its
+    own full cache, so they start at 0. A later plt loop l must be exact
+    from c_l = n - need (need = window with gswa, else 1), and from one
+    before where loop l + 1 starts, since that loop reads l's output one
+    position back. Through its stack a window pass reaches R =
+    n_layers * (window - 1) positions back (0 without gswa); the first R
+    rows of a suffix see truncated windows, so loop l starts R before c_l.
+    """
+    starts = [0] * cfg.loops
+    if cfg.mode != "plt":
+        return starts
+    need = cfg.window if cfg.gswa else 1
+    reach = cfg.n_layers * (cfg.window - 1) if cfg.gswa else 0
+    exact_from = n - need
+    for i in range(cfg.loops - 1, 0, -1):   # starts[i] is loop i + 1's
+        starts[i] = max(0, exact_from - reach)
+        exact_from = min(n - need, starts[i] - 1)
+    return starts
 
 
 def head_weight(params: Parameters) -> Tensor:
@@ -293,8 +324,9 @@ def head_weight(params: Parameters) -> Tensor:
 def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False):
     """Token ids [b, n] -> logits [b, n, vocab] under the configured wiring.
 
-    With return_states=True, returns LoopActivations instead of the bare
-    logits tensor.
+    With return_states=True, returns LoopActivations for a decode session
+    instead: each loop then runs only from its ``prefill_starts`` position,
+    so the logits cover the last loop's rows, not all n.
     """
     cfg = params.config
     tokens = np.asarray(tokens)
@@ -309,6 +341,7 @@ def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False)
         raise CapacityError(f"sequence length {n} exceeds max_seq {cfg.max_seq}")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab:
         raise TokenError(f"token ids must be in [0, {cfg.vocab})")
+    starts = prefill_starts(cfg, n) if return_states else [0] * cfg.loops
     positions = np.arange(n)
     e = gather_rows(params.embedding, tokens)
 
@@ -317,19 +350,22 @@ def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False)
     kv_per_loop = [own_kv]
     shared = own_kv if cfg.kv_share else None
     for loop_index in range(2, cfg.loops + 1):
+        s, prev_s = starts[loop_index - 1], starts[loop_index - 2]
         prev = hiddens[-1]
-        if cfg.mode == "plt":
-            b = e + shift_right(prev)
-        else:
+        if cfg.mode != "plt":
             b = e + prev
+        elif s == 0:
+            b = e + shift_right(prev)
+        else:   # positions s - 1 .. n - 2 of the previous loop
+            b = e[:, s:] + prev[:, s - 1 - prev_s:n - 1 - prev_s]
         hidden, own_kv = block_stack_forward(
-            params, b, positions, loop_index=loop_index, shared_kv=shared)
+            params, b, positions[s:], loop_index=loop_index, shared_kv=shared)
         hiddens.append(hidden)
         kv_per_loop.append(own_kv)
     logits = hiddens[-1] @ head_weight(params)
     if return_states:
-        return LoopActivations(logits=logits, hidden_per_loop=hiddens,
-                               shared_kv=shared, own_kv_per_loop=kv_per_loop)
+        return LoopActivations(logits=logits, hidden_per_loop=hiddens, shared_kv=shared,
+                               own_kv_per_loop=kv_per_loop, starts=starts)
     return logits
 
 

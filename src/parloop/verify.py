@@ -48,21 +48,25 @@ def _configs(seed: int) -> list:
 
 
 def check_teacher_forcing(seed: int = 0, tol: float = 1e-9) -> CheckResult:
-    """Step-by-step decode logits must match the full training forward."""
+    """Step-by-step decode logits must match the full training forward,
+    after a short prompt and after one long enough that prefill runs the
+    later plt loops over a suffix only."""
     worst = 0.0
     trials = 0
     for i, cfg in enumerate(_configs(seed)):
         params = init_parameters(cfg, seed + i)
-        tokens = Rng(seed + i).integers(0, cfg.vocab, (14,))
+        tokens = Rng(seed + i).integers(0, cfg.vocab, (30,))
         full = forward(params, tokens).data[0]
-        sess = prefill(params, tokens[:5])
-        worst = max(worst, float(np.max(np.abs(sess.last_logits - full[4]))))
-        for j in range(5, len(tokens)):
-            step = sess.step(int(tokens[j]))
-            worst = max(worst, float(np.max(np.abs(step - full[j]))))
-            trials += 1
+        for split in (5, 21):
+            sess = prefill(params, tokens[:split])
+            worst = max(worst, float(np.max(np.abs(sess.last_logits - full[split - 1]))))
+            for j in range(split, split + 9):
+                step = sess.step(int(tokens[j]))
+                worst = max(worst, float(np.max(np.abs(step - full[j]))))
+                trials += 1
     return CheckResult("teacher_forcing", worst, tol, worst <= tol,
-                       f"{trials} steps over {len(_configs(seed))} wirings")
+                       f"{trials} steps over {len(_configs(seed))} wirings, "
+                       f"prompts of 5 and 21 tokens")
 
 
 def check_causality(seed: int = 0, trials: int = 12) -> CheckResult:

@@ -220,6 +220,25 @@ class TestKernel:
                          max_coords=40, seed=window)
         assert res.passed, res.summary()
 
+    @pytest.mark.parametrize("window", [0, 5])
+    def test_keys_from_k_start_act_as_shifted_positions(self, window):
+        # a suffix pass: queries and keys both at positions s .. s + n - 1
+        rng = np.random.default_rng(7 + window)
+        s, n = 9, BLOCK + 6
+        q = Tensor(rng.normal(size=(4, n, 4)), requires_grad=True)
+        k = Tensor(rng.normal(size=(2, n, 4)), requires_grad=True)
+        v = Tensor(rng.normal(size=(2, n, 4)), requires_grad=True)
+        w = rng.normal(size=q.shape)
+        got = attention(q, k, v, np.arange(s, s + n), window, k_start=s)
+        assert np.array_equal(got.data, attention(q, k, v, np.arange(n), window).data)
+
+        def loss_fn():
+            return (attention(q, k, v, np.arange(s, s + n), window, k_start=s) * w).sum()
+
+        res = grad_check(loss_fn, {"q": q, "k": k, "v": v}, tol=1e-4,
+                         max_coords=20, seed=window)
+        assert res.passed, res.summary()
+
     def test_grouped_kv_grad_sums_over_copies(self, rng):
         q = Tensor(rng.normal(size=(2, 6, 3, 4)), requires_grad=True)
         k = Tensor(rng.normal(size=(2, 2, 3, 4)), requires_grad=True)

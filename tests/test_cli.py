@@ -178,6 +178,7 @@ def test_train_then_generate_roundtrip(tmp_path, capsys):
     assert all(0 <= t < 9 for t in ids)
     assert "passes/token=1.00" in captured.err
     assert "kv_window=" in captured.err
+    assert "prefill_rows=" in captured.err
 
 
 def test_generate_is_reproducible(tmp_path, capsys):
@@ -306,6 +307,7 @@ def test_bench_reports_timings(capsys):
     out = capsys.readouterr().out
     assert "median=" in out and "p90=" in out
     assert "passes/token=1.0" in out
+    assert "prefill=" in out and "prefill_rows=" in out
 
 
 def test_bench_zero_steps_exits_2(capsys):

@@ -9,7 +9,7 @@ from parloop.attention import SharedKVCache, WindowKVCache, attention_np
 from parloop.decode import DecodeSession, _select, generate, prefill
 from parloop.errors import (CapacityError, ConfigError, DimensionError, EmptyInputError,
                             TokenError)
-from parloop.model import ModelConfig, forward, init_parameters
+from parloop.model import ModelConfig, forward, init_parameters, prefill_starts
 
 
 def small(**kw):
@@ -84,6 +84,74 @@ class TestGatedWindowDecode:
         tokens = np.random.default_rng(loops).integers(
             0, cfg.vocab, size=split + 2 * window + 3)
         assert teacher_forcing_gap(cfg, seed=window, tokens=tokens, split=split) < 1e-9
+
+
+class TestSuffixPrefill:
+    """Prompts long enough that prefill runs the later plt loops over a suffix
+    only, and prompts just shorter than that suffix."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("window", [0, 1, 3, 8])   # 0: no gswa
+    @pytest.mark.parametrize("loops", [2, 3, 4])
+    def test_step_logits_match_full_forward(self, loops, window, n_layers):
+        gswa = window > 0
+        for per_loop_gates in ((False, True) if gswa and loops > 2 else (False,)):
+            for n_kv_heads in (2, 1):
+                cfg = small(mode="plt", loops=loops, gswa=gswa, window=window,
+                            per_loop_gates=per_loop_gates, n_kv_heads=n_kv_heads,
+                            n_layers=n_layers, max_seq=128)
+                suffix = 1000 - prefill_starts(cfg, 1000)[1]
+                params = init_parameters(cfg, seed=loops + window)
+                for n in (max(1, suffix - 2), suffix + 5):
+                    starts = prefill_starts(cfg, n)
+                    assert (starts[1] > 0) == (n > suffix)
+                    tokens = np.random.default_rng(n).integers(
+                        0, cfg.vocab, size=n + 2 * window + 3)
+                    full = forward(params, tokens).data[0]
+                    sess = prefill(params, tokens[:n])
+                    worst = float(np.max(np.abs(sess.last_logits - full[n - 1])))
+                    for j in range(n, len(tokens)):
+                        worst = max(worst, float(np.max(np.abs(
+                            sess.step(int(tokens[j])) - full[j]))))
+                        assert sess.kv_entry_count()["window"] == \
+                            n_layers * (loops - 1) * min(window, sess.position)
+                    assert worst < 1e-9, (per_loop_gates, n_kv_heads, n)
+
+    def test_starts_follow_the_rule(self):
+        # plt2 runs loop 2 on the last row; with window 16 over 2 layers the
+        # ring seeds plus their 2 * 15 receptive field take 46 rows
+        assert prefill_starts(small(mode="plt", loops=2), 512) == [0, 511]
+        assert prefill_starts(small(mode="plt", loops=3), 512) == [0, 510, 511]
+        assert prefill_starts(small(mode="plt", loops=2, gswa=True, window=16,
+                                    max_seq=512), 512) == [0, 466]
+        # loop 2 must cover loop 3's start - 1 and its own reach behind that
+        assert prefill_starts(small(mode="plt", loops=3, gswa=True, window=3),
+                              40) == [0, 40 - 7 - 1 - 4, 40 - 7]
+        assert prefill_starts(small(mode="plt", loops=2, gswa=True, window=3), 5) == [0, 0]
+        assert prefill_starts(small(mode="vanilla_loop", loops=3), 40) == [0, 0, 0]
+
+    def test_states_cover_each_loops_suffix_and_logits_cover_all(self):
+        cfg = small(mode="plt", loops=3, gswa=True, window=3)
+        params = init_parameters(cfg, seed=0)
+        tokens = np.arange(30) % cfg.vocab
+        states = forward(params, tokens, return_states=True)
+        assert [h.shape[1] for h in states.hidden_per_loop] == \
+            [30 - s for s in states.starts]
+        assert states.logits.shape[1] == 30 - states.starts[-1]
+        assert forward(params, tokens).shape[1] == 30
+
+
+class TestPrefillRows:
+    @pytest.mark.parametrize("n", [1, 7, 46, 100])
+    def test_rows_per_wiring(self, n):
+        def rows(**kw):
+            cfg = small(max_seq=128, **kw)
+            return prefill(init_parameters(cfg, 0), np.arange(n) % cfg.vocab).prefill_rows
+        assert rows(mode="vanilla") == n
+        assert rows(mode="vanilla_loop", loops=2) == 2 * n
+        assert rows(mode="plt", loops=2) == n + 1
+        # the layers and window of the long-prompt benchmark's plt2_gswa wiring
+        assert rows(mode="plt", loops=2, gswa=True, window=16) == n + min(n, 46)
 
 
 class TestSessionStateHandoff:
