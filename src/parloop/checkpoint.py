@@ -71,8 +71,10 @@ def load_checkpoint(path):
     if manifest.get("version") != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {manifest.get('version')}")
     try:
-        cfg = ModelConfig(**manifest["config"])
-    except (TypeError, KeyError) as e:
+        config = manifest["config"]
+        config.pop("kv_share", None)   # older manifests stored it; mode now implies it
+        cfg = ModelConfig(**config)
+    except (TypeError, KeyError, AttributeError) as e:
         raise CheckpointError(f"bad config in manifest: {e}") from e
     if manifest.get("dtype") not in DTYPES:
         raise CheckpointError(

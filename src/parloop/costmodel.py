@@ -80,16 +80,13 @@ def standin_config() -> ModelConfig:
 def variant_config(cfg: ModelConfig, arch: str) -> ModelConfig:
     """Project a geometry onto one of the comparison wirings."""
     if arch == "vanilla":
-        return replace(cfg, mode="vanilla", loops=1, kv_share=False,
-                       gswa=False, per_loop_gates=False)
+        return replace(cfg, mode="vanilla", loops=1, gswa=False, per_loop_gates=False)
     if arch in ("loop", "loop_clp"):
-        return replace(cfg, mode="vanilla_loop", kv_share=False,
-                       gswa=False, per_loop_gates=False)
+        return replace(cfg, mode="vanilla_loop", gswa=False, per_loop_gates=False)
     if arch == "loop_clp_kvshare":
-        return replace(cfg, mode="plt", kv_share=True, gswa=False,
-                       per_loop_gates=False)
+        return replace(cfg, mode="plt", gswa=False, per_loop_gates=False)
     if arch == "plt":
-        return replace(cfg, mode="plt", kv_share=True, gswa=True)
+        return replace(cfg, mode="plt", gswa=True)
     raise ConfigError(f"unknown architecture row {arch!r}, expected one of {ARCH_ROWS}")
 
 

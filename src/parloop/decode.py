@@ -1,18 +1,22 @@
 """Incremental decoding.
 
-For the parallel-loop wiring every decode step runs one batched pass over a
-micro-batch of displaced rows: row 0 is the newest token entering its first
-loop, row r is the token from r steps ago entering loop r+1 (its carry
-arrives through the ``inflight`` states). All rows query the same position,
-the first row's keys/values extend the shared cache, and later rows keep at
-most ``window`` of their own entries in per-loop rings. One token therefore
-costs one pass regardless of the loop count. The rings are mirrored, so a
-row reads its window as ordered views without sorting or copying, and a
-session seeds each ring from the prompt with one block write.
+One ``DecodeSession.step`` serves all three wirings. For the parallel-loop
+wiring it runs one batched pass over a micro-batch of displaced rows: row 0
+is the newest token entering its first loop, row r is the token from r
+steps ago entering loop r+1 (its carry arrives through the ``inflight``
+array). All rows query the same position, and the first row's keys/values
+extend the shared cache. With gswa, rows 1..L-1 also keep at most
+``window`` of their own entries in one ring per layer, whose head axis
+holds the kv heads of loops 2..L; each layer writes, gathers and attends
+over that ring once for all of those rows and forms their gates in one
+matmul. One token therefore costs one pass regardless of the loop count.
+The rings are mirrored, so a step reads its window as ordered views
+without sorting or copying, and a session seeds each ring from the prompt
+with one block write.
 
-The serial wirings decode the ordinary way: ``vanilla`` is the single-pass
-special case, ``vanilla_loop`` runs the same per-layer body ``loops`` times
-per token, one row at a time against per-loop caches.
+``vanilla`` is the single-row special case. ``vanilla_loop`` keeps one cache
+per loop and the same step runs the per-layer body once per cache, one row
+at a time.
 
 Attention runs through the training forward's kernel
 (``attention.attention_np``): the query heads that share a key/value head
@@ -47,13 +51,13 @@ import numpy as np
 
 from .attention import SharedKVCache, WindowKVCache, apply_rope_np, attention_np, gated_fuse
 from .errors import CapacityError, ConfigError, DimensionError, TokenError
-from .model import Parameters, forward, gate_for_loop, head_weight
+from .model import Parameters, forward, head_weight
 from .tensor import Rng, no_grad, rmsnorm_np, sigmoid_np, silu_np
 
 
 @dataclass
 class MicroBatch:
-    """The displaced rows fed through the stack in one parallel step."""
+    """The rows a step feeds to its (for the serial loop, first) stack pass."""
 
     inputs: np.ndarray       # [rows, d_model]
     position: int            # query position shared by every row
@@ -62,6 +66,12 @@ class MicroBatch:
 
 class DecodeSession:
     """Mutable decoding state over a fixed prompt; see module docstring.
+
+    ``caches`` holds one ``SharedKVCache`` per loop that keeps its own keys
+    (one for ``vanilla`` and ``plt``, ``loops`` for ``vanilla_loop``);
+    ``rings`` holds, with gswa, one window ring per layer whose head axis
+    stacks the kv heads of loops 2..L; ``inflight`` holds the carries
+    [loops - 1, d_model] of the parallel wiring (no rows for the others).
 
     Counters: ``steps`` counts tokens pushed through ``step``; ``passes``
     counts block-stack passes those steps cost (the parallel wiring pays 1
@@ -85,37 +95,27 @@ class DecodeSession:
         with no_grad():
             states = forward(params, prompt, return_states=True)
 
-        self.shared: SharedKVCache | None = None
-        self.rings: dict = {}
-        self.per_loop: list = []
-        if cfg.mode == "vanilla_loop":
-            for kv in states.own_kv_per_loop:
-                cache = SharedKVCache(cfg.n_layers, kh, dh, cfg.max_seq)
-                for li, (k, v) in enumerate(kv):
-                    cache.write_block(li, 0, k.data[0], v.data[0])
-                cache.length = n
-                self.per_loop.append(cache)
-        else:
-            self.shared = SharedKVCache(cfg.n_layers, kh, dh, cfg.max_seq)
-            first_kv = states.shared_kv if cfg.kv_share else states.own_kv_per_loop[0]
-            for li, (k, v) in enumerate(first_kv):
-                self.shared.write_block(li, 0, k.data[0], v.data[0])
-            self.shared.length = n
-            if cfg.gswa:
-                for loop_index in range(2, cfg.loops + 1):
-                    kv = states.own_kv_per_loop[loop_index - 1]
-                    for li, (k, v) in enumerate(kv):
-                        ring = WindowKVCache(cfg.window, kh, dh)
-                        ring.write_block(states.starts[loop_index - 1], k.data[0], v.data[0])
-                        self.rings[(li, loop_index)] = ring
-        # per layer, the window ring and gate that row r >= 1 of a step uses
-        self._windows = [[(self.rings[li, r + 1], gate_for_loop(layer, cfg, r + 1))
-                          for r in range(1, cfg.loops)]
-                         for li, layer in enumerate(params.layers)] if cfg.gswa else []
+        serial = cfg.mode == "vanilla_loop"
+        self.caches = [SharedKVCache(cfg.n_layers, kh, dh, cfg.max_seq)
+                       for _ in range(cfg.loops if serial else 1)]
+        for cache, kv in zip(self.caches, states.own_kv_per_loop):
+            for li, (k, v) in enumerate(kv):
+                cache.write_block(li, 0, k.data[0], v.data[0])
+            cache.length = n
+        self.rings: list = []
+        if cfg.gswa and cfg.loops > 1:
+            m = min(n, cfg.window)   # every later loop computed at least these rows
+            for li in range(cfg.n_layers):
+                ks, vs = zip(*(loop_kv[li] for loop_kv in states.own_kv_per_loop[1:]))
+                ring = WindowKVCache(cfg.window, (cfg.loops - 1) * kh, dh)
+                ring.write_block(n - m, np.concatenate([k.data[0, :, -m:] for k in ks]),
+                                 np.concatenate([v.data[0, :, -m:] for v in vs]))
+                self.rings.append(ring)
 
-        self.inflight = [states.hidden_per_loop[l].data[0, -1].copy()
-                         for l in range(cfg.loops - 1)]
-        self.last_logits = states.logits.data[0, -1].copy()
+        rows = 1 if serial else cfg.loops
+        self.inflight = np.array([h.data[0, -1] for h in states.hidden_per_loop[:rows - 1]]
+                                 ).reshape(rows - 1, cfg.d_model)
+        self.last_logits = states.hidden_per_loop[-1].data[0, -1] @ head_weight(params).data
         self.last_microbatch: MicroBatch | None = None
         self.position = n
         self.prefill_passes = cfg.loops
@@ -123,49 +123,38 @@ class DecodeSession:
         self.steps = 0
         self.passes = 0
 
-    # -- per-mode steps -------------------------------------------------
-
     def step(self, token: int) -> np.ndarray:
-        """Process one token; returns the logits predicting the next one."""
-        if self.cfg.mode == "vanilla_loop":
-            return self.loop_decode_step(token)
-        return self.decode_step(token)
+        """Process one token; returns the logits predicting the next one.
 
-    def decode_step(self, token: int) -> np.ndarray:
-        """One batched pass advancing every loop stage by one step."""
-        e = self._embed(token)
-        p, rows = self.position, self.cfg.loops
-        x = np.tile(e, (rows, 1))
-        for r in range(1, rows):
-            x[r] += self.inflight[r - 1]
-        self.last_microbatch = MicroBatch(inputs=x, position=p,
-                                          loop_of_row=tuple(range(1, rows + 1)))
-        hidden = self._stack_pass(x, p, self.shared)
-        self.inflight = list(hidden[:-1])
-        self.shared.length = p + 1
-        self.passes += 1
-        return self._advance(hidden[-1])
-
-    def loop_decode_step(self, token: int) -> np.ndarray:
-        """Serial reference step: the stack runs ``loops`` times for one
-        token, each pass one row against that loop's own cache."""
+        The parallel wiring runs one pass over the token's row and one row
+        per in-flight carry; the serial loop runs one single-row pass per
+        loop, each against that loop's own cache.
+        """
         e = self._embed(token)
         p = self.position
-        x = e[None]
-        for cache in self.per_loop:
+        x = np.tile(e, (len(self.inflight) + 1, 1))
+        x[1:] += self.inflight
+        self.last_microbatch = MicroBatch(inputs=x, position=p,
+                                          loop_of_row=tuple(range(1, len(x) + 1)))
+        for cache in self.caches:   # more than one only for the serial loop
             hidden = self._stack_pass(x, p, cache)
             x = e + hidden
             cache.length = p + 1
             self.passes += 1
-        return self._advance(hidden[0])
+        self.inflight = hidden[:-1]
+        self.position += 1
+        self.steps += 1
+        self.last_logits = hidden[-1] @ head_weight(self.params).data
+        return self.last_logits
 
     def _stack_pass(self, x: np.ndarray, p: int, cache: SharedKVCache) -> np.ndarray:
         """The block stack over rows ``x`` [rows, d_model] at position ``p``.
 
         Row 0 writes its keys/values to ``cache`` and every row attends over
-        it; with gswa, row r >= 1 also attends over the window ring of loop
-        r + 1 and the head-wise gate mixes the two. Returns the final-norm
-        output [rows, d_model].
+        it; with gswa, rows 1.. also write their keys/values to the layer's
+        ring, attend over it in one call, and the head-wise gate of each
+        row's loop mixes the two. Returns the final-norm output
+        [rows, d_model].
         """
         cfg, params = self.cfg, self.params
         rows = x.shape[0]
@@ -182,14 +171,17 @@ class DecodeSession:
             cache.write(li, p, k[0], v[0])
             y = attention_np(q.transpose(1, 0, 2), *cache.view(li, p + 1), at).transpose(1, 0, 2)
 
-            if cfg.gswa:
-                for r, (ring, gp) in enumerate(self._windows[li], 1):
-                    ring.write(p, k[r], v[r])
-                    kw, vw, _ = ring.gather(p)
-                    y_local = attention_np(q[r][:, None], kw, vw, at[:1], ring.lo,
-                                           cfg.window)[:, 0]
-                    g = sigmoid_np(q_full[r] @ gp.weight.data + gp.bias.data)[:, None]
-                    y[r] = gated_fuse(g, y_local, y[r])
+            if self.rings:   # rows 1.. read the ring of their own loop's kv heads
+                ring = self.rings[li]
+                ring.write(p, k[1:].reshape(-1, dh), v[1:].reshape(-1, dh))
+                kw, vw, _ = ring.gather(p)
+                y_local = attention_np(q[1:, :, None], kw.reshape(rows - 1, kh, -1, dh),
+                                       vw.reshape(rows - 1, kh, -1, dh), at[:1], ring.lo,
+                                       cfg.window)[:, :, 0]
+                w = np.array([gp.weight.data for gp in layer.gates])   # [1 or rows - 1, d, h]
+                b = np.array([gp.bias.data for gp in layer.gates])
+                g = sigmoid_np((q_full[1:, None] @ w)[:, 0] + b)[..., None]
+                y[1:] = gated_fuse(g, y_local, y[1:])
 
             x = x + y.reshape(rows, heads * dh) @ layer.wo.data
             hm = rmsnorm_np(x, layer.mlp_norm.data, cfg.norm_eps)
@@ -209,25 +201,18 @@ class DecodeSession:
             raise TokenError(f"token id {token} is outside [0, {self.cfg.vocab})")
         return self.params.embedding.data[token]
 
-    def _advance(self, hidden: np.ndarray) -> np.ndarray:
-        """Close a step: move to the next position and emit its logits."""
-        self.position += 1
-        self.steps += 1
-        self.last_logits = hidden @ head_weight(self.params).data
-        return self.last_logits
-
     @property
     def passes_per_token(self) -> float:
         return self.passes / self.steps if self.steps else 0.0
 
     def kv_entry_count(self) -> dict:
-        """Live cache positions per kind, summed over layers."""
-        nl = self.cfg.n_layers
-        shared = nl * self.shared.length if self.shared is not None else 0
-        window = sum(r.entries() for r in self.rings.values())
-        per_loop = sum(nl * c.length for c in self.per_loop)
-        return {"shared": shared, "window": window, "per_loop": per_loop,
-                "total": shared + window + per_loop}
+        """Live cache positions per kind, summed over layers (and, for the
+        window rings, over the loops that share each ring)."""
+        cached = self.cfg.n_layers * sum(c.length for c in self.caches)
+        window = (self.cfg.loops - 1) * sum(r.entries() for r in self.rings)
+        serial = self.cfg.mode == "vanilla_loop"
+        return {"shared": 0 if serial else cached, "window": window,
+                "per_loop": cached if serial else 0, "total": cached + window}
 
 
 def _is_int(x) -> bool:

@@ -51,7 +51,6 @@ class ModelConfig:
     n_kv_heads: int | None = None   # None: same as n_heads
     d_ff: int | None = None         # None: 4 * d_model
     window: int = 0
-    kv_share: bool | None = None    # None: inferred from mode
     gswa: bool = False
     weight_tying: bool = True
     per_loop_gates: bool = False
@@ -66,8 +65,6 @@ class ModelConfig:
             self.n_kv_heads = self.n_heads
         if self.d_ff is None:
             self.d_ff = 4 * self.d_model
-        if self.kv_share is None:
-            self.kv_share = self.mode == "plt"
         if self.vocab < 2:
             raise ConfigError("vocab must be >= 2")
         if self.n_layers < 0:
@@ -76,8 +73,13 @@ class ModelConfig:
             raise ConfigError("loops must be >= 1")
         if self.max_seq < 1:
             raise ConfigError("max_seq must be >= 1")
+        for name in ("d_model", "n_heads", "n_kv_heads", "d_ff"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.norm_eps < math.inf:
             raise ConfigError(f"norm_eps must be positive and finite, got {self.norm_eps}")
+        if not 0.0 < self.rope_theta < math.inf:
+            raise ConfigError(f"rope_theta must be positive and finite, got {self.rope_theta}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.d_head % 2 != 0:
@@ -86,10 +88,6 @@ class ModelConfig:
             raise ConfigError(f"n_heads {self.n_heads} not divisible by n_kv_heads {self.n_kv_heads}")
         if self.mode == "vanilla" and self.loops != 1:
             raise ConfigError("vanilla mode is single-pass; set loops=1")
-        if self.mode == "plt" and not self.kv_share:
-            raise ConfigError("plt mode requires kv_share")
-        if self.mode != "plt" and self.kv_share:
-            raise ConfigError("kv_share is only defined for plt mode")
         if self.gswa:
             if self.mode != "plt":
                 raise ConfigError("gated window attention requires plt mode")
@@ -101,6 +99,11 @@ class ModelConfig:
     @property
     def d_head(self) -> int:
         return self.d_model // self.n_heads
+
+    @property
+    def kv_share(self) -> bool:
+        """Whether later loops read the first loop's keys/values (plt only)."""
+        return self.mode == "plt"
 
 
 @dataclass
@@ -278,13 +281,12 @@ def shift_right(h: Tensor) -> Tensor:
 class LoopActivations:
     """What a decode session reads to take over after prefill.
 
-    Loop l ran on positions [starts[l - 1], n) only (see ``prefill_starts``);
-    every per-loop entry covers those rows, and ``logits`` the last loop's.
+    Loop l ran on positions [starts[l - 1], n) only (see ``prefill_starts``),
+    and every per-loop entry covers those rows. With kv sharing, the first
+    loop's keys/values are the ones every later loop read.
     """
 
-    logits: Tensor                 # [b, n - starts[-1], vocab]
     hidden_per_loop: list          # loops x Tensor [b, n - start, d_model]
-    shared_kv: list | None         # layers x (roped_k, v), first-pass keys/values
     own_kv_per_loop: list          # loops x layers x (roped_k | None, v | None)
     starts: list                   # loops x first position computed
 
@@ -296,21 +298,22 @@ def prefill_starts(cfg: ModelConfig, n: int) -> list:
 
     Loop 1 fills the shared cache, and every loop of ``vanilla_loop`` its
     own full cache, so they start at 0. A later plt loop l must be exact
-    from c_l = n - need (need = window with gswa, else 1), and from one
-    before where loop l + 1 starts, since that loop reads l's output one
-    position back. Through its stack a window pass reaches R =
-    n_layers * (window - 1) positions back (0 without gswa); the first R
-    rows of a suffix see truncated windows, so loop l starts R before c_l.
+    from c_l = n - 1 (the last loop) or from one before where loop l + 1
+    starts, since that loop reads l's output one position back. Through
+    its stack a window pass reaches R = n_layers * (window - 1) positions
+    back (0 without gswa); the first R rows of a suffix see truncated
+    windows, so loop l starts R before c_l. That also covers the ring
+    seeds: layer j's keys at n - window need only (j - 1) * (window - 1)
+    positions of reach before them, R - (window - 1) in the last layer.
     """
     starts = [0] * cfg.loops
     if cfg.mode != "plt":
         return starts
-    need = cfg.window if cfg.gswa else 1
     reach = cfg.n_layers * (cfg.window - 1) if cfg.gswa else 0
-    exact_from = n - need
+    exact_from = n - 1
     for i in range(cfg.loops - 1, 0, -1):   # starts[i] is loop i + 1's
         starts[i] = max(0, exact_from - reach)
-        exact_from = min(n - need, starts[i] - 1)
+        exact_from = starts[i] - 1
     return starts
 
 
@@ -326,7 +329,7 @@ def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False)
 
     With return_states=True, returns LoopActivations for a decode session
     instead: each loop then runs only from its ``prefill_starts`` position,
-    so the logits cover the last loop's rows, not all n.
+    and no logits are formed.
     """
     cfg = params.config
     tokens = np.asarray(tokens)
@@ -362,11 +365,10 @@ def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False)
             params, b, positions[s:], loop_index=loop_index, shared_kv=shared)
         hiddens.append(hidden)
         kv_per_loop.append(own_kv)
-    logits = hiddens[-1] @ head_weight(params)
     if return_states:
-        return LoopActivations(logits=logits, hidden_per_loop=hiddens, shared_kv=shared,
-                               own_kv_per_loop=kv_per_loop, starts=starts)
-    return logits
+        return LoopActivations(hidden_per_loop=hiddens, own_kv_per_loop=kv_per_loop,
+                               starts=starts)
+    return hiddens[-1] @ head_weight(params)
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ class TestAttendCore:
         states = forward(params, np.arange(3), return_states=True)
         with pytest.raises(InvalidLoopError):
             block_stack_forward(params, states.hidden_per_loop[0], np.arange(3),
-                                loop_index=1, shared_kv=states.shared_kv)
+                                loop_index=1, shared_kv=states.own_kv_per_loop[0])
 
     def test_nan_score_raises(self, rng):
         q = rng.normal(size=(2, 3, 4))

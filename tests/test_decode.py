@@ -119,14 +119,15 @@ class TestSuffixPrefill:
 
     def test_starts_follow_the_rule(self):
         # plt2 runs loop 2 on the last row; with window 16 over 2 layers the
-        # ring seeds plus their 2 * 15 receptive field take 46 rows
+        # last row's 2 * 15 receptive field takes 31 rows, which covers the
+        # ring seeds too
         assert prefill_starts(small(mode="plt", loops=2), 512) == [0, 511]
         assert prefill_starts(small(mode="plt", loops=3), 512) == [0, 510, 511]
         assert prefill_starts(small(mode="plt", loops=2, gswa=True, window=16,
-                                    max_seq=512), 512) == [0, 466]
+                                    max_seq=512), 512) == [0, 481]
         # loop 2 must cover loop 3's start - 1 and its own reach behind that
         assert prefill_starts(small(mode="plt", loops=3, gswa=True, window=3),
-                              40) == [0, 40 - 7 - 1 - 4, 40 - 7]
+                              40) == [0, 30, 35]
         assert prefill_starts(small(mode="plt", loops=2, gswa=True, window=3), 5) == [0, 0]
         assert prefill_starts(small(mode="vanilla_loop", loops=3), 40) == [0, 0, 0]
 
@@ -137,7 +138,6 @@ class TestSuffixPrefill:
         states = forward(params, tokens, return_states=True)
         assert [h.shape[1] for h in states.hidden_per_loop] == \
             [30 - s for s in states.starts]
-        assert states.logits.shape[1] == 30 - states.starts[-1]
         assert forward(params, tokens).shape[1] == 30
 
 
@@ -151,7 +151,7 @@ class TestPrefillRows:
         assert rows(mode="vanilla_loop", loops=2) == 2 * n
         assert rows(mode="plt", loops=2) == n + 1
         # the layers and window of the long-prompt benchmark's plt2_gswa wiring
-        assert rows(mode="plt", loops=2, gswa=True, window=16) == n + min(n, 46)
+        assert rows(mode="plt", loops=2, gswa=True, window=16) == n + min(n, 31)
 
 
 class TestSessionStateHandoff:
@@ -167,14 +167,33 @@ class TestSessionStateHandoff:
         assert np.max(np.abs(a.last_logits - b.last_logits)) < 1e-9
         for x, y in zip(a.inflight, b.inflight):
             assert np.max(np.abs(x - y)) < 1e-9
-        ka, _ = a.shared.view(0, a.position)
-        kb, _ = b.shared.view(0, b.position)
+        ka, _ = a.caches[0].view(0, a.position)
+        kb, _ = b.caches[0].view(0, b.position)
         assert np.max(np.abs(ka - kb)) < 1e-9
-        for key, ring_a in a.rings.items():
+        for ring_a, ring_b in zip(a.rings, b.rings):
             ga = ring_a.gather(a.position - 1)
-            gb = b.rings[key].gather(b.position - 1)
+            gb = ring_b.gather(b.position - 1)
             assert np.array_equal(ga[2], gb[2])
             assert np.max(np.abs(ga[0] - gb[0])) < 1e-9
+
+    @pytest.mark.parametrize("loops", [2, 3])
+    def test_suffix_prefill_hands_over_the_full_prefill_state(self, loops, monkeypatch):
+        # large weights make a row that sees a truncated window differ visibly
+        cfg = small(mode="plt", loops=loops, gswa=True, window=8, n_layers=3, max_seq=128)
+        params = init_parameters(cfg, seed=loops, std=0.3)
+        tokens = np.random.default_rng(loops).integers(0, cfg.vocab, size=100)
+        suffix = prefill(params, tokens)
+        assert suffix.prefill_rows < loops * len(tokens)
+        monkeypatch.setattr("parloop.model.prefill_starts", lambda cfg, n: [0] * cfg.loops)
+        full = prefill(params, tokens)
+        assert full.prefill_rows == loops * len(tokens)
+        assert np.max(np.abs(suffix.last_logits - full.last_logits)) <= 1e-9
+        assert np.max(np.abs(suffix.inflight - full.inflight)) <= 1e-9
+        for ring_s, ring_f in zip(suffix.rings, full.rings, strict=True):
+            ks, vs, ps = ring_s.gather(len(tokens) - 1)
+            kf, vf, pf = ring_f.gather(len(tokens) - 1)
+            assert np.array_equal(ps, pf)
+            assert max(np.max(np.abs(ks - kf)), np.max(np.abs(vs - vf))) <= 1e-9
 
 
 class TestCacheOccupancy:
@@ -184,7 +203,7 @@ class TestCacheOccupancy:
         sess = prefill(params, np.arange(6) % cfg.vocab)
         for t in range(20):
             sess.step(t % cfg.vocab)
-            assert all(r.entries() <= cfg.window for r in sess.rings.values())
+            assert all(r.entries() <= cfg.window for r in sess.rings)
         counts = sess.kv_entry_count()
         n = sess.position
         loops_beyond_first = cfg.loops - 1
@@ -328,7 +347,7 @@ class TestMicroBatch:
         sess = prefill(params, np.arange(5) % cfg.vocab)
         carries = [h.copy() for h in sess.inflight]
         tok = 3
-        sess.decode_step(tok)
+        sess.step(tok)
         mb = sess.last_microbatch
         e = params.embedding.data[tok]
         assert mb.position == 5
@@ -340,9 +359,9 @@ class TestMicroBatch:
     def test_single_loop_has_one_row(self):
         cfg = small(mode="plt", loops=1)
         sess = prefill(init_parameters(cfg, 0), np.arange(4) % cfg.vocab)
-        sess.decode_step(1)
+        sess.step(1)
         assert sess.last_microbatch.inputs.shape[0] == 1
-        assert sess.inflight == []
+        assert len(sess.inflight) == 0
 
 
 class TestModeEquivalences:

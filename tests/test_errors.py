@@ -74,6 +74,14 @@ CASES = [
     ("config-nan-norm-eps", lambda _: ModelConfig(**CFG, norm_eps=float("nan")), ConfigError),
     ("config-heads-not-divisible", lambda _: ModelConfig(vocab=17, d_model=16, n_layers=1,
                                                           n_heads=3), ConfigError),
+    ("config-zero-d-model", lambda _: ModelConfig(**{**CFG, "d_model": 0}), ConfigError),
+    ("config-zero-heads", lambda _: ModelConfig(**{**CFG, "n_heads": 0}), ConfigError),
+    ("config-zero-kv-heads", lambda _: ModelConfig(**CFG, n_kv_heads=0), ConfigError),
+    ("config-negative-heads", lambda _: ModelConfig(**{**CFG, "n_heads": -2}), ConfigError),
+    ("config-negative-kv-heads", lambda _: ModelConfig(**CFG, n_kv_heads=-1), ConfigError),
+    ("config-negative-d-ff", lambda _: ModelConfig(**CFG, d_ff=-4), ConfigError),
+    ("config-zero-rope-theta", lambda _: ModelConfig(**CFG, rope_theta=0.0), ConfigError),
+    ("config-inf-rope-theta", lambda _: ModelConfig(**CFG, rope_theta=float("inf")), ConfigError),
     ("forward-out-of-range-id", lambda _: forward(params(), np.array([1, 17])), TokenError),
     ("forward-float-ids", lambda _: forward(params(), np.array([1.5, 2.0])), TokenError),
     ("prefill-2d-prompt", lambda _: prefill(params(), np.zeros((2, 2), int)), DimensionError),
@@ -105,6 +113,7 @@ CASES = [
     ("cli-garbage-checkpoint", cli(lambda p: ["generate", "--checkpoint", garbage(p),
                                               "--prompt", "1"]), EXIT_2),
     ("cli-zero-steps", cli(lambda p: ["train", "--steps", "0", "--out", str(p / "o")]), EXIT_2),
+    ("cli-bench-zero-heads", cli(lambda _: ["bench", "--n-heads", "0"]), EXIT_2),
 ]
 
 

@@ -49,14 +49,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small(mode="vanilla", loops=2)
 
-    def test_plt_requires_sharing(self):
-        with pytest.raises(ConfigError):
-            small(mode="plt", loops=2, kv_share=False)
-
-    def test_sharing_only_in_plt(self):
-        with pytest.raises(ConfigError):
-            small(mode="vanilla_loop", loops=2, kv_share=True)
-
     def test_gating_needs_window(self):
         with pytest.raises(ConfigError):
             small(mode="plt", loops=2, gswa=True, window=0)
@@ -268,6 +260,23 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(path)
         for name, t in params.named_tensors().items():
             assert np.array_equal(t.data, loaded.named_tensors()[name].data), name
+
+    def test_manifest_with_kv_share_loads(self, tmp_path):
+        # manifests written while kv_share was a config field still carry it
+        params = init_parameters(small(mode="plt", loops=2), seed=3)
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, params)
+        data = path.read_bytes()
+        (mlen,) = struct.unpack("<Q", data[8:16])
+        manifest = json.loads(data[16:16 + mlen])
+        assert "kv_share" not in manifest["config"]
+        manifest["config"]["kv_share"] = True
+        blob = json.dumps(manifest).encode()
+        path.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + mlen:])
+        loaded, _ = load_checkpoint(path)
+        assert loaded.config == params.config and loaded.config.kv_share
+        assert np.array_equal(forward(params, np.arange(6)).data,
+                              forward(loaded, np.arange(6)).data)
 
     def test_float32_payload_is_widened_to_float64(self, tmp_path):
         params = init_parameters(small(), seed=3)
