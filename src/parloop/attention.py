@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigError, EmptyContextError, NumericError, PositionError
-from .tensor import Tensor, grad_enabled, sigmoid
+from .tensor import Tensor, needs_grad, node, sigmoid
 
 NEG_INF = float("-inf")
 
@@ -67,13 +67,10 @@ def apply_rope_np(x: np.ndarray, positions, tables: RopeTables) -> np.ndarray:
 
 def apply_rope(x: Tensor, positions: np.ndarray, tables: RopeTables) -> Tensor:
     """``apply_rope_np`` as one tape op; its backward is the inverse rotation."""
-    out = Tensor(apply_rope_np(x.data, positions, tables), x.requires_grad and grad_enabled())
-    if out.requires_grad:
-        def bwd(g):
-            x._accum(apply_rope_np(g, positions, RopeTables(tables.cos, -tables.sin)))
-        out._parents = (x,)
-        out._backward = bwd
-    return out
+    def bwd(g):
+        x._accum(apply_rope_np(g, positions, RopeTables(tables.cos, -tables.sin)))
+
+    return node(apply_rope_np(x.data, positions, tables), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -189,41 +186,38 @@ def attention(q: Tensor, k: Tensor, v: Tensor, q_pos, window: int = 0,
     The backward pass walks the saved tiles and forms each tile's share of
     dQ, dK and dV from its kept probabilities, without a dense score matrix.
     """
-    req = grad_enabled() and (q.requires_grad or k.requires_grad or v.requires_grad)
-    tiles = [] if req else None
+    # tiles are kept only when a backward will read them
+    tiles = [] if needs_grad(q, k, v) else None
     y = attention_np(q.data, k.data, v.data, q_pos, k_start, window, tiles)
-    out = Tensor(y, req)
-    if req:
-        def bwd(g):
-            *lead, heads, n, dh = q.shape
-            kh = k.shape[-3]
-            groups = heads // kh
-            shape5 = (*lead, kh, groups, n, dh)
-            g5, y5, q5 = g.reshape(shape5), y.reshape(shape5), q.data.reshape(shape5)
-            scale = 1.0 / math.sqrt(dh)
-            dq = np.empty(shape5, dtype=g.dtype)
-            dk = np.zeros(k.shape, dtype=g.dtype)
-            dv = np.zeros(v.shape, dtype=g.dtype)
-            for i0, i1, lo, hi, p in tiles:
-                rows = groups * (i1 - i0)
-                gb = g5[..., i0:i1, :].reshape(*lead, kh, rows, dh)
-                qb = q5[..., i0:i1, :].reshape(*lead, kh, rows, dh)
-                yb = y5[..., i0:i1, :].reshape(*lead, kh, rows, dh)
-                dv[..., lo:hi, :] += p.swapaxes(-1, -2) @ gb
-                ds = gb @ v.data[..., lo:hi, :].swapaxes(-1, -2)
-                ds -= (gb * yb).sum(axis=-1, keepdims=True)
-                ds *= p
-                ds *= scale
-                dq[..., i0:i1, :] = (ds @ k.data[..., lo:hi, :]).reshape(
-                    *lead, kh, groups, i1 - i0, dh)
-                dk[..., lo:hi, :] += ds.swapaxes(-1, -2) @ qb
-            for t, d in ((q, dq.reshape(q.shape)), (k, dk), (v, dv)):
-                if t.requires_grad:
-                    t._accum(d)
 
-        out._parents = (q, k, v)
-        out._backward = bwd
-    return out
+    def bwd(g):
+        *lead, heads, n, dh = q.shape
+        kh = k.shape[-3]
+        groups = heads // kh
+        shape5 = (*lead, kh, groups, n, dh)
+        g5, y5, q5 = g.reshape(shape5), y.reshape(shape5), q.data.reshape(shape5)
+        scale = 1.0 / math.sqrt(dh)
+        dq = np.empty(shape5, dtype=g.dtype)
+        dk = np.zeros(k.shape, dtype=g.dtype)
+        dv = np.zeros(v.shape, dtype=g.dtype)
+        for i0, i1, lo, hi, p in tiles:
+            rows = groups * (i1 - i0)
+            gb = g5[..., i0:i1, :].reshape(*lead, kh, rows, dh)
+            qb = q5[..., i0:i1, :].reshape(*lead, kh, rows, dh)
+            yb = y5[..., i0:i1, :].reshape(*lead, kh, rows, dh)
+            dv[..., lo:hi, :] += p.swapaxes(-1, -2) @ gb
+            ds = gb @ v.data[..., lo:hi, :].swapaxes(-1, -2)
+            ds -= (gb * yb).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= scale
+            dq[..., i0:i1, :] = (ds @ k.data[..., lo:hi, :]).reshape(
+                *lead, kh, groups, i1 - i0, dh)
+            dk[..., lo:hi, :] += ds.swapaxes(-1, -2) @ qb
+        for t, d in ((q, dq.reshape(q.shape)), (k, dk), (v, dv)):
+            if t.requires_grad:
+                t._accum(d)
+
+    return node(y, (q, k, v), bwd)
 
 
 # ---------------------------------------------------------------------------

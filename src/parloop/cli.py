@@ -5,8 +5,9 @@ Subcommands: train, generate, verify, cost, bench. Exit codes: 0 success,
 
 `train` and `bench` accept --config pointing at an INI file with [model],
 [task], and [train] sections; keys mirror the long option names with
-underscores. Explicit command line flags win over the file. Unknown
-sections or keys are rejected.
+underscores, except `[task] name` for --task and `[model] weight_tying =
+false` for --no-weight-tying. Explicit command line flags win over the
+file. Unknown sections or keys are rejected.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from .checkpoint import load_checkpoint
 from .costmodel import (
     ARCH_ROWS,
-    HardwareProfile,
     default_profile,
     report_csv,
     report_text,
@@ -33,7 +33,7 @@ from .costmodel import (
     sweep,
 )
 from .decode import generate, prefill
-from .errors import CheckpointError, ConfigError, DivergenceError, ParloopError, TokenError
+from .errors import CheckpointError, ConfigError, ParloopError, TokenError
 from .model import ModelConfig, forward, init_parameters
 from .tasks import eval_accuracy, make_task
 from .train import TrainConfig, train
@@ -328,14 +328,10 @@ def cmd_verify(args, argv) -> int:
 
 def cmd_cost(args, argv) -> int:
     cfg = standin_config()
-    base = default_profile()
-    profile = HardwareProfile(
-        name=base.name,
-        mem_bandwidth=args.bandwidth or base.mem_bandwidth,
-        peak_flops=args.peak_flops or base.peak_flops,
-        weight_bytes_per_param=args.weight_bytes or base.weight_bytes_per_param,
-        kv_bytes_per_entry=args.kv_bytes or base.kv_bytes_per_entry,
-        act_bytes_per_value=base.act_bytes_per_value)
+    overrides = dict(mem_bandwidth=args.bandwidth, peak_flops=args.peak_flops,
+                     weight_bytes_per_param=args.weight_bytes,
+                     kv_bytes_per_entry=args.kv_bytes)
+    profile = replace(default_profile(), **{k: v for k, v in overrides.items() if v is not None})
     costs = sweep(cfg, profile, args.batch, args.context, tuple(args.arch))
     print(report_csv(costs) if args.csv else report_text(costs), end="")
     if not args.csv:
@@ -387,9 +383,6 @@ def run(argv=None) -> int:
     except (ConfigError, CheckpointError, TokenError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except DivergenceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except ParloopError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

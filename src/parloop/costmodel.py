@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+import math
+import numbers
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 from .model import ModelConfig, count_flops_per_token, count_params_from_config
@@ -48,6 +50,14 @@ class HardwareProfile:
     weight_bytes_per_param: float
     kv_bytes_per_entry: float
     act_bytes_per_value: float = 2.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "name" and not (isinstance(value, numbers.Real)
+                                         and 0 < value < math.inf):
+                raise ConfigError(f"hardware profile {f.name} must be positive and "
+                                  f"finite, got {value!r}")
 
 
 def default_profile() -> HardwareProfile:
@@ -136,14 +146,6 @@ def decode_step_cost(arch: str, cfg: ModelConfig, profile: HardwareProfile,
     flops_total = batch * count_flops_per_token(vcfg, context)["total"]
     head_flops = batch * count_flops_per_token(vcfg, context)["head"]
 
-    if arch == "vanilla":
-        weight = block_bytes + head_bytes
-        kv = batch * kv_full
-        act = batch * act_row
-        latency, bound = _roofline(weight + kv + act, flops_total, profile)
-        return StepCost(arch, batch, context, 1, weight, kv, act,
-                        flops_total, latency, bound)
-
     if arch == "loop":
         # L sequential passes; the head weights and flops land on the last.
         pass_flops = (flops_total - head_flops) / L
@@ -164,14 +166,13 @@ def decode_step_cost(arch: str, cfg: ModelConfig, profile: HardwareProfile,
                         batch * L * kv_full, batch * L * act_row,
                         flops_total, latency, bound)
 
+    # one fused pass (vanilla is the case L = 1)
     if arch == "loop_clp":
         kv = batch * L * kv_full
-    elif arch == "loop_clp_kvshare":
-        kv = batch * kv_full
     elif arch == "plt":
         kv = batch * (kv_full + (L - 1) * kv_window)
-    else:
-        raise ConfigError(f"unknown architecture row {arch!r}")
+    else:   # vanilla and loop_clp_kvshare read one cache
+        kv = batch * kv_full
     weight = block_bytes + head_bytes
     act = batch * L * act_row
     latency, bound = _roofline(weight + kv + act, flops_total, profile)

@@ -9,6 +9,10 @@ becomes its ``.grad`` as is (possibly a view, or an array another tensor
 also holds), and each later one rebinds ``.grad`` to a new sum. Code that
 scales a gradient must assign a new array.
 
+Every op builds its output through ``node`` from its forward value, parents
+and backward closure; ``node`` alone decides whether a tape node is recorded
+(``needs_grad`` is the one reader of grad mode outside ``no_grad``).
+
 Each fused forward formula is a plain-array kernel (``rmsnorm_np``,
 ``sigmoid_np``, ``silu_np``) that the tape op calls for its forward value
 and that decoding calls directly, so training and decode run the same
@@ -40,8 +44,16 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
+def needs_grad(*parents) -> bool:
+    """Whether an op on ``parents`` records a tape node."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
+def node(data, parents: tuple, backward) -> Tensor:
+    """An op's output: a tape node when ``needs_grad(*parents)``, else a plain tensor."""
+    if needs_grad(*parents):
+        return Tensor(data, True, parents, backward)
+    return Tensor(data)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -97,9 +109,9 @@ class Tensor:
             raise DimensionError("backward() requires a scalar tensor")
         order = _toposort(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        for t in reversed(order):
+            if t._backward is not None and t.grad is not None:
+                t._backward(t.grad)
 
     def _accum(self, g: np.ndarray) -> None:
         self.grad = g if self.grad is None else self.grad + g
@@ -132,11 +144,7 @@ class Tensor:
         return self * (1.0 / float(other))
 
     def __neg__(self):
-        out = Tensor(-self.data, self.requires_grad and _GRAD_ENABLED)
-        if out.requires_grad:
-            out._parents = (self,)
-            out._backward = lambda g: self._accum(-g)
-        return out
+        return node(-self.data, (self,), lambda g: self._accum(-g))
 
     # -- linear algebra -------------------------------------------------
 
@@ -148,60 +156,37 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        src = self.shape
-        out = Tensor(self.data.reshape(shape), self.requires_grad and _GRAD_ENABLED)
-        if out.requires_grad:
-            out._parents = (self,)
-            out._backward = lambda g: self._accum(g.reshape(src))
-        return out
+        return node(self.data.reshape(shape), (self,),
+                    lambda g: self._accum(g.reshape(self.shape)))
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
-        out = Tensor(self.data.swapaxes(a, b), self.requires_grad and _GRAD_ENABLED)
-        if out.requires_grad:
-            out._parents = (self,)
-            out._backward = lambda g: self._accum(g.swapaxes(a, b))
-        return out
+        return node(self.data.swapaxes(a, b), (self,), lambda g: self._accum(g.swapaxes(a, b)))
 
     def transpose(self) -> "Tensor":
         """Swap the last two axes."""
         return self.swapaxes(-1, -2)
 
     def __getitem__(self, idx) -> "Tensor":
-        out = Tensor(self.data[idx], self.requires_grad and _GRAD_ENABLED)
-        if out.requires_grad:
-            src_shape = self.shape
-            basic = all(i is None or i is Ellipsis or isinstance(i, (int, np.integer, slice))
-                        for i in (idx if isinstance(idx, tuple) else (idx,)))
+        def bwd(g):
+            buf = np.zeros(self.shape, dtype=g.dtype)
+            if all(i is None or i is Ellipsis or isinstance(i, (int, np.integer, slice))
+                   for i in (idx if isinstance(idx, tuple) else (idx,))):
+                buf[idx] = g  # a basic index names each element at most once
+            else:
+                np.add.at(buf, idx, g)
+            self._accum(buf)
 
-            def bwd(g):
-                buf = np.zeros(src_shape, dtype=g.dtype)
-                if basic:
-                    buf[idx] = g  # a basic index names each element at most once
-                else:
-                    np.add.at(buf, idx, g)
-                self._accum(buf)
-
-            out._parents = (self,)
-            out._backward = bwd
-        return out
+        return node(self.data[idx], (self,), bwd)
 
     # -- reductions -------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims),
-                     self.requires_grad and _GRAD_ENABLED)
-        if out.requires_grad:
-            src_shape = self.shape
+        def bwd(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis if isinstance(axis, tuple) else (axis,))
+            self._accum(np.broadcast_to(g, self.shape))
 
-            def bwd(g):
-                if axis is not None and not keepdims:
-                    axes = axis if isinstance(axis, tuple) else (axis,)
-                    g = np.expand_dims(g, axes)
-                self._accum(np.broadcast_to(g, src_shape))
-
-            out._parents = (self,)
-            out._backward = bwd
-        return out
+        return node(self.data.sum(axis=axis, keepdims=keepdims), (self,), bwd)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         n = self.size if axis is None else np.prod(
@@ -213,32 +198,29 @@ def _ew(a: Tensor, b, fwd, bwd_a, bwd_b) -> Tensor:
     """Broadcasting elementwise binary op; b may be a scalar or ndarray constant."""
     bt = b if isinstance(b, Tensor) else None
     bd = bt.data if bt is not None else np.asarray(b, dtype=a.data.dtype)
-    req = _GRAD_ENABLED and (a.requires_grad or (bt is not None and bt.requires_grad))
-    out = Tensor(fwd(a.data, bd), req)
-    if req:
-        def bwd(g):
-            if a.requires_grad:
-                a._accum(_unbroadcast(bwd_a(g, a.data, bd), a.shape))
-            if bt is not None and bt.requires_grad:
-                bt._accum(_unbroadcast(bwd_b(g, a.data, bd), bt.shape))
-        out._parents = (a, bt) if bt is not None else (a,)
-        out._backward = bwd
-    return out
+
+    def bwd(g):
+        if a.requires_grad:
+            a._accum(_unbroadcast(bwd_a(g, a.data, bd), a.shape))
+        if bt is not None and bt.requires_grad:
+            bt._accum(_unbroadcast(bwd_b(g, a.data, bd), bt.shape))
+
+    return node(fwd(a.data, bd), (a,) if bt is None else (a, bt), bwd)
 
 
 def _toposort(root: Tensor) -> list:
     """Iterative post-order over the tape."""
     order, seen, stack = [], set(), [(root, False)]
     while stack:
-        node, done = stack.pop()
+        t, done = stack.pop()
         if done:
-            order.append(node)
+            order.append(t)
             continue
-        if id(node) in seen:
+        if id(t) in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
+        seen.add(id(t))
+        stack.append((t, True))
+        for p in t._parents:
             if p is not None and p._backward is not None and id(p) not in seen:
                 stack.append((p, False))
     return order
@@ -259,39 +241,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError("matmul operands must have ndim >= 2")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
-    req = _GRAD_ENABLED and (a.requires_grad or b.requires_grad)
-    out = Tensor(np.matmul(a.data, b.data), req)
-    if req:
-        def bwd(g):
-            if a.requires_grad:
-                a._accum(_unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape))
-            if b.requires_grad and b.ndim == 2:
-                # a weight: one GEMM over every leading row; np.matmul would
-                # form one product per batch entry and then sum them
-                b._accum(a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-            elif b.requires_grad:
-                b._accum(_unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape))
-        out._parents = (a, b)
-        out._backward = bwd
-    return out
+
+    def bwd(g):
+        if a.requires_grad:
+            a._accum(_unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape))
+        if b.requires_grad and b.ndim == 2:
+            # a weight: one GEMM over every leading row; np.matmul would
+            # form one product per batch entry and then sum them
+            b._accum(a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        elif b.requires_grad:
+            b._accum(_unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape))
+
+    return node(np.matmul(a.data, b.data), (a, b), bwd)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    req = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), req)
-    if req:
-        sizes = [t.shape[axis] for t in tensors]
+    tensors = tuple(tensors)
 
-        def bwd(g):
-            pieces = np.split(g, np.cumsum(sizes)[:-1], axis=axis)
-            for t, piece in zip(tensors, pieces):
-                if t.requires_grad:
-                    t._accum(piece)
+    def bwd(g):
+        pieces = np.split(g, np.cumsum([t.shape[axis] for t in tensors])[:-1], axis=axis)
+        for t, piece in zip(tensors, pieces):
+            if t.requires_grad:
+                t._accum(piece)
 
-        out._parents = tuple(tensors)
-        out._backward = bwd
-    return out
+    return node(np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
 
 
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -302,11 +275,7 @@ def sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: Tensor) -> Tensor:
     s = sigmoid_np(x.data)
-    out = Tensor(s, x.requires_grad and _GRAD_ENABLED)
-    if out.requires_grad:
-        out._parents = (x,)
-        out._backward = lambda g: x._accum(g * s * (1.0 - s))
-    return out
+    return node(s, (x,), lambda g: x._accum(g * s * (1.0 - s)))
 
 
 def silu_np(x: np.ndarray) -> np.ndarray:
@@ -317,15 +286,13 @@ def silu_np(x: np.ndarray) -> np.ndarray:
 def silu(x: Tensor) -> Tensor:
     xd = x.data
     y = silu_np(xd)
-    out = Tensor(y, x.requires_grad and _GRAD_ENABLED)
-    if out.requires_grad:
-        def bwd(g):
-            # sigmoid(x) is silu(x) / x, and 1/2 at x = 0
-            s = np.divide(y, xd, out=np.full_like(xd, 0.5), where=xd != 0)
-            x._accum(g * (s + y * (1.0 - s)))
-        out._parents = (x,)
-        out._backward = bwd
-    return out
+
+    def bwd(g):
+        # sigmoid(x) is silu(x) / x, and 1/2 at x = 0
+        s = np.divide(y, xd, out=np.full_like(xd, 0.5), where=xd != 0)
+        x._accum(g * (s + y * (1.0 - s)))
+
+    return node(y, (x,), bwd)
 
 
 def _inv_rms(x: np.ndarray, eps: float) -> np.ndarray:
@@ -346,34 +313,29 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
         raise DimensionError(f"rmsnorm gain shape {gain.shape} != ({x.shape[-1]},)")
     xd = x.data
     d = xd.shape[-1]
-    req = _GRAD_ENABLED and (x.requires_grad or gain.requires_grad)
-    out = Tensor(rmsnorm_np(xd, gain.data, eps), req)
-    if req:
-        def bwd(g):
-            inv = _inv_rms(xd, eps)
-            if gain.requires_grad:
-                gain._accum((g * xd * inv).reshape(-1, d).sum(axis=0))
-            if x.requires_grad:
-                gw = g * gain.data
-                dot = (gw * xd).sum(axis=-1, keepdims=True)
-                x._accum(gw * inv - xd * (inv ** 3) * dot / d)
-        out._parents = (x, gain)
-        out._backward = bwd
-    return out
+
+    def bwd(g):
+        inv = _inv_rms(xd, eps)
+        if gain.requires_grad:
+            gain._accum((g * xd * inv).reshape(-1, d).sum(axis=0))
+        if x.requires_grad:
+            gw = g * gain.data
+            dot = (gw * xd).sum(axis=-1, keepdims=True)
+            x._accum(gw * inv - xd * (inv ** 3) * dot / d)
+
+    return node(rmsnorm_np(xd, gain.data, eps), (x, gain), bwd)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Gather rows of `table` by integer ids (any leading shape)."""
     ids = np.asarray(ids)
-    out = Tensor(table.data[ids], table.requires_grad and _GRAD_ENABLED)
-    if out.requires_grad:
-        def bwd(g):
-            buf = np.zeros_like(table.data)
-            np.add.at(buf, ids, g)
-            table._accum(buf)
-        out._parents = (table,)
-        out._backward = bwd
-    return out
+
+    def bwd(g):
+        buf = np.zeros_like(table.data)
+        np.add.at(buf, ids, g)
+        table._accum(buf)
+
+    return node(table.data[ids], (table,), bwd)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
@@ -402,21 +364,19 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None =
     picked = np.take_along_axis(ld, targets[..., None], axis=-1)[..., 0]
     nll = (logz[..., 0] - picked)
     loss = float((nll * mask).sum() / count)
-    out = Tensor(loss, logits.requires_grad and _GRAD_ENABLED)
-    if out.requires_grad:
-        def bwd(g):
-            onehot_sub = e / z
-            np.put_along_axis(
-                onehot_sub,
-                targets[..., None],
-                np.take_along_axis(onehot_sub, targets[..., None], axis=-1) - 1.0,
-                axis=-1,
-            )
-            w = (mask / count)[..., None]
-            logits._accum(g * onehot_sub * w)
-        out._parents = (logits,)
-        out._backward = bwd
-    return out
+
+    def bwd(g):
+        onehot_sub = e / z
+        np.put_along_axis(
+            onehot_sub,
+            targets[..., None],
+            np.take_along_axis(onehot_sub, targets[..., None], axis=-1) - 1.0,
+            axis=-1,
+        )
+        w = (mask / count)[..., None]
+        logits._accum(g * onehot_sub * w)
+
+    return node(loss, (logits,), bwd)
 
 
 def global_grad_norm(tensors) -> float:

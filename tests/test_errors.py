@@ -2,11 +2,13 @@
 caller as a ``ParloopError`` subclass (exit 2 from the command line), never
 as a raw numpy or Python exception and never as a silent result."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from parloop import (CheckpointError, ConfigError, DimensionError, ModelConfig,
-                     ParloopError, PositionError, TokenError, TrainConfig,
+from parloop import (CheckpointError, ConfigError, DimensionError, HardwareProfile,
+                     ModelConfig, ParloopError, PositionError, TokenError, TrainConfig,
                      WindowKVCache, decode_step_cost, default_profile, forward,
                      generate, init_parameters, load_checkpoint, make_task, prefill,
                      save_checkpoint, train)
@@ -103,6 +105,19 @@ CASES = [
     ("load-checkpoint-garbage", lambda p: load_checkpoint(garbage(p)), CheckpointError),
     ("cost-zero-batch", lambda _: decode_step_cost("plt", ModelConfig(**CFG),
                                                    default_profile(), 0, 16), ConfigError),
+    ("profile-zero-bandwidth", lambda _: HardwareProfile(
+        "hw", mem_bandwidth=0.0, peak_flops=1e12, weight_bytes_per_param=1.0,
+        kv_bytes_per_entry=64.0), ConfigError),
+    ("profile-negative-bandwidth",
+     lambda _: replace(default_profile(), mem_bandwidth=-1e11), ConfigError),
+    ("profile-nan-peak-flops",
+     lambda _: replace(default_profile(), peak_flops=float("nan")), ConfigError),
+    ("profile-inf-weight-bytes",
+     lambda _: replace(default_profile(), weight_bytes_per_param=float("inf")), ConfigError),
+    ("profile-negative-kv-bytes",
+     lambda _: replace(default_profile(), kv_bytes_per_entry=-3.0), ConfigError),
+    ("profile-zero-act-bytes",
+     lambda _: replace(default_profile(), act_bytes_per_value=0.0), ConfigError),
     ("ring-write-skips-a-position", lambda _: ring_skip(), PositionError),
     ("ring-write-repeats-a-position", lambda _: ring_repeat(), PositionError),
     ("ring-block-leaves-a-gap", lambda _: ring_block_gap(), PositionError),
@@ -114,10 +129,14 @@ CASES = [
                                               "--prompt", "1"]), EXIT_2),
     ("cli-zero-steps", cli(lambda p: ["train", "--steps", "0", "--out", str(p / "o")]), EXIT_2),
     ("cli-bench-zero-heads", cli(lambda _: ["bench", "--n-heads", "0"]), EXIT_2),
+    ("cli-cost-zero-bandwidth", cli(lambda _: ["cost", "--bandwidth", "0"]), EXIT_2),
+    ("cli-cost-negative-bandwidth", cli(lambda _: ["cost", "--bandwidth=-1e11"]), EXIT_2),
+    ("cli-cost-nan-peak-flops", cli(lambda _: ["cost", "--peak-flops", "nan"]), EXIT_2),
+    ("cli-cost-negative-kv-bytes", cli(lambda _: ["cost", "--kv-bytes", "-3"]), EXIT_2),
+    ("cli-cost-zero-weight-bytes", cli(lambda _: ["cost", "--weight-bytes", "0"]), EXIT_2),
 ]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("call, expected", [c[1:] for c in CASES],
                          ids=[c[0] for c in CASES])
 def test_bad_input_raises_a_parloop_error(call, expected, tmp_path):

@@ -4,6 +4,7 @@ differences computed directly on numpy arrays, independent of the tape."""
 import numpy as np
 import pytest
 
+from parloop.attention import apply_rope, attention, build_rope_tables
 from parloop.errors import DimensionError, EmptyInputError, NumericError
 from parloop.gradcheck import grad_check
 from parloop.tensor import (
@@ -309,13 +310,53 @@ class TestCrossEntropy:
         assert rel(logits.grad, numeric_grad(f, logits_v.copy())) < 1e-6
 
 
+# (id, input shapes, op): every tape op, for the tape-recording tests
+TAPE_OPS = [
+    ("neg", [(2, 3)], lambda x: -x),
+    ("reshape", [(2, 3)], lambda x: x.reshape(3, 2)),
+    ("swapaxes", [(2, 3)], lambda x: x.swapaxes(0, 1)),
+    ("getitem-basic", [(2, 3)], lambda x: x[1, :2]),
+    ("getitem-fancy", [(2, 3)], lambda x: x[np.array([0, 0, 1])]),
+    ("sum", [(2, 3)], lambda x: x.sum(axis=0)),
+    ("add", [(2, 3), (3,)], lambda a, b: a + b),
+    ("sub", [(2, 3), (2, 3)], lambda a, b: a - b),
+    ("rsub-scalar", [(2, 3)], lambda a: 1.0 - a),
+    ("mul", [(2, 3), (2, 3)], lambda a, b: a * b),
+    ("matmul", [(2, 3), (3, 4)], matmul),
+    ("concat", [(2, 3), (1, 3)], lambda a, b: concat([a, b])),
+    ("sigmoid", [(2, 3)], sigmoid),
+    ("silu", [(2, 3)], silu),
+    ("rmsnorm", [(2, 3), (3,)], rmsnorm),
+    ("embedding", [(5, 3)], lambda t: embedding(t, np.array([[0, 4], [4, 1]]))),
+    ("cross_entropy", [(2, 5)], lambda z: cross_entropy(z, np.array([1, 3]))),
+    ("apply_rope", [(1, 2, 4)],
+     lambda x: apply_rope(x, np.array([0, 3]), build_rope_tables(8, 4))),
+    ("attention", [(1, 2, 3, 4), (1, 1, 3, 4), (1, 1, 3, 4)],
+     lambda q, k, v: attention(q, k, v, np.arange(3))),
+]
+
+
 class TestTapeMechanics:
-    def test_no_grad_builds_no_tape(self):
-        x = Tensor(np.ones(3), requires_grad=True)
+    @pytest.mark.parametrize("shapes, op", [c[1:] for c in TAPE_OPS],
+                             ids=[c[0] for c in TAPE_OPS])
+    def test_no_grad_builds_no_tape(self, shapes, op, rng):
+        data = [rng.normal(size=s) for s in shapes]
+
+        def call(requires):
+            inputs = [Tensor(d, requires_grad=r) for d, r in zip(data, requires)]
+            return inputs, op(*inputs)
+
         with no_grad():
-            y = (x * 2.0).sum()
-        assert y._backward is None
-        assert not y.requires_grad
+            _, under_no_grad = call([True] * len(data))
+        _, no_leaf = call([False] * len(data))
+        for out in (under_no_grad, no_leaf):
+            assert out._parents == () and out._backward is None
+            assert not out.requires_grad
+        for i in range(len(data)):   # one input requiring grad records every parent
+            inputs, out = call([j == i for j in range(len(data))])
+            assert out.requires_grad and out._backward is not None
+            assert len(out._parents) == len(inputs)
+            assert all(p is t for p, t in zip(out._parents, inputs))
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)
