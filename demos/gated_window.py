@@ -12,8 +12,8 @@ Run: python3 demos/gated_window.py
 
 import numpy as np
 
-from parloop import (GateParams, ModelConfig, Tensor, WindowKVCache, forward,
-                     gate_values, init_parameters, no_grad)
+from parloop import (ModelConfig, Tensor, WindowKVCache, forward, gate_values,
+                     init_parameters, no_grad)
 from parloop.tensor import Rng
 
 rng = Rng(5)
@@ -31,9 +31,9 @@ cfg = ModelConfig(vocab=31, d_model=32, n_layers=2, n_heads=4, n_kv_heads=2,
                   d_ff=64, mode="plt", loops=2, gswa=True, window=4,
                   max_seq=64)
 params = init_parameters(cfg, seed=11)
-gp = params.layers[0].gates[0]
+layer = params.layers[0]
 q_full = Tensor(rng.normal((1, 10, cfg.d_model)))
-g = gate_values(gp, q_full).data          # [1, heads, 10, 1]
+g = gate_values(layer.gate_weight[0], layer.gate_bias[0], q_full).data   # [1, heads, 10, 1]
 print(f"shape per layer: {g.shape} (batch, heads, positions, 1)")
 print(f"mean={g.mean():.4f} min={g.min():.4f} max={g.max():.4f}")
 print("zero-init bias puts every gate at sigmoid(~0) so neither path")
@@ -46,13 +46,13 @@ with no_grad():
 
 # force-open: output uses only each loop's private window
 for layer in params.layers:
-    layer.gates[0].bias.data[:] = np.inf
+    layer.gate_bias.data[:] = np.inf
 with no_grad():
     local_only = forward(params, tokens).data
 
 # force-shut: output ignores the window entirely, pure shared-cache reuse
 for layer in params.layers:
-    layer.gates[0].bias.data[:] = -np.inf
+    layer.gate_bias.data[:] = -np.inf
 with no_grad():
     global_only = forward(params, tokens).data
 

@@ -42,8 +42,7 @@ for i in range(4, len(tokens)):
 print(f"model: {cfg.loops} loops over {cfg.n_layers} shared layers, "
       f"window {cfg.window}")
 print(f"tokens replayed:     {len(tokens)}")
-print(f"stack passes logged: {sess.passes} for {sess.steps} decode steps "
-      f"(+{sess.prefill_passes} prefill)")
+print(f"stack passes logged: {sess.passes} for {sess.steps} decode steps")
 long = prefill(params, tokens)
 print(f"prefill stack rows:  {sess.prefill_rows} for the 4-token prompt, "
       f"{long.prefill_rows} for all {len(tokens)} tokens "

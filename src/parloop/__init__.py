@@ -11,7 +11,6 @@ and a self-verification suite.
 """
 
 from .attention import (
-    GateParams,
     SharedKVCache,
     WindowKVCache,
     band_mask,
@@ -75,7 +74,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ARCH_ROWS", "Adam", "CapacityError", "CheckResult", "CheckpointError",
     "ConfigError", "DecodeSession", "DimensionError", "DivergenceError",
-    "EmptyContextError", "EmptyInputError", "GateParams", "HardwareProfile",
+    "EmptyContextError", "EmptyInputError", "HardwareProfile",
     "InvalidLoopError", "ModelConfig", "NumericError", "Parameters",
     "ParloopError", "PositionError", "Rng", "SharedKVCache", "StepCost",
     "TaskSpec", "Tensor", "TokenError", "TrainConfig", "TrainResult",

@@ -225,17 +225,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, q_pos, window: int = 0,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GateParams:
-    """Per-head scalar gate computed from the pre-rotation query projection."""
-
-    weight: Tensor  # [d_model, n_heads]
-    bias: Tensor    # [n_heads]
-
-
-def gate_values(gp: GateParams, q_full: Tensor) -> Tensor:
-    """sigmoid(q_full @ W + b) reshaped to [..., h, n, 1] for fusion."""
-    logits = q_full @ gp.weight + gp.bias  # [..., n, h]
+def gate_values(weight: Tensor, bias: Tensor, q_full: Tensor) -> Tensor:
+    """The per-head gate from the pre-rotation query projection:
+    sigmoid(q_full @ weight + bias) with weight [d_model, h] and bias [h],
+    reshaped to [..., h, n, 1] for fusion."""
+    logits = q_full @ weight + bias  # [..., n, h]
     g = sigmoid(logits).swapaxes(-1, -2)   # [..., h, n]
     return g.reshape(*g.shape, 1)
 

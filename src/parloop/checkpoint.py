@@ -6,6 +6,12 @@ config, the payload dtype, and per-tensor name/shape/offset, with offsets
 relative to the start of the payload. Tensors are stored little-endian in
 the order listed. Saves write float64; a float32 payload is read and
 widened to float64, the only dtype a Tensor holds.
+
+Tensor names are those of ``model.param_shapes``, where each gswa layer
+holds its gates stacked as ``layers.{i}.gate_weight`` / ``gate_bias``.
+Files written before the gates were stacked name one gate per entry,
+``layers.{i}.gates.{g}.weight`` / ``.bias``; they still load, each entry
+into slice g, and every slice must be present.
 """
 
 from __future__ import annotations
@@ -86,6 +92,11 @@ def load_checkpoint(path):
 
     params = build_parameters(cfg, np.zeros)
     named = params.named_tensors()
+    slots = {name: (name, None) for name in named}   # file name -> (tensor, slice)
+    for name, t in named.items():   # older files store each gate on its own
+        stem, sep, kind = name.rpartition(".gate_")
+        if sep:
+            slots.update((f"{stem}.gates.{g}.{kind}", (name, g)) for g in range(len(t.data)))
     seen = set()
     for entry in manifest["tensors"]:
         try:
@@ -94,20 +105,27 @@ def load_checkpoint(path):
             raise CheckpointError(f"malformed tensor entry {entry!r}: {e!r}") from e
         if not isinstance(offset, int) or offset < 0:
             raise CheckpointError(f"bad offset {offset!r} for tensor {name!r}")
-        if not isinstance(name, str) or name not in named:
+        if not isinstance(name, str) or name not in slots:
             raise CheckpointError(f"unknown tensor {name!r} in checkpoint")
-        t = named[name]
-        if t.data.shape != shape:
+        target, g = slots[name]
+        t = named[target]
+        want = t.data.shape if g is None else t.data.shape[1:]
+        if want != shape:
             raise CheckpointError(
-                f"shape mismatch for {name!r}: config implies {t.data.shape}, file has {shape}")
+                f"shape mismatch for {name!r}: config implies {want}, file has {shape}")
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         nbytes = count * dtype.itemsize
         if offset + nbytes > len(payload):
             raise CheckpointError(f"truncated payload at tensor {name!r}")
         arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
-        t.data = arr.astype(np.float64).reshape(shape)
-        seen.add(name)
-    missing = set(named) - seen
+        if g is None:
+            t.data = arr.astype(np.float64).reshape(shape)
+        else:
+            t.data[g] = arr.reshape(shape)
+        seen.add((target, g))
+    # a tensor is loaded whole, or (stacked gates) slice by slice
+    missing = [name for name, t in named.items() if (name, None) not in seen
+               and not all((name, g) in seen for g in range(len(t.data)))]
     if missing:
         raise CheckpointError(f"checkpoint missing tensors: {sorted(missing)}")
     return params, manifest.get("extra", {})

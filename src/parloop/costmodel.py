@@ -143,8 +143,9 @@ def decode_step_cost(arch: str, cfg: ModelConfig, profile: HardwareProfile,
     kv_window = min(vcfg.window, context) * profile.kv_bytes_per_entry * vcfg.n_layers
     act_row = vcfg.n_layers * vcfg.d_model * profile.act_bytes_per_value * 2
 
-    flops_total = batch * count_flops_per_token(vcfg, context)["total"]
-    head_flops = batch * count_flops_per_token(vcfg, context)["head"]
+    flops = count_flops_per_token(vcfg, context)
+    flops_total = batch * flops["total"]
+    head_flops = batch * flops["head"]
 
     if arch == "loop":
         # L sequential passes; the head weights and flops land on the last.

@@ -118,7 +118,6 @@ class DecodeSession:
         self.last_logits = states.hidden_per_loop[-1].data[0, -1] @ head_weight(params).data
         self.last_microbatch: MicroBatch | None = None
         self.position = n
-        self.prefill_passes = cfg.loops
         self.prefill_rows = sum(n - s for s in states.starts)
         self.steps = 0
         self.passes = 0
@@ -178,8 +177,7 @@ class DecodeSession:
                 y_local = attention_np(q[1:, :, None], kw.reshape(rows - 1, kh, -1, dh),
                                        vw.reshape(rows - 1, kh, -1, dh), at[:1], ring.lo,
                                        cfg.window)[:, :, 0]
-                w = np.array([gp.weight.data for gp in layer.gates])   # [1 or rows - 1, d, h]
-                b = np.array([gp.bias.data for gp in layer.gates])
+                w, b = layer.gate_weight.data, layer.gate_bias.data   # [1 or rows - 1, d, h]
                 g = sigmoid_np((q_full[1:, None] @ w)[:, 0] + b)[..., None]
                 y[1:] = gated_fuse(g, y_local, y[1:])
 

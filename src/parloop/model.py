@@ -16,24 +16,21 @@ The one-position shift is what makes the loops independent along the
 sequence axis: the output for a position depends on earlier loops only at
 strictly earlier positions, so during decoding all loop stages can run in
 a single batched pass over displaced tokens.
+
+``param_shapes`` is the one description of the parameter layout; building,
+naming and counting parameters all walk it. Each gswa layer stacks its
+gates into ``gate_weight`` / ``gate_bias``, and checkpoints that name one
+gate per loop still load (see ``checkpoint``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (
-    GateParams,
-    RopeTables,
-    apply_rope,
-    attention,
-    build_rope_tables,
-    gate_values,
-    gated_fuse,
-)
+from .attention import apply_rope, attention, build_rope_tables, gate_values, gated_fuse
 from .errors import CapacityError, ConfigError, EmptyInputError, InvalidLoopError, TokenError
 from .tensor import Rng, Tensor, concat, embedding as gather_rows, rmsnorm, silu, zeros
 
@@ -106,6 +103,26 @@ class ModelConfig:
         return self.mode == "plt"
 
 
+def param_shapes(cfg: ModelConfig) -> dict:
+    """The parameter layout of ``cfg``: name -> shape, in the order weights
+    are drawn, checkpointed and optimised. With gswa each layer holds its
+    gates stacked, ``gate_weight`` [G, d_model, n_heads] and ``gate_bias``
+    [G, n_heads], where G is loops - 1 with per-loop gates, else 1."""
+    d, kv, ff = cfg.d_model, cfg.n_kv_heads * cfg.d_head, cfg.d_ff
+    layer = {"attn_norm": (d,), "wq": (d, d), "wk": (d, kv), "wv": (d, kv), "wo": (d, d)}
+    if cfg.gswa and cfg.loops > 1:
+        g = cfg.loops - 1 if cfg.per_loop_gates else 1
+        layer.update(gate_weight=(g, d, cfg.n_heads), gate_bias=(g, cfg.n_heads))
+    layer.update(mlp_norm=(d,), w_gate=(d, ff), w_up=(d, ff), w_down=(ff, d))
+    shapes = {"embedding": (cfg.vocab, d)}
+    for i in range(cfg.n_layers):
+        shapes.update((f"layers.{i}.{k}", s) for k, s in layer.items())
+    shapes["final_norm"] = (d,)
+    if not cfg.weight_tying:
+        shapes["head"] = (d, cfg.vocab)
+    return shapes
+
+
 @dataclass
 class LayerParams:
     attn_norm: Tensor
@@ -117,39 +134,28 @@ class LayerParams:
     w_gate: Tensor
     w_up: Tensor
     w_down: Tensor
-    gates: list = field(default_factory=list)  # GateParams, one or loops-1 of them
+    gate_weight: Tensor | None = None   # [G, d_model, n_heads], gswa only
+    gate_bias: Tensor | None = None     # [G, n_heads]
 
 
-@dataclass
 class Parameters:
-    config: ModelConfig
-    embedding: Tensor
-    layers: list
-    final_norm: Tensor
-    head: Tensor | None  # None when tied to the embedding
-    rope: RopeTables
+    """The model's tensors by ``param_shapes`` name; the attributes are the
+    same ``Tensor`` objects, grouped for the forward."""
+
+    def __init__(self, config: ModelConfig, tensors: dict):
+        self.config = config
+        self._tensors = tensors
+        self.embedding = tensors["embedding"]
+        self.layers = [LayerParams(**{name.split(".", 2)[2]: t for name, t in tensors.items()
+                                      if name.startswith(f"layers.{i}.")})
+                       for i in range(config.n_layers)]
+        self.final_norm = tensors["final_norm"]
+        self.head = tensors.get("head")   # None when tied to the embedding
+        self.rope = build_rope_tables(config.max_seq, config.d_head, config.rope_theta)
 
     def named_tensors(self) -> dict:
         """Stable name -> Tensor mapping (checkpoint and optimizer order)."""
-        out = {"embedding": self.embedding}
-        for i, layer in enumerate(self.layers):
-            p = f"layers.{i}."
-            out[p + "attn_norm"] = layer.attn_norm
-            out[p + "wq"] = layer.wq
-            out[p + "wk"] = layer.wk
-            out[p + "wv"] = layer.wv
-            out[p + "wo"] = layer.wo
-            for gi, g in enumerate(layer.gates):
-                out[p + f"gates.{gi}.weight"] = g.weight
-                out[p + f"gates.{gi}.bias"] = g.bias
-            out[p + "mlp_norm"] = layer.mlp_norm
-            out[p + "w_gate"] = layer.w_gate
-            out[p + "w_up"] = layer.w_up
-            out[p + "w_down"] = layer.w_down
-        out["final_norm"] = self.final_norm
-        if self.head is not None:
-            out["head"] = self.head
-        return out
+        return self._tensors
 
 
 def init_parameters(cfg: ModelConfig, seed: int, std: float = 0.02) -> Parameters:
@@ -159,45 +165,16 @@ def init_parameters(cfg: ModelConfig, seed: int, std: float = 0.02) -> Parameter
 
 
 def build_parameters(cfg: ModelConfig, weight) -> Parameters:
-    """The parameter layout of ``cfg``: norm gains are ones, gate biases
-    zeros, and every matrix is ``weight(shape)``, called in a fixed order."""
-    dh, kh = cfg.d_head, cfg.n_kv_heads
+    """The tensors of ``param_shapes(cfg)``: norm gains are ones, gate
+    biases zeros, and every other entry is ``weight(shape)``, called in
+    table order."""
+    def value(name, shape):
+        if name.endswith("norm"):
+            return np.ones(shape)
+        return np.zeros(shape) if name.endswith("gate_bias") else weight(shape)
 
-    def w(shape):
-        return Tensor(weight(shape), requires_grad=True)
-
-    def ones(n):
-        return Tensor(np.ones(n), requires_grad=True)
-
-    emb = w((cfg.vocab, cfg.d_model))
-    layers = []
-    n_gates = 0
-    if cfg.gswa and cfg.loops > 1:
-        n_gates = (cfg.loops - 1) if cfg.per_loop_gates else 1
-    for _ in range(cfg.n_layers):
-        layers.append(LayerParams(
-            attn_norm=ones(cfg.d_model),
-            wq=w((cfg.d_model, cfg.d_model)),
-            wk=w((cfg.d_model, kh * dh)),
-            wv=w((cfg.d_model, kh * dh)),
-            wo=w((cfg.d_model, cfg.d_model)),
-            gates=[GateParams(weight=w((cfg.d_model, cfg.n_heads)),
-                              bias=Tensor(np.zeros(cfg.n_heads), requires_grad=True))
-                   for _ in range(n_gates)],
-            mlp_norm=ones(cfg.d_model),
-            w_gate=w((cfg.d_model, cfg.d_ff)),
-            w_up=w((cfg.d_model, cfg.d_ff)),
-            w_down=w((cfg.d_ff, cfg.d_model)),
-        ))
-    head = None if cfg.weight_tying else w((cfg.d_model, cfg.vocab))
-    return Parameters(
-        config=cfg,
-        embedding=emb,
-        layers=layers,
-        final_norm=ones(cfg.d_model),
-        head=head,
-        rope=build_rope_tables(cfg.max_seq, dh, cfg.rope_theta),
-    )
+    return Parameters(cfg, {name: Tensor(value(name, shape), requires_grad=True)
+                            for name, shape in param_shapes(cfg).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +192,6 @@ def merge_heads(x: Tensor) -> Tensor:
     """[b, h, n, dh] -> [b, n, h*dh]."""
     b, h, n, dh = x.shape
     return x.swapaxes(1, 2).reshape(b, n, h * dh)
-
-
-def gate_for_loop(layer: LayerParams, cfg: ModelConfig, loop_index: int) -> GateParams:
-    if cfg.per_loop_gates:
-        return layer.gates[loop_index - 2]
-    return layer.gates[0]
 
 
 def block_stack_forward(params: Parameters, x: Tensor, positions: np.ndarray,
@@ -261,7 +232,8 @@ def block_stack_forward(params: Parameters, x: Tensor, positions: np.ndarray,
             y = attention(q, *shared_kv[li], positions)
             if use_local:
                 y_local = attention(q, k, v, positions, cfg.window, k_start=positions[0])
-                g = gate_values(gate_for_loop(layer, cfg, loop_index), q_full)
+                gi = loop_index - 2 if cfg.per_loop_gates else 0
+                g = gate_values(layer.gate_weight[gi], layer.gate_bias[gi], q_full)
                 y = gated_fuse(g, y_local, y)
         x = x + merge_heads(y) @ layer.wo
         hm = rmsnorm(x, layer.mlp_norm, cfg.norm_eps)
@@ -382,22 +354,7 @@ def count_params(params: Parameters) -> int:
 
 def count_params_from_config(cfg: ModelConfig) -> int:
     """Parameter count from the shapes alone, no allocation."""
-    d, dh, kh = cfg.d_model, cfg.d_head, cfg.n_kv_heads
-    per_layer = (
-        d                      # attn_norm
-        + d * d                # wq
-        + 2 * d * (kh * dh)    # wk, wv
-        + d * d                # wo
-        + d                    # mlp_norm
-        + 3 * d * cfg.d_ff     # w_gate, w_up, w_down
-    )
-    if cfg.gswa and cfg.loops > 1:
-        n_gates = (cfg.loops - 1) if cfg.per_loop_gates else 1
-        per_layer += n_gates * (d * cfg.n_heads + cfg.n_heads)
-    total = cfg.vocab * d + cfg.n_layers * per_layer + d
-    if not cfg.weight_tying:
-        total += d * cfg.vocab
-    return total
+    return sum(math.prod(s) for s in param_shapes(cfg).values())
 
 
 def count_flops_per_token(cfg: ModelConfig, context: int | None = None) -> dict:

@@ -188,11 +188,6 @@ class Tensor:
 
         return node(self.data.sum(axis=axis, keepdims=keepdims), (self,), bwd)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        n = self.size if axis is None else np.prod(
-            [self.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))])
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(n))
-
 
 def _ew(a: Tensor, b, fwd, bwd_a, bwd_b) -> Tensor:
     """Broadcasting elementwise binary op; b may be a scalar or ndarray constant."""

@@ -27,7 +27,7 @@ class TrainConfig:
     beta2: float = 0.95
     eps: float = 1e-8
     seed: int = 0
-    log_path: str | None = None         # loss csv
+    log_path: str | None = None         # csv: step,loss,lr,grad_norm
     checkpoint_path: str | None = None
 
 
@@ -90,9 +90,9 @@ class TrainResult:
     grad_norms: list = field(default_factory=list)
 
     def log_csv(self) -> str:
-        lines = ["step,loss,lr"]
-        for i, (loss, lr) in enumerate(zip(self.losses, self.lrs)):
-            lines.append(f"{i},{loss:.12e},{lr:.12e}")
+        lines = ["step,loss,lr,grad_norm"]
+        for i, row in enumerate(zip(self.losses, self.lrs, self.grad_norms)):
+            lines.append(f"{i}," + ",".join(f"{v:.12e}" for v in row))
         return "\n".join(lines) + "\n"
 
 

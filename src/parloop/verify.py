@@ -91,7 +91,7 @@ def check_causality(seed: int = 0, trials: int = 12) -> CheckResult:
 
 def check_gate_limits(seed: int = 0) -> CheckResult:
     """A saturated gate must route exactly one attention path through."""
-    from .attention import GateParams, gate_values, gated_fuse
+    from .attention import gate_values, gated_fuse
     from .tensor import Tensor
 
     worst = 0.0
@@ -102,9 +102,8 @@ def check_gate_limits(seed: int = 0) -> CheckResult:
     y_global = Tensor(rng.normal((2, 4, 5, 8)))
     q = Tensor(rng.normal((2, 5, 16)))
     for sign, want in ((np.inf, y_local), (-np.inf, y_global)):
-        gp = GateParams(weight=Tensor(np.zeros((16, 4))),
-                        bias=Tensor(np.full(4, sign)))
-        fused = gated_fuse(gate_values(gp, q), y_local, y_global)
+        g = gate_values(Tensor(np.zeros((16, 4))), Tensor(np.full(4, sign)), q)
+        fused = gated_fuse(g, y_local, y_global)
         worst = max(worst, float(np.max(np.abs(fused.data - want.data))))
 
     # model level, closed gate: the whole network must reduce to the
@@ -114,15 +113,14 @@ def check_gate_limits(seed: int = 0) -> CheckResult:
     tokens = Rng(seed).integers(0, cfg.vocab, (9,))
     params = init_parameters(cfg, seed)
     for layer in params.layers:
-        layer.gates[0].weight.data[:] = 0.0
-        layer.gates[0].bias.data[:] = -np.inf
+        layer.gate_weight.data[:] = 0.0
+        layer.gate_bias.data[:] = -np.inf
     got = forward(params, tokens).data
     plain = ModelConfig(vocab=19, d_model=16, n_layers=2, n_heads=4,
                         n_kv_heads=2, d_ff=32, loops=2, mode="plt", max_seq=32)
     pp = init_parameters(plain, seed)
-    for name, t in params.named_tensors().items():
-        if ".gates." not in name:
-            pp.named_tensors()[name].data = t.data.copy()
+    for name, t in pp.named_tensors().items():   # every tensor but the gates
+        t.data = params.named_tensors()[name].data.copy()
     want = forward(pp, tokens).data
     worst = max(worst, float(np.max(np.abs(got - want))))
     return CheckResult("gate_saturation", worst, 0.0, worst == 0.0,

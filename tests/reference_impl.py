@@ -1,9 +1,13 @@
 """Straight-line numpy re-derivation of the model forward used as a test
 oracle. Everything is written position by position and head by head, with
 no shared code, tapes, or batching tricks, so agreement with the library
-is meaningful."""
+is meaningful. Also a writer for the checkpoint layout that predates the
+stacked gate tensors."""
 
+import json
 import math
+import struct
+from dataclasses import asdict
 
 import numpy as np
 
@@ -64,10 +68,7 @@ def ref_stack(weights, cfg, x, loop_index, shared):
             keys = vals = None
         own_kv.append((keys, vals))
 
-        if cfg.gswa and cfg.per_loop_gates:
-            gate_name = p + f"gates.{loop_index - 2}."
-        else:
-            gate_name = p + "gates.0."
+        gi = loop_index - 2 if cfg.per_loop_gates else 0
 
         attn_out = np.zeros((n, d))
         for i in range(n):
@@ -87,8 +88,8 @@ def ref_stack(weights, cfg, x, loop_index, shared):
                         win = [j for j in ctx if j > i - cfg.window]
                         scores = np.array([q @ keys[j][g_idx] for j in win]) / math.sqrt(dh)
                         y_local = ref_softmax_combine(scores, [vals[j][g_idx] for j in win])
-                        z = q_full[i] @ weights[gate_name + "weight"][:, hh] \
-                            + weights[gate_name + "bias"][hh]
+                        z = q_full[i] @ weights[p + "gate_weight"][gi, :, hh] \
+                            + weights[p + "gate_bias"][gi, hh]
                         gate = 1.0 / (1.0 + np.exp(-z))
                         y = gate * y_local + (1.0 - gate) * y_global
                     else:
@@ -128,3 +129,31 @@ def ref_forward(weights, cfg, tokens):
 
 def weights_of(params):
     return {k: t.data.copy() for k, t in params.named_tensors().items()}
+
+
+def save_per_gate_checkpoint(path, params, drop=()):
+    """Write ``params`` as checkpoints were written before each layer's
+    gates were stacked: one ``layers.{i}.gates.{g}.weight`` / ``.bias``
+    entry per gate, each gate's weight then its bias, where the stacked
+    tensors now sit. Entries named in ``drop`` are left out."""
+    named = params.named_tensors()
+    entries = []
+    for name, t in named.items():
+        if name.endswith(".gate_weight"):
+            p = name[:-len("gate_weight")]
+            for g, (w, b) in enumerate(zip(t.data, named[p + "gate_bias"].data)):
+                entries += [(f"{p}gates.{g}.weight", w), (f"{p}gates.{g}.bias", b)]
+        elif not name.endswith(".gate_bias"):
+            entries.append((name, t.data))
+    tensors, chunks, offset = [], [], 0
+    for name, a in entries:
+        if name in drop:
+            continue
+        chunks.append(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        tensors.append({"name": name, "shape": list(a.shape), "offset": offset})
+        offset += len(chunks[-1])
+    manifest = {"version": 1, "config": asdict(params.config), "dtype": "float64",
+                "extra": {}, "tensors": tensors}
+    blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(b"PLTCKPT1" + struct.pack("<Q", len(blob)) + blob + b"".join(chunks))

@@ -14,7 +14,7 @@ import numpy as np
 from acceptance_report import record
 from reference_impl import ref_forward, weights_of
 
-from parloop.attention import GateParams, gate_values
+from parloop.attention import gate_values
 from parloop.costmodel import (decode_step_cost, default_profile,
                                latency_ratio, standin_config)
 from parloop.decode import prefill
@@ -149,9 +149,8 @@ def test_c04_gradients_match_finite_differences():
 
 def test_c05_gate_saturation_selects_pure_paths():
     # primitive level: the sigmoid must hit the limits exactly
-    gp = GateParams(weight=Tensor(np.zeros((8, 2))),
-                    bias=Tensor(np.array([np.inf, -np.inf])))
-    g = gate_values(gp, Tensor(np.ones((1, 3, 8)))).data
+    g = gate_values(Tensor(np.zeros((8, 2))), Tensor(np.array([np.inf, -np.inf])),
+                    Tensor(np.ones((1, 3, 8)))).data
     exact = float(np.abs(g[..., 0, :, :] - 1.0).max()
                   + np.abs(g[..., 1, :, :]).max())
 
@@ -163,7 +162,7 @@ def test_c05_gate_saturation_selects_pure_paths():
     worst = exact
     for limit in (np.inf, -np.inf):
         for layer in params.layers:
-            layer.gates[0].bias.data[:] = limit
+            layer.gate_bias.data[:] = limit
         with no_grad():
             got = forward(params, toks).data[0]
         want = ref_forward(weights_of(params), cfg, toks)

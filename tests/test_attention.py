@@ -7,7 +7,6 @@ import pytest
 
 from parloop.attention import (
     BLOCK,
-    GateParams,
     SharedKVCache,
     WindowKVCache,
     apply_rope,
@@ -322,9 +321,8 @@ class TestKernel:
 class TestGate:
     def test_values_shape_and_range(self, rng):
         d, h = 8, 4
-        gp = GateParams(weight=Tensor(rng.normal(size=(d, h))),
-                        bias=Tensor(rng.normal(size=h)))
-        g = gate_values(gp, Tensor(rng.normal(size=(2, 5, d))))
+        g = gate_values(Tensor(rng.normal(size=(d, h))), Tensor(rng.normal(size=h)),
+                        Tensor(rng.normal(size=(2, 5, d))))
         assert g.shape == (2, h, 5, 1)
         assert np.all(g.data > 0) and np.all(g.data < 1)
 
@@ -333,14 +331,10 @@ class TestGate:
         y_local = Tensor(rng.normal(size=(h, 3, 5)))
         y_global = Tensor(rng.normal(size=(h, 3, 5)))
         q = Tensor(np.ones((3, d)))
-        all_local = GateParams(weight=Tensor(np.full((d, h), np.inf)),
-                               bias=Tensor(np.zeros(h)))
-        g = gate_values(all_local, q)
+        g = gate_values(Tensor(np.full((d, h), np.inf)), Tensor(np.zeros(h)), q)   # all local
         fused = gated_fuse(g, y_local, y_global)
         assert np.array_equal(fused.data, y_local.data)
-        all_global = GateParams(weight=Tensor(np.full((d, h), -np.inf)),
-                                bias=Tensor(np.zeros(h)))
-        g = gate_values(all_global, q)
+        g = gate_values(Tensor(np.full((d, h), -np.inf)), Tensor(np.zeros(h)), q)   # all global
         fused = gated_fuse(g, y_local, y_global)
         assert np.array_equal(fused.data, y_global.data)
 

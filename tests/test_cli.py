@@ -49,7 +49,7 @@ def test_train_writes_checkpoint_losses_and_manifest(tmp_path, capsys):
     assert np.isfinite(manifest["results"]["final_loss"])
 
     lines = (out / "loss.csv").read_text().strip().splitlines()
-    assert lines[0] == "step,loss,lr"
+    assert lines[0] == "step,loss,lr,grad_norm"
     assert len(lines) == 26
 
 

@@ -254,7 +254,7 @@ class TestPassCounters:
         assert sess.steps == 10
         assert sess.passes == 10
         assert sess.passes_per_token == 1.0
-        assert sess.prefill_passes == 3
+        assert sess.prefill_rows == 3 * 4   # the window reach (6) spans the 4-token prompt
 
     def test_serial_wiring_pays_loops_passes_per_token(self):
         cfg = small(mode="vanilla_loop", loops=3)

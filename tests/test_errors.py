@@ -14,6 +14,8 @@ from parloop import (CheckpointError, ConfigError, DimensionError, HardwareProfi
                      save_checkpoint, train)
 from parloop.cli import run
 
+from reference_impl import save_per_gate_checkpoint
+
 CFG = dict(vocab=17, d_model=16, n_layers=1, n_heads=2, mode="plt", loops=2,
            gswa=True, window=4, max_seq=32)
 
@@ -55,6 +57,15 @@ def checkpoint(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, params())
     return str(path)
+
+
+def per_gate_file_missing_a_loop(tmp_path):
+    """A checkpoint in the pre-stacking layout that lacks loop 3's gate."""
+    path = tmp_path / "per_gate.ckpt"
+    cfg = ModelConfig(**{**CFG, "loops": 3}, per_loop_gates=True)
+    save_per_gate_checkpoint(path, init_parameters(cfg, 0),
+                             drop=("layers.0.gates.1.weight", "layers.0.gates.1.bias"))
+    return path
 
 
 def garbage(tmp_path):
@@ -103,6 +114,8 @@ CASES = [
     ("make-task-empty-source", lambda _: make_task("copy", src_len=0), ConfigError),
     ("load-checkpoint-missing", lambda p: load_checkpoint(p / "absent.ckpt"), CheckpointError),
     ("load-checkpoint-garbage", lambda p: load_checkpoint(garbage(p)), CheckpointError),
+    ("load-checkpoint-per-gate-missing-a-loop",
+     lambda p: load_checkpoint(per_gate_file_missing_a_loop(p)), CheckpointError),
     ("cost-zero-batch", lambda _: decode_step_cost("plt", ModelConfig(**CFG),
                                                    default_profile(), 0, 16), ConfigError),
     ("profile-zero-bandwidth", lambda _: HardwareProfile(

@@ -17,11 +17,12 @@ from parloop.model import (
     count_params_from_config,
     forward,
     init_parameters,
+    param_shapes,
     shift_right,
 )
 from parloop.tensor import Rng, Tensor, cross_entropy
 
-from reference_impl import ref_forward, weights_of
+from reference_impl import ref_forward, save_per_gate_checkpoint, weights_of
 
 
 def small(**kw):
@@ -136,12 +137,12 @@ class TestSinglePassEquivalences:
         cfg_g = small(mode="plt", loops=3, gswa=True, window=4)
         params_g = init_parameters(cfg_g, seed=7)
         for layer in params_g.layers:
-            layer.gates[0].bias.data[:] = -np.inf
-            layer.gates[0].weight.data[:] = 0.0
+            layer.gate_bias.data[:] = -np.inf
+            layer.gate_weight.data[:] = 0.0
         cfg_p = small(mode="plt", loops=3)
         params_p = init_parameters(cfg_p, seed=7)
         for (na, ta) in params_g.named_tensors().items():
-            if ".gates." in na:
+            if ".gate_" in na:
                 continue
             params_p.named_tensors()[na].data = ta.data.copy()
         tokens = np.arange(9) % 17
@@ -189,16 +190,28 @@ class TestInputValidation:
             forward(params, np.arange(5))
 
 
+LAYOUTS = [
+    dict(mode="vanilla"),
+    dict(mode="plt", loops=3, gswa=True, window=4),
+    dict(mode="plt", loops=2, gswa=True, window=4, per_loop_gates=True),
+    dict(mode="vanilla_loop", loops=2, weight_tying=False),
+    dict(mode="vanilla_loop", loops=2),
+    dict(mode="plt", loops=3, gswa=True, window=4, per_loop_gates=True),
+    dict(mode="plt", loops=2, gswa=True, window=4, n_layers=0),
+]
+
+
 class TestAccounting:
-    @pytest.mark.parametrize("cfg_kw", [
-        dict(mode="vanilla"),
-        dict(mode="plt", loops=3, gswa=True, window=4),
-        dict(mode="plt", loops=2, gswa=True, window=4, per_loop_gates=True),
-        dict(mode="vanilla_loop", loops=2, weight_tying=False),
-    ])
+    @pytest.mark.parametrize("cfg_kw", LAYOUTS)
     def test_config_count_matches_allocation(self, cfg_kw):
         cfg = small(**cfg_kw)
         assert count_params_from_config(cfg) == count_params(init_parameters(cfg, 0))
+
+    @pytest.mark.parametrize("cfg_kw", LAYOUTS)
+    def test_shape_table_names_every_tensor_in_order(self, cfg_kw):
+        cfg = small(**cfg_kw)
+        named = init_parameters(cfg, 0).named_tensors()
+        assert list(param_shapes(cfg).items()) == [(n, t.shape) for n, t in named.items()]
 
     def test_flops_hand_counted_vanilla(self):
         cfg = ModelConfig(vocab=10, d_model=8, n_layers=1, n_heads=2,
@@ -260,6 +273,20 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(path)
         for name, t in params.named_tensors().items():
             assert np.array_equal(t.data, loaded.named_tensors()[name].data), name
+
+    @pytest.mark.parametrize("per_loop_gates", [False, True])
+    def test_per_gate_checkpoint_loads_bitwise(self, tmp_path, per_loop_gates):
+        # files written before the gates were stacked hold gates.{g}.weight/bias
+        cfg = small(mode="plt", loops=3, gswa=True, window=3, per_loop_gates=per_loop_gates)
+        params = init_parameters(cfg, seed=8)
+        path = tmp_path / "per_gate.ckpt"
+        save_per_gate_checkpoint(path, params)
+        assert "gates.0.weight" in path.read_bytes().decode("latin-1")
+        loaded, _ = load_checkpoint(path)
+        for name, t in params.named_tensors().items():
+            assert np.array_equal(t.data, loaded.named_tensors()[name].data), name
+        assert np.array_equal(forward(params, np.arange(6)).data,
+                              forward(loaded, np.arange(6)).data)
 
     def test_manifest_with_kv_share_loads(self, tmp_path):
         # manifests written while kv_share was a config field still carry it
@@ -349,6 +376,32 @@ class TestInitialization:
         b = init_parameters(cfg, seed=11)
         for name, t in a.named_tensors().items():
             assert np.array_equal(t.data, b.named_tensors()[name].data)
+
+    def test_stacked_gates_keep_the_per_gate_draw_order(self):
+        # one [G, d, h] draw equals the G sequential [d, h] draws made when
+        # each loop's gate was its own tensor
+        cfg = small(mode="plt", loops=3, gswa=True, window=3, per_loop_gates=True,
+                    weight_tying=False)
+        d, kv, ff = cfg.d_model, cfg.n_kv_heads * cfg.d_head, cfg.d_ff
+        rng = Rng(4)
+
+        def draw(*shape):
+            return rng.normal(shape, 0.02)
+
+        want = {"embedding": draw(cfg.vocab, d)}
+        for i in range(cfg.n_layers):
+            p = f"layers.{i}."
+            for name, shape in (("wq", (d, d)), ("wk", (d, kv)), ("wv", (d, kv)), ("wo", (d, d))):
+                want[p + name] = draw(*shape)
+            want[p + "gate_weight"] = np.stack([draw(d, cfg.n_heads), draw(d, cfg.n_heads)])
+            for name, shape in (("w_gate", (d, ff)), ("w_up", (d, ff)), ("w_down", (ff, d))):
+                want[p + name] = draw(*shape)
+        want["head"] = draw(d, cfg.vocab)
+        got = init_parameters(cfg, seed=4).named_tensors()
+        for name, w in want.items():
+            assert np.array_equal(got[name].data, w), name
+        assert all(np.array_equal(t.data, np.zeros(t.shape)) for n, t in got.items()
+                   if n.endswith("gate_bias"))
 
     def test_fresh_model_loss_near_uniform(self):
         cfg = small(vocab=50, mode="plt", loops=2, gswa=True, window=4)
