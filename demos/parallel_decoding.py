@@ -65,16 +65,12 @@ print(f"serial:    {serial.passes_per_token:.1f} passes/token, "
 print("the serial loop also keeps a full cache per loop; the staggered")
 print("wiring shares the first loop's entries and adds only small rings.")
 
-banner("3. what one micro-batch actually contains")
+banner("3. what the next step's micro-batch contains")
 
-# row 0 works on the newest token; row r continues loop r+1 of the token
+# row 0 will work on the next token; row r continues loop r+1 of the token
 # decoded r steps ago, displaced by exactly one position per loop
-mb = sess.last_microbatch
-emb = params.embedding.data[int(tokens[-1])]
-print(f"rows: {mb.inputs.shape[0]}, all querying position {mb.position}")
-print(f"row 0 is the raw embedding of the newest token: "
-      f"{np.allclose(mb.inputs[0], emb)}")
-for r in range(1, mb.inputs.shape[0]):
-    carry = mb.inputs[r] - emb
+print(f"rows: {len(sess.inflight) + 1}, all querying position {sess.position}")
+print("row 0 is the raw embedding of the token fed next")
+for r, carry in enumerate(sess.inflight, start=1):
     print(f"row {r} = embedding + in-flight carry from loop {r} "
           f"(|carry| = {np.linalg.norm(carry):.3f})")

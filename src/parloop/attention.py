@@ -17,9 +17,8 @@ run that ``gather`` returns as views.
 Conventions: query/key/value tensors are [..., heads, seq, d_head]; masks
 are additive float arrays broadcastable to the score shape, 0 where allowed
 and -inf where blocked. Rotary rotation uses the half-split layout (first
-half of head dims pairs with the second half); ``apply_rope_np`` is its one
-implementation, and ``apply_rope`` runs it as a single tape op whose
-backward is the inverse rotation.
+half of head dims pairs with the second half); ``apply_rope`` is its one
+implementation, a single tape op whose backward is the inverse rotation.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ NEG_INF = float("-inf")
 
 @dataclass
 class RopeTables:
-    cos: np.ndarray  # [max_seq, d_head // 2]
-    sin: np.ndarray
+    cos: np.ndarray  # [max_seq, d_head]: cos of each pair's angle, twice
+    sin: np.ndarray  # [max_seq, d_head]: -sin, then sin
 
 
 def build_rope_tables(max_seq: int, d_head: int, theta: float = 10000.0) -> RopeTables:
@@ -52,25 +51,29 @@ def build_rope_tables(max_seq: int, d_head: int, theta: float = 10000.0) -> Rope
     half = d_head // 2
     freqs = theta ** (-np.arange(half, dtype=np.float64) / half)
     angles = np.arange(max_seq, dtype=np.float64)[:, None] * freqs[None, :]
-    return RopeTables(cos=np.cos(angles), sin=np.sin(angles))
+    cos, sin = np.cos(angles), np.sin(angles)
+    return RopeTables(cos=np.concatenate([cos, cos], axis=1),
+                      sin=np.concatenate([-sin, sin], axis=1))
 
 
-def apply_rope_np(x: np.ndarray, positions, tables: RopeTables) -> np.ndarray:
+def apply_rope(x: Tensor, positions, tables: RopeTables) -> Tensor:
     """Rotate [..., seq, d_head] by the per-entry positions (an int rotates
-    every row by one position)."""
-    half = x.shape[-1] // 2
-    cos = tables.cos[positions]  # [seq, half], broadcasts over leading dims
-    sin = tables.sin[positions]
-    x1, x2 = x[..., :half], x[..., half:]
-    return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+    every row by one position): [x1, x2] -> [x1 cos - x2 sin, x2 cos + x1 sin],
+    formed as [x2, x1] * [-sin, sin] + x * [cos, cos] in three array ops. On
+    the tape it is one op whose backward is the inverse rotation."""
+    plain = not isinstance(x, Tensor)
+    xd = x if plain else x.data
+    half = xd.shape[-1] // 2
+    out = np.concatenate([xd[..., half:], xd[..., :half]], axis=-1)
+    out *= tables.sin[positions]   # [seq, d_head], broadcasts over leading dims
+    out += xd * tables.cos[positions]
+    if plain:
+        return out
 
-
-def apply_rope(x: Tensor, positions: np.ndarray, tables: RopeTables) -> Tensor:
-    """``apply_rope_np`` as one tape op; its backward is the inverse rotation."""
     def bwd(g):
-        x._accum(apply_rope_np(g, positions, RopeTables(tables.cos, -tables.sin)))
+        x._accum(apply_rope(g, positions, RopeTables(tables.cos, -tables.sin)))
 
-    return node(apply_rope_np(x.data, positions, tables), (x,), bwd)
+    return node(out, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +127,8 @@ def attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_pos,
     """Grouped, block-banded scaled dot-product attention on plain arrays.
 
     q: [..., heads, n, dh] with row i at position q_pos[i] (q_pos a
-    nondecreasing array or list); k, v: [..., kv_heads, m, dh] at positions
+    nondecreasing array or list, or an int for rows that all sit at one
+    position); k, v: [..., kv_heads, m, dh] at positions
     k_start .. k_start + m - 1. Query head h reads key/value head
     h // (heads // kv_heads) in place: the heads of a group are stacked into
     one matrix and never repeated. A query sees the keys at or before its
@@ -144,6 +148,8 @@ def attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_pos,
     without a finite score) raises NumericError.
     """
     *lead, heads, n, dh = q.shape
+    if isinstance(q_pos, int):
+        q_pos = [q_pos] * n
     kh, m = k.shape[-3], k.shape[-2]
     groups = heads // kh
     k_end = k_start + m
@@ -186,6 +192,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, q_pos, window: int = 0,
     The backward pass walks the saved tiles and forms each tile's share of
     dQ, dK and dV from its kept probabilities, without a dense score matrix.
     """
+    if not isinstance(q, Tensor):
+        return attention_np(q, k, v, q_pos, k_start, window)
     # tiles are kept only when a backward will read them
     tiles = [] if needs_grad(q, k, v) else None
     y = attention_np(q.data, k.data, v.data, q_pos, k_start, window, tiles)
@@ -226,9 +234,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, q_pos, window: int = 0,
 
 
 def gate_values(weight: Tensor, bias: Tensor, q_full: Tensor) -> Tensor:
-    """The per-head gate from the pre-rotation query projection:
-    sigmoid(q_full @ weight + bias) with weight [d_model, h] and bias [h],
-    reshaped to [..., h, n, 1] for fusion."""
+    """The per-head gate from the pre-rotation query projection q_full
+    [..., n, d_model]: sigmoid(q_full @ weight + bias), weight [..., d_model,
+    h] and bias broadcasting to [..., n, h] (stacked gates [G, d_model, h] /
+    [G, 1, h] serve G leading rows), reshaped to [..., h, n, 1] for fusion."""
     logits = q_full @ weight + bias  # [..., n, h]
     g = sigmoid(logits).swapaxes(-1, -2)   # [..., h, n]
     return g.reshape(*g.shape, 1)
@@ -280,10 +289,12 @@ class SharedKVCache:
 
 
 class WindowKVCache:
-    """Fixed-size ring of the last `window` positions for one (layer, loop).
+    """Fixed-size ring of the last `window` positions of keys/values.
 
-    The ring is mirrored: keys/values are [n_kv_heads, 2 * window, d_head],
-    and position p is written to slot p % window and again to slot
+    ``n_kv_heads`` is the head count or, for a ring that serves several
+    loops at once, the leading axes (a decode session's is [loops - 1,
+    n_kv_heads]). The ring is mirrored: keys/values are [*heads, 2 * window,
+    d_head], and position p is written to slot p % window and again to slot
     p % window + window. Any run of at most `window` consecutive positions
     therefore sits in one contiguous, ordered stretch of slots, so `gather`
     hands out views and never sorts or copies. Positions are written in
@@ -295,7 +306,7 @@ class WindowKVCache:
         if window < 1:
             raise ConfigError(f"window must be >= 1, got {window}")
         self.window = window
-        self.k = np.zeros((n_kv_heads, 2 * window, d_head))
+        self.k = np.zeros((*np.atleast_1d(n_kv_heads), 2 * window, d_head))
         self.v = np.zeros_like(self.k)
         self.lo, self.hi = 0, -1   # empty while hi < lo
 
@@ -308,14 +319,14 @@ class WindowKVCache:
         self.hi = end
 
     def write(self, pos: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Store the next position's keys/values ([n_kv_heads, d_head])."""
+        """Store the next position's keys/values ([*heads, d_head])."""
         self._hold(pos, pos)
         both = slice(pos % self.window, None, self.window)   # the slot and its mirror
-        self.k[:, both] = k[:, None]
-        self.v[:, both] = v[:, None]
+        self.k[..., both, :] = k[..., None, :]
+        self.v[..., both, :] = v[..., None, :]
 
     def write_block(self, start: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Store a run of positions ([n_kv_heads, n, d_head]) from `start`;
+        """Store a run of positions ([*heads, n, d_head]) from `start`;
         only the last `window` of them are kept."""
         n = k.shape[-2]
         if n == 0:
@@ -324,20 +335,20 @@ class WindowKVCache:
         keep = min(n, self.window)
         slots = np.arange(start + n - keep, start + n) % self.window
         for half in (slots, slots + self.window):
-            self.k[:, half] = k[:, n - keep:]
-            self.v[:, half] = v[:, n - keep:]
+            self.k[..., half, :] = k[..., n - keep:, :]
+            self.v[..., half, :] = v[..., n - keep:, :]
 
     def gather(self, query_pos: int):
         """All held entries visible from `query_pos`, ordered by position.
 
-        Returns (k, v, positions) with k/v as [n_kv_heads, m, d_head] views
-        of the ring.
+        Returns (k, v, positions) with k/v as [*heads, m, d_head] views of
+        the ring.
         """
         lo = max(self.lo, query_pos - self.window + 1)
         hi = min(self.hi, query_pos)
         s = lo % self.window
         m = max(hi - lo + 1, 0)
-        return self.k[:, s:s + m], self.v[:, s:s + m], np.arange(lo, lo + m)
+        return self.k[..., s:s + m, :], self.v[..., s:s + m, :], np.arange(lo, lo + m)
 
     def entries(self) -> int:
         return self.hi - self.lo + 1

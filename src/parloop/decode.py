@@ -6,62 +6,39 @@ is the newest token entering its first loop, row r is the token from r
 steps ago entering loop r+1 (its carry arrives through the ``inflight``
 array). All rows query the same position, and the first row's keys/values
 extend the shared cache. With gswa, rows 1..L-1 also keep at most
-``window`` of their own entries in one ring per layer, whose head axis
-holds the kv heads of loops 2..L; each layer writes, gathers and attends
-over that ring once for all of those rows and forms their gates in one
-matmul. One token therefore costs one pass regardless of the loop count.
-The rings are mirrored, so a step reads its window as ordered views
-without sorting or copying, and a session seeds each ring from the prompt
-with one block write.
+``window`` of their own entries in one mirrored ring per layer, whose
+leading axes are [loops 2..L, kv heads]; each layer writes, gathers and
+attends over that ring once for all of those rows and forms their gates in
+one matmul. One token therefore costs one pass regardless of the loop
+count. ``vanilla`` is the single-row special case; ``vanilla_loop`` keeps
+one cache per loop and runs one single-row pass per cache.
 
-``vanilla`` is the single-row special case. ``vanilla_loop`` keeps one cache
-per loop and the same step runs the per-layer body once per cache, one row
-at a time.
+Every pass is ``model.block_stack_forward``, the layer body that training
+and prefill run too: a step hands it the rows, their one position, the
+cache and the rings, and no layer math is written here. The session runs
+it on ``Parameters.arrays``, the weights as plain arrays, so neither
+prefill nor a step builds a ``Tensor``.
 
-Attention runs through the training forward's kernel
-(``attention.attention_np``): the query heads that share a key/value head
-read that head's cached keys and values in place, so a step never copies or
-repeats the cache, and since every row of a step sits at one position the
-kernel takes its single-block path and builds no mask.
-
-Every other formula of a step is also the plain-array kernel that the tape
-op runs: ``rmsnorm_np``, ``silu_np`` and ``sigmoid_np`` from ``tensor``,
-``apply_rope_np`` and ``gated_fuse`` from ``attention``, and the output
-projection from ``model.head_weight``; no forward formula is defined here.
-Only the per-layer body (``_stack_pass``) is kept apart from
-``model.block_stack_forward``, because its rows advance different loops in
-one pass.
-
-Prefill is the training forward under no_grad, asked for its loop states
+Prefill is the training forward asked for its loop states
 (``forward(..., return_states=True)``). Loop 1 runs the whole prompt, as it
 fills the shared cache; each later plt loop runs only the suffix a session
 reads (its carry at n - 1, the last logits and, with gswa, the ring seeds
 at [n - window, n)), from ``model.prefill_starts``. The rows it drops feed
-nothing a step reads, so the handoff is exact. Everything here is plain
-numpy under no_grad semantics.
+nothing a step reads, so the handoff is exact, and a session seeds each
+ring from the prompt with one block write.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import SharedKVCache, WindowKVCache, apply_rope_np, attention_np, gated_fuse
+from .attention import SharedKVCache, WindowKVCache
 from .errors import CapacityError, ConfigError, DimensionError, TokenError
-from .model import Parameters, forward, head_weight
-from .tensor import Rng, no_grad, rmsnorm_np, sigmoid_np, silu_np
-
-
-@dataclass
-class MicroBatch:
-    """The rows a step feeds to its (for the serial loop, first) stack pass."""
-
-    inputs: np.ndarray       # [rows, d_model]
-    position: int            # query position shared by every row
-    loop_of_row: tuple       # loop index each row advances
+from .model import Parameters, block_stack_forward, forward, head_weight
+from .tensor import Rng
 
 
 class DecodeSession:
@@ -69,8 +46,8 @@ class DecodeSession:
 
     ``caches`` holds one ``SharedKVCache`` per loop that keeps its own keys
     (one for ``vanilla`` and ``plt``, ``loops`` for ``vanilla_loop``);
-    ``rings`` holds, with gswa, one window ring per layer whose head axis
-    stacks the kv heads of loops 2..L; ``inflight`` holds the carries
+    ``rings`` holds, with gswa, one window ring per layer over [loops 2..L,
+    kv heads]; ``inflight`` holds the carries
     [loops - 1, d_model] of the parallel wiring (no rows for the others).
 
     Counters: ``steps`` counts tokens pushed through ``step``; ``passes``
@@ -89,34 +66,30 @@ class DecodeSession:
                 f"prompt must be a 1-d array of token ids, got shape {prompt.shape}")
         self.params = params
         self.cfg = cfg
+        self.weights = params.arrays()
         n = len(prompt)
         dh, kh = cfg.d_head, cfg.n_kv_heads
-
-        with no_grad():
-            states = forward(params, prompt, return_states=True)
+        states = forward(self.weights, prompt, return_states=True)
 
         serial = cfg.mode == "vanilla_loop"
         self.caches = [SharedKVCache(cfg.n_layers, kh, dh, cfg.max_seq)
                        for _ in range(cfg.loops if serial else 1)]
         for cache, kv in zip(self.caches, states.own_kv_per_loop):
             for li, (k, v) in enumerate(kv):
-                cache.write_block(li, 0, k.data[0], v.data[0])
+                cache.write_block(li, 0, k[0], v[0])
             cache.length = n
-        self.rings: list = []
-        if cfg.gswa and cfg.loops > 1:
-            m = min(n, cfg.window)   # every later loop computed at least these rows
-            for li in range(cfg.n_layers):
-                ks, vs = zip(*(loop_kv[li] for loop_kv in states.own_kv_per_loop[1:]))
-                ring = WindowKVCache(cfg.window, (cfg.loops - 1) * kh, dh)
-                ring.write_block(n - m, np.concatenate([k.data[0, :, -m:] for k in ks]),
-                                 np.concatenate([v.data[0, :, -m:] for v in vs]))
-                self.rings.append(ring)
+        self.rings = [WindowKVCache(cfg.window, (cfg.loops - 1, kh), dh)
+                      for _ in range(cfg.n_layers if cfg.gswa and cfg.loops > 1 else 0)]
+        m = min(n, cfg.window)   # every later loop computed at least these rows
+        for li, ring in enumerate(self.rings):
+            ks, vs = zip(*(loop_kv[li] for loop_kv in states.own_kv_per_loop[1:]))
+            ring.write_block(n - m, np.stack([k[0, :, -m:] for k in ks]),
+                             np.stack([v[0, :, -m:] for v in vs]))
 
         rows = 1 if serial else cfg.loops
-        self.inflight = np.array([h.data[0, -1] for h in states.hidden_per_loop[:rows - 1]]
+        self.inflight = np.array([h[0, -1] for h in states.hidden_per_loop[:rows - 1]]
                                  ).reshape(rows - 1, cfg.d_model)
-        self.last_logits = states.hidden_per_loop[-1].data[0, -1] @ head_weight(params).data
-        self.last_microbatch: MicroBatch | None = None
+        self.last_logits = states.hidden_per_loop[-1][0, -1] @ head_weight(self.weights)
         self.position = n
         self.prefill_rows = sum(n - s for s in states.starts)
         self.steps = 0
@@ -131,60 +104,20 @@ class DecodeSession:
         """
         e = self._embed(token)
         p = self.position
-        x = np.tile(e, (len(self.inflight) + 1, 1))
+        x = np.empty((len(self.inflight) + 1, len(e)))
+        x[:] = e
         x[1:] += self.inflight
-        self.last_microbatch = MicroBatch(inputs=x, position=p,
-                                          loop_of_row=tuple(range(1, len(x) + 1)))
         for cache in self.caches:   # more than one only for the serial loop
-            hidden = self._stack_pass(x, p, cache)
+            hidden = block_stack_forward(self.weights, x, p, shared_kv=cache,
+                                         rings=self.rings)[0]
             x = e + hidden
             cache.length = p + 1
             self.passes += 1
         self.inflight = hidden[:-1]
         self.position += 1
         self.steps += 1
-        self.last_logits = hidden[-1] @ head_weight(self.params).data
+        self.last_logits = hidden[-1] @ head_weight(self.weights)
         return self.last_logits
-
-    def _stack_pass(self, x: np.ndarray, p: int, cache: SharedKVCache) -> np.ndarray:
-        """The block stack over rows ``x`` [rows, d_model] at position ``p``.
-
-        Row 0 writes its keys/values to ``cache`` and every row attends over
-        it; with gswa, rows 1.. also write their keys/values to the layer's
-        ring, attend over it in one call, and the head-wise gate of each
-        row's loop mixes the two. Returns the final-norm output
-        [rows, d_model].
-        """
-        cfg, params = self.cfg, self.params
-        rows = x.shape[0]
-        heads, kh, dh = cfg.n_heads, cfg.n_kv_heads, cfg.d_head
-        at = [p] * rows   # every row queries position p
-        for li, layer in enumerate(params.layers):
-            h = rmsnorm_np(x, layer.attn_norm.data, cfg.norm_eps)
-            q_full = h @ layer.wq.data
-            qk = np.concatenate([q_full, h @ layer.wk.data], axis=1)   # one rotary call
-            qk = apply_rope_np(qk.reshape(rows, heads + kh, dh), p, params.rope)
-            q, k = qk[:, :heads], qk[:, heads:]
-            v = (h @ layer.wv.data).reshape(rows, kh, dh)
-
-            cache.write(li, p, k[0], v[0])
-            y = attention_np(q.transpose(1, 0, 2), *cache.view(li, p + 1), at).transpose(1, 0, 2)
-
-            if self.rings:   # rows 1.. read the ring of their own loop's kv heads
-                ring = self.rings[li]
-                ring.write(p, k[1:].reshape(-1, dh), v[1:].reshape(-1, dh))
-                kw, vw, _ = ring.gather(p)
-                y_local = attention_np(q[1:, :, None], kw.reshape(rows - 1, kh, -1, dh),
-                                       vw.reshape(rows - 1, kh, -1, dh), at[:1], ring.lo,
-                                       cfg.window)[:, :, 0]
-                w, b = layer.gate_weight.data, layer.gate_bias.data   # [1 or rows - 1, d, h]
-                g = sigmoid_np((q_full[1:, None] @ w)[:, 0] + b)[..., None]
-                y[1:] = gated_fuse(g, y_local, y[1:])
-
-            x = x + y.reshape(rows, heads * dh) @ layer.wo.data
-            hm = rmsnorm_np(x, layer.mlp_norm.data, cfg.norm_eps)
-            x = x + (silu_np(hm @ layer.w_gate.data) * (hm @ layer.w_up.data)) @ layer.w_down.data
-        return rmsnorm_np(x, params.final_norm.data, cfg.norm_eps)
 
     # -- helpers ---------------------------------------------------------
 
@@ -197,7 +130,7 @@ class DecodeSession:
             raise TokenError(f"token id {token!r} is not an integer")
         if not 0 <= token < self.cfg.vocab:
             raise TokenError(f"token id {token} is outside [0, {self.cfg.vocab})")
-        return self.params.embedding.data[token]
+        return self.weights.embedding[token]
 
     @property
     def passes_per_token(self) -> float:

@@ -25,14 +25,17 @@ gate per loop still load (see ``checkpoint``).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .attention import apply_rope, attention, build_rope_tables, gate_values, gated_fuse
+from .attention import (SharedKVCache, apply_rope, attention, build_rope_tables, gate_values,
+                        gated_fuse)
 from .errors import CapacityError, ConfigError, EmptyInputError, InvalidLoopError, TokenError
-from .tensor import Rng, Tensor, concat, embedding as gather_rows, rmsnorm, silu, zeros
+from .tensor import Rng, Tensor, concat, embedding as gather_rows, rmsnorm, silu
 
 MODES = ("vanilla", "vanilla_loop", "plt")
 
@@ -108,54 +111,58 @@ def param_shapes(cfg: ModelConfig) -> dict:
     are drawn, checkpointed and optimised. With gswa each layer holds its
     gates stacked, ``gate_weight`` [G, d_model, n_heads] and ``gate_bias``
     [G, n_heads], where G is loops - 1 with per-loop gates, else 1."""
+    before, layer, after = _shape_parts(cfg)
+    shapes = dict(before)
+    for i in range(cfg.n_layers):
+        shapes.update((f"layers.{i}.{k}", s) for k, s in layer.items())
+    return shapes | after
+
+
+def _shape_parts(cfg: ModelConfig) -> tuple:
+    """``param_shapes`` in three parts: the entries before the layers, one
+    layer's (named within the layer) and the entries after them."""
     d, kv, ff = cfg.d_model, cfg.n_kv_heads * cfg.d_head, cfg.d_ff
     layer = {"attn_norm": (d,), "wq": (d, d), "wk": (d, kv), "wv": (d, kv), "wo": (d, d)}
     if cfg.gswa and cfg.loops > 1:
         g = cfg.loops - 1 if cfg.per_loop_gates else 1
         layer.update(gate_weight=(g, d, cfg.n_heads), gate_bias=(g, cfg.n_heads))
     layer.update(mlp_norm=(d,), w_gate=(d, ff), w_up=(d, ff), w_down=(ff, d))
-    shapes = {"embedding": (cfg.vocab, d)}
-    for i in range(cfg.n_layers):
-        shapes.update((f"layers.{i}.{k}", s) for k, s in layer.items())
-    shapes["final_norm"] = (d,)
+    after = {"final_norm": (d,)}
     if not cfg.weight_tying:
-        shapes["head"] = (d, cfg.vocab)
-    return shapes
-
-
-@dataclass
-class LayerParams:
-    attn_norm: Tensor
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-    wo: Tensor
-    mlp_norm: Tensor
-    w_gate: Tensor
-    w_up: Tensor
-    w_down: Tensor
-    gate_weight: Tensor | None = None   # [G, d_model, n_heads], gswa only
-    gate_bias: Tensor | None = None     # [G, n_heads]
+        after["head"] = (d, cfg.vocab)
+    return {"embedding": (cfg.vocab, d)}, layer, after
 
 
 class Parameters:
     """The model's tensors by ``param_shapes`` name; the attributes are the
-    same ``Tensor`` objects, grouped for the forward."""
+    same ``Tensor`` objects, grouped for the forward (``layers[i].wq`` is
+    ``layers.{i}.wq``)."""
 
     def __init__(self, config: ModelConfig, tensors: dict):
         self.config = config
+        self.rope = build_rope_tables(config.max_seq, config.d_head, config.rope_theta)
+        self._bind(tensors)
+
+    def _bind(self, tensors: dict) -> None:
         self._tensors = tensors
         self.embedding = tensors["embedding"]
-        self.layers = [LayerParams(**{name.split(".", 2)[2]: t for name, t in tensors.items()
-                                      if name.startswith(f"layers.{i}.")})
-                       for i in range(config.n_layers)]
+        self.layers = [SimpleNamespace(**{name.split(".", 2)[2]: t for name, t in tensors.items()
+                                          if name.startswith(f"layers.{i}.")})
+                       for i in range(self.config.n_layers)]
         self.final_norm = tensors["final_norm"]
         self.head = tensors.get("head")   # None when tied to the embedding
-        self.rope = build_rope_tables(config.max_seq, config.d_head, config.rope_theta)
 
     def named_tensors(self) -> dict:
         """Stable name -> Tensor mapping (checkpoint and optimizer order)."""
         return self._tensors
+
+    def arrays(self) -> Parameters:
+        """These parameters as the tensors' current arrays, shared rather
+        than copied. The ops run on them build no Tensor and no tape, which
+        is how prefill and decode run the model body."""
+        out = copy.copy(self)
+        out._bind({name: t.data for name, t in self._tensors.items()})
+        return out
 
 
 def init_parameters(cfg: ModelConfig, seed: int, std: float = 0.02) -> Parameters:
@@ -183,70 +190,91 @@ def build_parameters(cfg: ModelConfig, weight) -> Parameters:
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """[b, n, h*dh] -> [b, h, n, dh]."""
-    b, n, hd = x.shape
-    return x.reshape(b, n, n_heads, hd // n_heads).swapaxes(1, 2)
+    """[..., n, h*dh] -> [..., n, h, dh]; attention takes the heads first,
+    ``.swapaxes(-3, -2)``, after rotary has run on the contiguous rows."""
+    return x.reshape(x.shape[:-1] + (n_heads, -1))
 
 
-def merge_heads(x: Tensor) -> Tensor:
-    """[b, h, n, dh] -> [b, n, h*dh]."""
-    b, h, n, dh = x.shape
-    return x.swapaxes(1, 2).reshape(b, n, h * dh)
+def block_stack_forward(params: Parameters, x, positions, loop_index: int = 1,
+                        shared_kv=None, rings=()):
+    """One pass of the shared block stack plus the final norm: the one layer
+    body of training, prefill and every decode step. Tensor operands run on
+    the tape; plain arrays (``Parameters.arrays``) give plain arrays.
 
+    x: [b, n, d_model], row i at position positions[i]. Each layer attends
+    over its own keys (``shared_kv`` None), over a list of per-layer
+    (roped_k, v) [b, kv_heads, m, d_head] at positions 0 .. m - 1 (loop
+    1's, read by a later plt loop, which may start past position 0), or
+    over a ``SharedKVCache``: a decode step, whose rows x [rows, d_model]
+    all sit at the int position ``positions``, and whose row 0 writes its
+    keys there.
+    With gswa, the rows of later loops also attend a window of their own
+    keys, mixed in through their gate (``_window_mix``): every row of a
+    later plt loop, banded over the pass's keys, with loop ``loop_index``'s
+    gate; or rows 1.. of a decode step, which run loops 2..L, each over its
+    loop's heads of the layer's ring in ``rings`` and with its loop's gate.
 
-def block_stack_forward(params: Parameters, x: Tensor, positions: np.ndarray,
-                        loop_index: int = 1, shared_kv: list | None = None):
-    """One pass of the shared block stack plus the final norm.
-
-    x: [b, n, d_model], row i at position positions[i] (consecutive). When
-    `shared_kv` is given (list over layers of (roped_k, v) tensors shaped
-    [b, kv_heads, m, d_head] at positions 0 .. m - 1) the pass is a
-    non-first loop of the sharing mode: global attention reads from it and,
-    with gating enabled, a sliding window over this pass's own keys/values
-    is mixed in per head; such a pass may start past position 0. Otherwise
-    the pass runs plain causal self-attention.
-
-    Returns (hidden, own_kv): hidden is the post-norm output, own_kv the
-    per-layer (roped_k, v) this pass produced (None entries when the pass
-    had no use for private keys).
+    Returns (hidden, own_kv): the post-norm output and the per-layer
+    (roped_k, v) the pass made (None entries when it had no use for them).
     """
     cfg = params.config
-    own_kv = []
-    use_local = shared_kv is not None and cfg.gswa
-    if use_local and loop_index < 2:
+    step = isinstance(shared_kv, SharedKVCache)
+    use_local = cfg.gswa and (len(rings) > 0 if step else shared_kv is not None)
+    if use_local and not step and loop_index < 2:
         raise InvalidLoopError(
             f"sliding-window path is defined for loops >= 2, got {loop_index}")
+    own = use_local or not isinstance(shared_kv, list)   # the pass needs its own keys
+    gi = loop_index - 2 if cfg.per_loop_gates else 0
+    eps, heads, kv_heads, rope = cfg.norm_eps, cfg.n_heads, cfg.n_kv_heads, params.rope
+    at = positions if step else positions[:, None]   # each row's rotary row, across its heads
+    own_kv = []
     for li, layer in enumerate(params.layers):
-        h = rmsnorm(x, layer.attn_norm, cfg.norm_eps)
+        h = rmsnorm(x, layer.attn_norm, eps)
         q_full = h @ layer.wq
-        q = apply_rope(split_heads(q_full, cfg.n_heads), positions, params.rope)
-        if shared_kv is None or use_local:
-            k = apply_rope(split_heads(h @ layer.wk, cfg.n_kv_heads), positions, params.rope)
-            v = split_heads(h @ layer.wv, cfg.n_kv_heads)
-        else:
-            k = v = None
+        q = apply_rope(split_heads(q_full, heads), at, rope).swapaxes(-3, -2)
+        k = v = None
+        if own:
+            k = apply_rope(split_heads(h @ layer.wk, kv_heads), at, rope).swapaxes(-3, -2)
+            v = split_heads(h @ layer.wv, kv_heads).swapaxes(-3, -2)
         own_kv.append((k, v))
-        if shared_kv is None:
-            y = attention(q, k, v, positions)
+        if step:
+            shared_kv.write(li, positions, k[:, 0], v[:, 0])
+            kv = shared_kv.view(li, positions + 1)
         else:
-            y = attention(q, *shared_kv[li], positions)
-            if use_local:
-                y_local = attention(q, k, v, positions, cfg.window, k_start=positions[0])
-                gi = loop_index - 2 if cfg.per_loop_gates else 0
-                g = gate_values(layer.gate_weight[gi], layer.gate_bias[gi], q_full)
-                y = gated_fuse(g, y_local, y)
-        x = x + merge_heads(y) @ layer.wo
-        hm = rmsnorm(x, layer.mlp_norm, cfg.norm_eps)
+            kv = (k, v) if shared_kv is None else shared_kv[li]
+        y = attention(q, *kv, positions)
+        if use_local and step:
+            ring = rings[li]
+            ring.write(positions, _later(k)[..., 0, :], _later(v)[..., 0, :])
+            kw, vw, _ = ring.gather(positions)
+            y[:, 1:] = _window_mix(cfg, layer, slice(None), _later(q_full), _later(q), _later(y),
+                                   kw, vw, positions, ring.lo).swapaxes(0, 1)[:, :, 0]
+        elif use_local:
+            y = _window_mix(cfg, layer, slice(gi, gi + 1), q_full, q, y, k, v,
+                            positions, positions[0])
+        x = x + y.swapaxes(-3, -2).reshape(x.shape) @ layer.wo   # heads merged back
+        hm = rmsnorm(x, layer.mlp_norm, eps)
         x = x + (silu(hm @ layer.w_gate) * (hm @ layer.w_up)) @ layer.w_down
-    return rmsnorm(x, params.final_norm, cfg.norm_eps), own_kv
+    return rmsnorm(x, params.final_norm, eps), own_kv
+
+
+def _later(t):
+    """Rows 1.. of a decode step's [..., rows, :] as [rows - 1, ..., 1, :]."""
+    return t[..., 1:, None, :].swapaxes(0, -3)
+
+
+def _window_mix(cfg, layer, gates, q_full, q, y, kw, vw, positions, k_start):
+    """Mix attention over window keys ``kw`` / ``vw`` (from ``k_start``) into
+    the global output ``y``, through the layer's gates ``[gates]``."""
+    g = gate_values(layer.gate_weight[gates], layer.gate_bias[gates, None], q_full)
+    return gated_fuse(g, attention(q, kw, vw, positions, cfg.window, k_start), y)
 
 
 def shift_right(h: Tensor) -> Tensor:
     """Shift [b, n, d] one step along the sequence axis, zero-filling row 0."""
     b, n, d = h.shape
-    if n == 1:
-        return zeros((b, 1, d))
-    return concat([zeros((b, 1, d)), h[:, :-1, :]], axis=1)
+    pad = Tensor(np.zeros((b, 1, d))) if isinstance(h, Tensor) else np.zeros((b, 1, d))
+    return pad if n == 1 else concat([pad, h[:, :-1, :]], axis=1)
 
 
 @dataclass
@@ -258,7 +286,7 @@ class LoopActivations:
     loop's keys/values are the ones every later loop read.
     """
 
-    hidden_per_loop: list          # loops x Tensor [b, n - start, d_model]
+    hidden_per_loop: list          # loops x [b, n - start, d_model]
     own_kv_per_loop: list          # loops x layers x (roped_k | None, v | None)
     starts: list                   # loops x first position computed
 
@@ -293,7 +321,7 @@ def head_weight(params: Parameters) -> Tensor:
     """The output projection [d_model, vocab]; the transposed embedding when tied."""
     if params.head is not None:
         return params.head
-    return params.embedding.transpose()
+    return params.embedding.swapaxes(-1, -2)
 
 
 def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False):
@@ -353,8 +381,11 @@ def count_params(params: Parameters) -> int:
 
 
 def count_params_from_config(cfg: ModelConfig) -> int:
-    """Parameter count from the shapes alone, no allocation."""
-    return sum(math.prod(s) for s in param_shapes(cfg).values())
+    """Parameter count from the shapes of ``param_shapes`` alone, with no
+    allocation and without naming every layer's entries."""
+    before, layer, after = ({k: math.prod(s) for k, s in part.items()}
+                            for part in _shape_parts(cfg))
+    return sum(before.values()) + cfg.n_layers * sum(layer.values()) + sum(after.values())
 
 
 def count_flops_per_token(cfg: ModelConfig, context: int | None = None) -> dict:
@@ -363,35 +394,17 @@ def count_flops_per_token(cfg: ModelConfig, context: int | None = None) -> dict:
     excluded; this counts the matmuls that dominate.
     """
     n = cfg.max_seq if context is None else context
-    d, dh, kh, h = cfg.d_model, cfg.d_head, cfg.n_kv_heads, cfg.n_heads
-    proj_qo = 2 * d * d * 2                  # wq, wo
-    proj_kv = 2 * d * (kh * dh) * 2          # wk, wv
-    mlp = 3 * 2 * d * cfg.d_ff
-    attn_global = 4 * n * h * dh             # scores + weighted sum, all heads
-
-    per_pass_proj = proj_qo + proj_kv
-    per_pass_mlp = mlp
-
-    projections = 0
-    attention = 0
-    gate = 0
-    for loop_index in range(1, cfg.loops + 1):
-        nonfirst_shared = cfg.kv_share and loop_index >= 2
-        projections += per_pass_proj
-        if nonfirst_shared and not cfg.gswa:
-            projections -= proj_kv  # private keys/values never computed
-        attention += attn_global
-        if nonfirst_shared and cfg.gswa:
-            attention += 4 * min(cfg.window, n) * h * dh
-            gate += 2 * d * h
-    mlp_total = cfg.loops * per_pass_mlp
-    head = 2 * d * cfg.vocab
+    d, kv, h, dh = cfg.d_model, cfg.n_kv_heads * cfg.d_head, cfg.n_heads, cfg.d_head
+    shared = cfg.loops - 1 if cfg.kv_share else 0   # passes reading loop 1's keys
+    windowed = shared if cfg.gswa else 0            # ... that also project their own
     counts = {
-        "projections": cfg.n_layers * projections,
-        "attention": cfg.n_layers * attention,
-        "gate": cfg.n_layers * gate,
-        "mlp": cfg.n_layers * mlp_total,
-        "head": head,
+        "projections": cfg.n_layers * (cfg.loops * 4 * d * d
+                                       + (cfg.loops - shared + windowed) * 4 * d * kv),
+        "attention": cfg.n_layers * (cfg.loops * 4 * n * h * dh
+                                     + windowed * 4 * min(cfg.window, n) * h * dh),
+        "gate": cfg.n_layers * windowed * 2 * d * h,
+        "mlp": cfg.n_layers * cfg.loops * 3 * 2 * d * cfg.d_ff,
+        "head": 2 * d * cfg.vocab,
     }
     counts["total"] = sum(counts.values())
     return counts

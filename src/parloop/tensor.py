@@ -13,10 +13,10 @@ Every op builds its output through ``node`` from its forward value, parents
 and backward closure; ``node`` alone decides whether a tape node is recorded
 (``needs_grad`` is the one reader of grad mode outside ``no_grad``).
 
-Each fused forward formula is a plain-array kernel (``rmsnorm_np``,
-``sigmoid_np``, ``silu_np``) that the tape op calls for its forward value
-and that decoding calls directly, so training and decode run the same
-arithmetic.
+The ops also take plain ndarrays: given no Tensor they return the plain
+array of their forward formula and record nothing, so one model body runs
+on the tape in training and on bare arrays in prefill and decode, with the
+same arithmetic.
 """
 
 from __future__ import annotations
@@ -148,8 +148,26 @@ class Tensor:
 
     # -- linear algebra -------------------------------------------------
 
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
+    def __matmul__(self, w: "Tensor") -> "Tensor":
+        """Batched matrix product over the last two axes; leading dims broadcast."""
+        if self.ndim < 2 or w.ndim < 2:
+            raise DimensionError("matmul operands must have ndim >= 2")
+        if self.shape[-1] != w.shape[-2]:
+            raise DimensionError(f"matmul inner extents differ: {self.shape} @ {w.shape}")
+
+        def bwd(g):
+            if self.requires_grad:
+                self._accum(_unbroadcast(np.matmul(g, w.data.swapaxes(-1, -2)), self.shape))
+            if w.requires_grad and w.size == w.shape[-2] * w.shape[-1]:
+                # a weight ([k, m], or [1, k, m] broadcast): one GEMM over every
+                # leading row; np.matmul would form one product per batch entry
+                # and then sum them
+                rows = self.data.reshape(-1, self.shape[-1])
+                w._accum((rows.T @ g.reshape(-1, g.shape[-1])).reshape(w.shape))
+            elif w.requires_grad:
+                w._accum(_unbroadcast(np.matmul(self.data.swapaxes(-1, -2), g), w.shape))
+
+        return node(np.matmul(self.data, w.data), (self, w), bwd)
 
     # -- shape ops -------------------------------------------------------
 
@@ -161,10 +179,6 @@ class Tensor:
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
         return node(self.data.swapaxes(a, b), (self,), lambda g: self._accum(g.swapaxes(a, b)))
-
-    def transpose(self) -> "Tensor":
-        """Swap the last two axes."""
-        return self.swapaxes(-1, -2)
 
     def __getitem__(self, idx) -> "Tensor":
         def bwd(g):
@@ -226,32 +240,10 @@ def _toposort(root: Tensor) -> list:
 # ---------------------------------------------------------------------------
 
 
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product over the last two axes; leading dims broadcast."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError("matmul operands must have ndim >= 2")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape))
-        if b.requires_grad and b.ndim == 2:
-            # a weight: one GEMM over every leading row; np.matmul would
-            # form one product per batch entry and then sum them
-            b._accum(a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-        elif b.requires_grad:
-            b._accum(_unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape))
-
-    return node(np.matmul(a.data, b.data), (a, b), bwd)
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = tuple(tensors)
+    if not isinstance(tensors[0], Tensor):
+        return np.concatenate(tensors, axis=axis)
 
     def bwd(g):
         pieces = np.split(g, np.cumsum([t.shape[axis] for t in tensors])[:-1], axis=axis)
@@ -262,25 +254,24 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return node(np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
 
 
-def sigmoid_np(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) without overflow; saturates to exactly 0 and 1."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
 def sigmoid(x: Tensor) -> Tensor:
-    s = sigmoid_np(x.data)
+    """1 / (1 + exp(-x)) without overflow; saturates to exactly 0 and 1."""
+    plain = not isinstance(x, Tensor)
+    xd = x if plain else x.data
+    e = np.exp(-np.abs(xd))
+    s = np.where(xd >= 0, 1.0, e) / (1.0 + e)
+    if plain:
+        return s
     return node(s, (x,), lambda g: x._accum(g * s * (1.0 - s)))
 
 
-def silu_np(x: np.ndarray) -> np.ndarray:
-    """x * sigmoid(x) with a single exp (it need not saturate exactly)."""
-    return x / (1.0 + np.exp(-x))
-
-
 def silu(x: Tensor) -> Tensor:
-    xd = x.data
-    y = silu_np(xd)
+    """x * sigmoid(x) with a single exp (it need not saturate exactly)."""
+    plain = not isinstance(x, Tensor)
+    xd = x if plain else x.data
+    y = xd / (1.0 + np.exp(-xd))
+    if plain:
+        return y
 
     def bwd(g):
         # sigmoid(x) is silu(x) / x, and 1/2 at x = 0
@@ -298,15 +289,15 @@ def _inv_rms(x: np.ndarray, eps: float) -> np.ndarray:
     return 1.0 / np.sqrt(ms + eps)
 
 
-def rmsnorm_np(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
-    """x / sqrt(mean(x^2, last) + eps) * gain."""
-    return x * _inv_rms(x, eps) * gain
-
-
 def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
-    if gain.shape != (x.shape[-1],):
-        raise DimensionError(f"rmsnorm gain shape {gain.shape} != ({x.shape[-1]},)")
-    xd = x.data
+    """x / sqrt(mean(x^2, last) + eps) * gain."""
+    plain = not isinstance(x, Tensor)
+    xd, gd = (x, gain) if plain else (x.data, gain.data)
+    if gd.shape != xd.shape[-1:]:
+        raise DimensionError(f"rmsnorm gain shape {gd.shape} != ({xd.shape[-1]},)")
+    y = xd * _inv_rms(xd, eps) * gd
+    if plain:
+        return y
     d = xd.shape[-1]
 
     def bwd(g):
@@ -318,12 +309,14 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
             dot = (gw * xd).sum(axis=-1, keepdims=True)
             x._accum(gw * inv - xd * (inv ** 3) * dot / d)
 
-    return node(rmsnorm_np(xd, gain.data, eps), (x, gain), bwd)
+    return node(y, (x, gain), bwd)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Gather rows of `table` by integer ids (any leading shape)."""
     ids = np.asarray(ids)
+    if not isinstance(table, Tensor):
+        return table[ids]
 
     def bwd(g):
         buf = np.zeros_like(table.data)

@@ -40,7 +40,8 @@ def _configs(seed: int) -> list:
     for kw in (dict(mode="vanilla"),
                dict(mode="vanilla_loop", loops=2),
                dict(mode="plt", loops=3, gswa=True, window=3),
-               dict(mode="plt", loops=2)):
+               dict(mode="plt", loops=2),
+               dict(mode="plt", loops=3, gswa=True, window=3, per_loop_gates=True)):
         d = int(rng.integers(2, 4)) * 8
         out.append(ModelConfig(vocab=19, d_model=d, n_layers=2, n_heads=4,
                                n_kv_heads=2, d_ff=2 * d, max_seq=64, **kw))

@@ -5,6 +5,9 @@ the quadratic recompute-from-scratch oracle."""
 import numpy as np
 import pytest
 
+import parloop.decode
+import parloop.model
+
 from parloop.attention import SharedKVCache, WindowKVCache, attention_np
 from parloop.decode import DecodeSession, _select, generate, prefill
 from parloop.errors import (CapacityError, ConfigError, DimensionError, EmptyInputError,
@@ -341,27 +344,46 @@ class TestGenerate:
 
 
 class TestMicroBatch:
-    def test_rows_are_embedding_plus_carries(self):
-        cfg = small(mode="plt", loops=3)
-        params = init_parameters(cfg, seed=6)
-        sess = prefill(params, np.arange(5) % cfg.vocab)
-        carries = [h.copy() for h in sess.inflight]
-        tok = 3
-        sess.step(tok)
-        mb = sess.last_microbatch
-        e = params.embedding.data[tok]
-        assert mb.position == 5
-        assert mb.loop_of_row == (1, 2, 3)
-        assert np.array_equal(mb.inputs[0], e)
-        assert np.allclose(mb.inputs[1], e + carries[0], atol=1e-15)
-        assert np.allclose(mb.inputs[2], e + carries[1], atol=1e-15)
-
     def test_single_loop_has_one_row(self):
         cfg = small(mode="plt", loops=1)
         sess = prefill(init_parameters(cfg, 0), np.arange(4) % cfg.vocab)
         sess.step(1)
-        assert sess.last_microbatch.inputs.shape[0] == 1
         assert len(sess.inflight) == 0
+
+
+class TestOneBody:
+    """Prefill and every decode step run the model's one layer body."""
+
+    @pytest.mark.parametrize("kw, calls_per_token", [
+        (dict(mode="vanilla"), 1),
+        (dict(mode="vanilla_loop", loops=3), 3),
+        (dict(mode="plt", loops=3), 1),
+        (dict(mode="plt", loops=3, gswa=True, window=2), 1),
+        (dict(mode="plt", loops=3, gswa=True, window=2, per_loop_gates=True), 1),
+    ])
+    def test_prefill_and_step_go_through_the_body(self, kw, calls_per_token, monkeypatch):
+        calls = []
+        body = parloop.model.block_stack_forward
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape)
+            return body(*args, **kwargs)
+
+        for module in (parloop.model, parloop.decode):   # decode's own name for it too
+            monkeypatch.setattr(module, "block_stack_forward", counted, raising=False)
+        cfg = small(**kw)
+        params = init_parameters(cfg, seed=2)
+        tokens = np.arange(9) % cfg.vocab
+        full = forward(params, tokens).data[0]
+        calls.clear()
+        sess = prefill(params, tokens[:5])
+        assert len(calls) == cfg.loops   # one pass per loop over the prompt
+        calls.clear()
+        for j in range(5, 9):
+            assert np.max(np.abs(sess.step(int(tokens[j])) - full[j])) < 1e-9
+        assert len(calls) == 4 * calls_per_token
+        rows = 1 if cfg.mode == "vanilla_loop" else cfg.loops
+        assert calls == [(rows, cfg.d_model)] * len(calls)
 
 
 class TestModeEquivalences:

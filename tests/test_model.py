@@ -198,6 +198,8 @@ LAYOUTS = [
     dict(mode="vanilla_loop", loops=2),
     dict(mode="plt", loops=3, gswa=True, window=4, per_loop_gates=True),
     dict(mode="plt", loops=2, gswa=True, window=4, n_layers=0),
+    dict(mode="plt", loops=3, gswa=True, window=4, per_loop_gates=True,
+         weight_tying=False, n_layers=3),
 ]
 
 

@@ -13,14 +13,10 @@ from parloop.tensor import (
     concat,
     cross_entropy,
     embedding,
-    matmul,
     no_grad,
     rmsnorm,
-    rmsnorm_np,
     sigmoid,
-    sigmoid_np,
     silu,
-    silu_np,
 )
 
 
@@ -86,7 +82,7 @@ class TestMatmul:
     def test_grads_against_central_differences(self, rng):
         a = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         b = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
-        (matmul(a, b) * matmul(a, b)).sum().backward()
+        ((a @ b) * (a @ b)).sum().backward()
         ga = numeric_grad(lambda x: float(((x @ b.data) ** 2).sum()), a.data.copy())
         gb = numeric_grad(lambda y: float(((a.data @ y) ** 2).sum()), b.data.copy())
         assert rel(a.grad, ga) < 1e-6
@@ -104,12 +100,12 @@ class TestMatmul:
         x = Tensor(rng.normal(size=x_shape), requires_grad=True)
         if tied:
             table = Tensor(rng.normal(size=w_shape[::-1]), requires_grad=True)
-            w = table.transpose()
+            w = table.swapaxes(-1, -2)
             assert not w.data.flags.c_contiguous
         else:
             table = w = Tensor(rng.normal(size=w_shape), requires_grad=True)
         u = rng.normal(size=x_shape[:-1] + w_shape[-1:])
-        (matmul(x, w) * u).sum().backward()
+        ((x @ w) * u).sum().backward()
         # the batched outer products, summed over the leading axes; the two
         # sum the same products in another order, so the error is measured
         # against the gradient's largest entry
@@ -131,7 +127,7 @@ class TestMatmul:
 
     def test_inner_extent_mismatch_raises(self):
         with pytest.raises(DimensionError):
-            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+            Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((4, 2)))
 
 
 class TestShapes:
@@ -199,7 +195,7 @@ class TestActivations:
         big = sigmoid(Tensor(np.array([-np.inf, np.inf, -1e4, 1e4])))
         assert big.data[0] == 0.0 and big.data[1] == 1.0
         assert big.data[2] == 0.0 and big.data[3] == 1.0
-        assert np.array_equal(sigmoid(x).data, sigmoid_np(x.data))
+        assert np.array_equal(sigmoid(x).data, sigmoid(x.data))   # the plain-array path
 
     def test_silu_grad(self, rng):
         x = Tensor(rng.normal(size=(7,)), requires_grad=True)
@@ -208,7 +204,7 @@ class TestActivations:
             s = v / (1 + np.exp(-v))
             return float((s * s).sum())
         assert rel(x.grad, numeric_grad(f, x.data.copy())) < 1e-6
-        assert np.array_equal(silu(x).data, silu_np(x.data))
+        assert np.array_equal(silu(x).data, silu(x.data))
 
 
 class TestRmsnorm:
@@ -218,7 +214,7 @@ class TestRmsnorm:
         y = rmsnorm(Tensor(x), Tensor(gain), eps=1e-6)
         want = x / np.sqrt((x ** 2).mean(axis=-1, keepdims=True) + 1e-6) * gain
         assert np.allclose(y.data, want, atol=1e-12)
-        assert np.array_equal(y.data, rmsnorm_np(x, gain, 1e-6))
+        assert np.array_equal(y.data, rmsnorm(x, gain, 1e-6))
 
     def test_grads_against_central_differences(self, rng):
         xv = rng.normal(size=(3, 6))
@@ -243,11 +239,11 @@ class TestRmsnorm:
         x = rng.normal(size=(3, 8))
         x[1, 2] = bad
         with pytest.raises(NumericError):
-            rmsnorm_np(x, np.ones(8), 1e-6)
+            rmsnorm(x, np.ones(8), 1e-6)
         with pytest.raises(NumericError):
             rmsnorm(Tensor(x), Tensor(np.ones(8)))
         x[1, 2] = 1e150   # squares stay finite: a normal result
-        assert np.isfinite(rmsnorm_np(x, np.ones(8), 1e-6)).all()
+        assert np.isfinite(rmsnorm(x, np.ones(8), 1e-6)).all()
 
 
 class TestEmbeddingAndGather:
@@ -322,7 +318,7 @@ TAPE_OPS = [
     ("sub", [(2, 3), (2, 3)], lambda a, b: a - b),
     ("rsub-scalar", [(2, 3)], lambda a: 1.0 - a),
     ("mul", [(2, 3), (2, 3)], lambda a, b: a * b),
-    ("matmul", [(2, 3), (3, 4)], matmul),
+    ("matmul", [(2, 3), (3, 4)], lambda a, b: a @ b),
     ("concat", [(2, 3), (1, 3)], lambda a, b: concat([a, b])),
     ("sigmoid", [(2, 3)], sigmoid),
     ("silu", [(2, 3)], silu),
@@ -337,6 +333,16 @@ TAPE_OPS = [
 
 
 class TestTapeMechanics:
+    @pytest.mark.parametrize("shapes, op", [c[1:] for c in TAPE_OPS if c[0] != "cross_entropy"],
+                             ids=[c[0] for c in TAPE_OPS if c[0] != "cross_entropy"])
+    def test_plain_arrays_give_the_same_plain_array(self, shapes, op, rng):
+        # the model body runs these ops on the weights' arrays in prefill and
+        # decode; the loss is the one op that only training calls
+        data = [rng.normal(size=s) for s in shapes]
+        out = op(*data)
+        assert type(out) is np.ndarray
+        assert np.array_equal(out, op(*(Tensor(d) for d in data)).data)
+
     @pytest.mark.parametrize("shapes, op", [c[1:] for c in TAPE_OPS],
                              ids=[c[0] for c in TAPE_OPS])
     def test_no_grad_builds_no_tape(self, shapes, op, rng):
