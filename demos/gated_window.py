@@ -13,7 +13,7 @@ Run: python3 demos/gated_window.py
 import numpy as np
 
 from parloop import (ModelConfig, Tensor, WindowKVCache, forward, gate_values,
-                     init_parameters, no_grad)
+                     init_parameters)
 from parloop.tensor import Rng
 
 rng = Rng(5)
@@ -41,20 +41,18 @@ print("dominates before training\n")
 
 print("--- the two pure paths ---")
 tokens = rng.integers(0, cfg.vocab, shape=12)
-with no_grad():
-    base = forward(params, tokens).data
+weights = params.arrays()   # the same arrays as the tensors, run with no tape
+base = forward(weights, tokens)
 
 # force-open: output uses only each loop's private window
 for layer in params.layers:
     layer.gate_bias.data[:] = np.inf
-with no_grad():
-    local_only = forward(params, tokens).data
+local_only = forward(weights, tokens)
 
 # force-shut: output ignores the window entirely, pure shared-cache reuse
 for layer in params.layers:
     layer.gate_bias.data[:] = -np.inf
-with no_grad():
-    global_only = forward(params, tokens).data
+global_only = forward(weights, tokens)
 
 print(f"|open - mixed|  = {np.abs(local_only - base).max():.3f}")
 print(f"|shut - mixed|  = {np.abs(global_only - base).max():.3f}")

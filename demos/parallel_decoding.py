@@ -10,7 +10,7 @@ Run: python3 demos/parallel_decoding.py
 
 import numpy as np
 
-from parloop import ModelConfig, forward, init_parameters, no_grad, prefill
+from parloop import ModelConfig, forward, init_parameters, prefill
 from parloop.tensor import Rng
 
 
@@ -30,8 +30,7 @@ tokens = rng.integers(0, cfg.vocab, shape=24)
 
 banner("1. one pass per token, same logits as the full forward")
 
-with no_grad():
-    full = forward(params, tokens).data[0]      # [n, vocab]
+full = forward(params.arrays(), tokens)[0]   # [n, vocab], no tape recorded
 
 sess = prefill(params, tokens[:4])
 worst = np.abs(sess.last_logits - full[3]).max()

@@ -267,7 +267,8 @@ def cmd_train(args, argv) -> int:
     os.makedirs(args.out, exist_ok=True)
     params = init_parameters(cfg, args.seed)
     result = train(params, task, tcfg)
-    acc = eval_accuracy(lambda toks: forward(params, toks), task,
+    weights = params.arrays()   # eval records no tape
+    acc = eval_accuracy(lambda toks: forward(weights, toks), task,
                         seed=args.seed + 1)
     manifest = {
         "command": "train",

@@ -20,12 +20,17 @@ it on ``Parameters.arrays``, the weights as plain arrays, so neither
 prefill nor a step builds a ``Tensor``.
 
 Prefill is the training forward asked for its loop states
-(``forward(..., return_states=True)``). Loop 1 runs the whole prompt, as it
-fills the shared cache; each later plt loop runs only the suffix a session
-reads (its carry at n - 1, the last logits and, with gswa, the ring seeds
-at [n - window, n)), from ``model.prefill_starts``. The rows it drops feed
-nothing a step reads, so the handoff is exact, and a session seeds each
-ring from the prompt with one block write.
+(``forward(..., return_states=True)``). A session reads each cache's
+keys/values, the carries and logits at n - 1 and, with gswa, the ring
+seeds at [n - window, n); ``model.prefill_table`` gives, per loop and
+layer, the first row that feeds one of them. Every layer makes keys and
+values on all the rows it takes in and runs its queries, attention and MLP
+only from its table row on. Loop 1 (every loop of ``vanilla_loop``) thus
+fills its cache over the whole prompt and runs its top layer on the rows
+the next loop reads, and each later plt loop runs only a suffix that
+narrows layer by layer to the last row. The rows it drops feed nothing a
+step reads, so the handoff is exact, and a session seeds each ring from
+the prompt with one block write.
 """
 
 from __future__ import annotations
@@ -53,9 +58,10 @@ class DecodeSession:
     Counters: ``steps`` counts tokens pushed through ``step``; ``passes``
     counts block-stack passes those steps cost (the parallel wiring pays 1
     per token, the serial loop pays ``loops``). ``prefill_rows`` counts the
-    stack rows prefill ran, summed over loops: ``loops * n`` for the serial
-    wirings, far fewer for plt, whose later loops run only the suffix a
-    session reads.
+    rows that entered each loop's first layer in prefill, summed over
+    loops: ``loops * n`` for the serial wirings, far fewer for plt, whose
+    later loops run only the suffix a session reads. Layers above the first
+    may run fewer (see ``model.prefill_table``).
     """
 
     def __init__(self, params: Parameters, prompt: np.ndarray):
@@ -80,7 +86,7 @@ class DecodeSession:
             cache.length = n
         self.rings = [WindowKVCache(cfg.window, (cfg.loops - 1, kh), dh)
                       for _ in range(cfg.n_layers if cfg.gswa and cfg.loops > 1 else 0)]
-        m = min(n, cfg.window)   # every later loop computed at least these rows
+        m = min(n, cfg.window)   # every later loop made keys on at least these rows
         for li, ring in enumerate(self.rings):
             ks, vs = zip(*(loop_kv[li] for loop_kv in states.own_kv_per_loop[1:]))
             ring.write_block(n - m, np.stack([k[0, :, -m:] for k in ks]),
@@ -91,7 +97,7 @@ class DecodeSession:
                                  ).reshape(rows - 1, cfg.d_model)
         self.last_logits = states.hidden_per_loop[-1][0, -1] @ head_weight(self.weights)
         self.position = n
-        self.prefill_rows = sum(n - s for s in states.starts)
+        self.prefill_rows = sum(n - rows[0] for rows in states.rows)
         self.steps = 0
         self.passes = 0
 
@@ -152,8 +158,8 @@ def _is_int(x) -> bool:
 
 
 def prefill(params: Parameters, prompt: np.ndarray) -> DecodeSession:
-    """Run the forward over the prompt (later plt loops over the suffix
-    decode reads) and seed a session from it."""
+    """Run the forward over the prompt (each layer over the rows decode
+    reads) and seed a session from it."""
     return DecodeSession(params, prompt)
 
 

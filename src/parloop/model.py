@@ -196,7 +196,7 @@ def split_heads(x: Tensor, n_heads: int) -> Tensor:
 
 
 def block_stack_forward(params: Parameters, x, positions, loop_index: int = 1,
-                        shared_kv=None, rings=()):
+                        shared_kv=None, rings=(), rows=None):
     """One pass of the shared block stack plus the final norm: the one layer
     body of training, prefill and every decode step. Tensor operands run on
     the tape; plain arrays (``Parameters.arrays``) give plain arrays.
@@ -214,8 +214,15 @@ def block_stack_forward(params: Parameters, x, positions, loop_index: int = 1,
     gate; or rows 1.. of a decode step, which run loops 2..L, each over its
     loop's heads of the layer's ring in ``rings`` and with its loop's gate.
 
-    Returns (hidden, own_kv): the post-norm output and the per-layer
-    (roped_k, v) the pass made (None entries when it had no use for them).
+    ``rows`` is given by prefill only: the loop's row of ``prefill_table``,
+    whose entry j is the first row of the layer-j output that is read
+    later (entry 0: x's first row). Layer j then forms its keys and values
+    on every row it takes in, [rows[j - 1], n), and runs its queries,
+    attention, gate, output projection and MLP only on [rows[j], n).
+
+    Returns (hidden, own_kv): the post-norm output (from row rows[-1] when
+    ``rows`` is given) and the per-layer (roped_k, v) the pass made (None
+    entries when it had no use for them).
     """
     cfg = params.config
     step = isinstance(shared_kv, SharedKVCache)
@@ -230,13 +237,17 @@ def block_stack_forward(params: Parameters, x, positions, loop_index: int = 1,
     own_kv = []
     for li, layer in enumerate(params.layers):
         h = rmsnorm(x, layer.attn_norm, eps)
-        q_full = h @ layer.wq
-        q = apply_rope(split_heads(q_full, heads), at, rope).swapaxes(-3, -2)
         k = v = None
-        if own:
+        if own:   # on every row the layer takes in
             k = apply_rope(split_heads(h @ layer.wk, kv_heads), at, rope).swapaxes(-3, -2)
             v = split_heads(h @ layer.wv, kv_heads).swapaxes(-3, -2)
         own_kv.append((k, v))
+        cut = 0 if rows is None else rows[li + 1] - rows[li]
+        if cut:   # the rest runs only on the rows read above this layer
+            x, h, positions = x[:, cut:], h[:, cut:], positions[cut:]
+            at = positions[:, None]
+        q_full = h @ layer.wq
+        q = apply_rope(split_heads(q_full, heads), at, rope).swapaxes(-3, -2)
         if step:
             shared_kv.write(li, positions, k[:, 0], v[:, 0])
             kv = shared_kv.view(li, positions + 1)
@@ -251,7 +262,7 @@ def block_stack_forward(params: Parameters, x, positions, loop_index: int = 1,
                                    kw, vw, positions, ring.lo).swapaxes(0, 1)[:, :, 0]
         elif use_local:
             y = _window_mix(cfg, layer, slice(gi, gi + 1), q_full, q, y, k, v,
-                            positions, positions[0])
+                            positions, positions[0] - cut)   # k starts at the first input row
         x = x + y.swapaxes(-3, -2).reshape(x.shape) @ layer.wo   # heads merged back
         hm = rmsnorm(x, layer.mlp_norm, eps)
         x = x + (silu(hm @ layer.w_gate) * (hm @ layer.w_up)) @ layer.w_down
@@ -281,40 +292,53 @@ def shift_right(h: Tensor) -> Tensor:
 class LoopActivations:
     """What a decode session reads to take over after prefill.
 
-    Loop l ran on positions [starts[l - 1], n) only (see ``prefill_starts``),
-    and every per-loop entry covers those rows. With kv sharing, the first
+    ``rows`` is the ``prefill_table`` prefill ran: loop l's layer j took
+    in rows [rows[l][j - 1], n) and made its keys/values there, so
+    ``own_kv_per_loop`` covers at least each cache and ring seed, and the
+    loop's hidden state covers [rows[l][-1], n). With kv sharing, the first
     loop's keys/values are the ones every later loop read.
     """
 
-    hidden_per_loop: list          # loops x [b, n - start, d_model]
+    hidden_per_loop: list          # loops x [b, n - rows[l][-1], d_model]
     own_kv_per_loop: list          # loops x layers x (roped_k | None, v | None)
-    starts: list                   # loops x first position computed
+    rows: list                     # loops x (n_layers + 1) first rows
 
 
-def prefill_starts(cfg: ModelConfig, n: int) -> list:
-    """The first position each loop must compute for an n-token prompt so
-    that decoding can take over: the carry at n - 1, the last logits and,
-    with gswa, the ring seeds at [n - window, n).
+def prefill_table(cfg: ModelConfig, n: int) -> list:
+    """For an n-token prompt, the first row each layer of each loop must
+    compute so that decoding can take over. Entry [l][j] is the first row
+    whose layer-j output in loop l + 1 is read later (j = 0: the loop's
+    input, j = n_layers: its hidden state). Decode reads each cache's
+    keys/values, the carries and logits at n - 1 and, with gswa, the ring
+    seeds at [n - window, n).
 
-    Loop 1 fills the shared cache, and every loop of ``vanilla_loop`` its
-    own full cache, so they start at 0. A later plt loop l must be exact
-    from c_l = n - 1 (the last loop) or from one before where loop l + 1
-    starts, since that loop reads l's output one position back. Through
-    its stack a window pass reaches R = n_layers * (window - 1) positions
-    back (0 without gswa); the first R rows of a suffix see truncated
-    windows, so loop l starts R before c_l. That also covers the ring
-    seeds: layer j's keys at n - window need only (j - 1) * (window - 1)
-    positions of reach before them, R - (window - 1) in the last layer.
+    - The top of the last loop is n - 1. An earlier plt loop's top is one
+      row before where the next loop starts, since that loop reads its
+      output one position back; an earlier ``vanilla_loop`` loop's is
+      where the next starts, 0.
+    - A loop that fills its own full cache (loop 1, and every
+      ``vanilla_loop`` loop) needs every layer's keys on every row, so only
+      its top layer trims, and it starts at 0 even with no layers.
+    - A later plt loop without gswa reads loop 1's keys, so each of its
+      layers takes in just the rows the layer above needs.
+    - A later gswa layer's queries from row r see their own keys back to
+      r - (window - 1), and the ring seeds need them on the last window
+      rows, so the layer below must start at the earlier of the two.
     """
-    starts = [0] * cfg.loops
-    if cfg.mode != "plt":
-        return starts
-    reach = cfg.n_layers * (cfg.window - 1) if cfg.gswa else 0
-    exact_from = n - 1
-    for i in range(cfg.loops - 1, 0, -1):   # starts[i] is loop i + 1's
-        starts[i] = max(0, exact_from - reach)
-        exact_from = starts[i] - 1
-    return starts
+    depth, w = cfg.n_layers, cfg.window
+    table = []
+    top = n - 1
+    for loop in range(cfg.loops, 0, -1):
+        if loop == 1 or cfg.mode != "plt":   # fills its own full cache
+            rows = [0] * depth + [top if depth else 0]
+        else:
+            rows = [top]
+            for _ in range(depth):
+                r = rows[0]
+                rows.insert(0, max(0, min(r - (w - 1), n - min(n, w))) if cfg.gswa else r)
+        table.insert(0, rows)
+        top = max(0, rows[0] - 1) if cfg.mode == "plt" else rows[0]
+    return table
 
 
 def head_weight(params: Parameters) -> Tensor:
@@ -328,8 +352,8 @@ def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False)
     """Token ids [b, n] -> logits [b, n, vocab] under the configured wiring.
 
     With return_states=True, returns LoopActivations for a decode session
-    instead: each loop then runs only from its ``prefill_starts`` position,
-    and no logits are formed.
+    instead: each layer of each loop then runs only on the rows that
+    ``prefill_table`` asks of it, and no logits are formed.
     """
     cfg = params.config
     tokens = np.asarray(tokens)
@@ -344,16 +368,17 @@ def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False)
         raise CapacityError(f"sequence length {n} exceeds max_seq {cfg.max_seq}")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab:
         raise TokenError(f"token ids must be in [0, {cfg.vocab})")
-    starts = prefill_starts(cfg, n) if return_states else [0] * cfg.loops
+    table = prefill_table(cfg, n) if return_states else [None] * cfg.loops
     positions = np.arange(n)
     e = gather_rows(params.embedding, tokens)
 
-    hidden, own_kv = block_stack_forward(params, e, positions, loop_index=1)
+    hidden, own_kv = block_stack_forward(params, e, positions, loop_index=1, rows=table[0])
     hiddens = [hidden]
     kv_per_loop = [own_kv]
     shared = own_kv if cfg.kv_share else None
     for loop_index in range(2, cfg.loops + 1):
-        s, prev_s = starts[loop_index - 1], starts[loop_index - 2]
+        rows, below = table[loop_index - 1], table[loop_index - 2]
+        s, prev_s = (rows[0], below[-1]) if rows else (0, 0)   # prev covers [prev_s, n)
         prev = hiddens[-1]
         if cfg.mode != "plt":
             b = e + prev
@@ -362,12 +387,12 @@ def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False)
         else:   # positions s - 1 .. n - 2 of the previous loop
             b = e[:, s:] + prev[:, s - 1 - prev_s:n - 1 - prev_s]
         hidden, own_kv = block_stack_forward(
-            params, b, positions[s:], loop_index=loop_index, shared_kv=shared)
+            params, b, positions[s:], loop_index=loop_index, shared_kv=shared, rows=rows)
         hiddens.append(hidden)
         kv_per_loop.append(own_kv)
     if return_states:
         return LoopActivations(hidden_per_loop=hiddens, own_kv_per_loop=kv_per_loop,
-                               starts=starts)
+                               rows=table)
     return hiddens[-1] @ head_weight(params)
 
 

@@ -119,13 +119,17 @@ def cross_entropy_loss(logits: Tensor, tokens: np.ndarray,
 
 def eval_accuracy(forward_fn, task: TaskSpec, seed: int, batches: int = 4,
                   batch_size: int = 32) -> float:
-    """Teacher-forced argmax accuracy over the task's scored positions."""
+    """Teacher-forced argmax accuracy over the task's scored positions.
+    ``forward_fn`` maps token ids to logits, a plain array (a forward run
+    on ``Parameters.arrays``, which records no tape) or a Tensor."""
     rng = Rng(seed)
     hit = 0
     total = 0
     for _ in range(batches):
         tokens, mask = task.sample(rng, batch_size)
-        logits = forward_fn(tokens).data
+        logits = forward_fn(tokens)
+        if isinstance(logits, Tensor):
+            logits = logits.data
         pred = np.argmax(logits[:, :-1, :], axis=-1)
         want = tokens[:, 1:]
         use = np.ones_like(want, dtype=bool) if mask is None else mask[:, :-1]

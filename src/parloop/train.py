@@ -179,7 +179,8 @@ def ablation_run(task: TaskSpec, base_model: dict, tcfg: TrainConfig,
     for arch, cfg in zip(archs, configs):
         params = init_parameters(cfg, tcfg.seed)
         res = train(params, task, tcfg)
-        acc = eval_accuracy(lambda toks: forward(params, toks), task,
+        weights = params.arrays()   # eval records no tape
+        acc = eval_accuracy(lambda toks: forward(weights, toks), task,
                             seed=tcfg.seed + 1)
         sess = prefill(params, probe)
         for _ in range(PROBE_STEPS):

@@ -48,6 +48,16 @@ def _configs(seed: int) -> list:
     return out
 
 
+def _decode_gap(params, tokens, full, split: int) -> float:
+    """Max |logits - full[j]| of a session prefilled on tokens[:split] and
+    then fed the next 9 tokens; ``full`` is the forward over ``tokens``."""
+    sess = prefill(params, tokens[:split])
+    worst = float(np.max(np.abs(sess.last_logits - full[split - 1])))
+    for j in range(split, split + 9):
+        worst = max(worst, float(np.max(np.abs(sess.step(int(tokens[j])) - full[j]))))
+    return worst
+
+
 def check_teacher_forcing(seed: int = 0, tol: float = 1e-9) -> CheckResult:
     """Step-by-step decode logits must match the full training forward,
     after a short prompt and after one long enough that prefill runs the
@@ -59,15 +69,27 @@ def check_teacher_forcing(seed: int = 0, tol: float = 1e-9) -> CheckResult:
         tokens = Rng(seed + i).integers(0, cfg.vocab, (30,))
         full = forward(params, tokens).data[0]
         for split in (5, 21):
-            sess = prefill(params, tokens[:split])
-            worst = max(worst, float(np.max(np.abs(sess.last_logits - full[split - 1]))))
-            for j in range(split, split + 9):
-                step = sess.step(int(tokens[j]))
-                worst = max(worst, float(np.max(np.abs(step - full[j]))))
-                trials += 1
+            worst = max(worst, _decode_gap(params, tokens, full, split))
+            trials += 9
     return CheckResult("teacher_forcing", worst, tol, worst <= tol,
                        f"{trials} steps over {len(_configs(seed))} wirings, "
                        f"prompts of 5 and 21 tokens")
+
+
+def check_prefill_reach(seed: int = 0, tol: float = 1e-9) -> CheckResult:
+    """Decode after a prompt longer than prefill's reach must match the full
+    forward on the gated-window wirings. Their weights are drawn large
+    (std 0.3), so a prefill row that sees a truncated window moves the
+    logits far past tolerance instead of hiding below it."""
+    worst = 0.0
+    cfgs = [cfg for cfg in _configs(seed) if cfg.gswa]
+    for i, cfg in enumerate(cfgs):
+        params = init_parameters(cfg, seed + i, std=0.3)
+        tokens = Rng(seed + i).fork("reach").integers(0, cfg.vocab, (49,))
+        worst = max(worst, _decode_gap(params, tokens, forward(params, tokens).data[0], 40))
+    return CheckResult("prefill_reach", worst, tol, worst <= tol,
+                       f"9 steps after a 40-token prompt over {len(cfgs)} "
+                       f"gated-window wirings, std 0.3")
 
 
 def check_causality(seed: int = 0, trials: int = 12) -> CheckResult:
@@ -168,6 +190,7 @@ def run_all(seed: int = 0, tolerance: float = 1e-9,
     """Run every check, one after another."""
     results = [
         check_teacher_forcing(seed, tolerance),
+        check_prefill_reach(seed, tolerance),
         check_causality(seed),
         check_gate_limits(seed),
         check_cache_bounds(seed),

@@ -12,7 +12,7 @@ from parloop.attention import SharedKVCache, WindowKVCache, attention_np
 from parloop.decode import DecodeSession, _select, generate, prefill
 from parloop.errors import (CapacityError, ConfigError, DimensionError, EmptyInputError,
                             TokenError)
-from parloop.model import ModelConfig, forward, init_parameters, prefill_starts
+from parloop.model import ModelConfig, forward, init_parameters, prefill_table
 
 
 def small(**kw):
@@ -89,11 +89,26 @@ class TestGatedWindowDecode:
         assert teacher_forcing_gap(cfg, seed=window, tokens=tokens, split=split) < 1e-9
 
 
+def suffix_parity_gap(cfg, params, n, steps):
+    """Max |step logits - full forward logits| after an n-token prompt,
+    checking the rings' occupancy on every step."""
+    tokens = np.random.default_rng(n).integers(0, cfg.vocab, size=n + steps)
+    full = forward(params, tokens).data[0]
+    sess = prefill(params, tokens[:n])
+    worst = float(np.max(np.abs(sess.last_logits - full[n - 1])))
+    for j in range(n, len(tokens)):
+        worst = max(worst, float(np.max(np.abs(sess.step(int(tokens[j])) - full[j]))))
+        assert sess.kv_entry_count()["window"] == \
+            cfg.n_layers * (cfg.loops - 1) * min(cfg.window if cfg.gswa else 0, sess.position)
+    return worst
+
+
 class TestSuffixPrefill:
     """Prompts long enough that prefill runs the later plt loops over a suffix
-    only, and prompts just shorter than that suffix."""
+    only, and prompts just shorter than that suffix; every wiring's top layer
+    runs its queries on the rows the next loop or the session reads."""
 
-    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
     @pytest.mark.parametrize("window", [0, 1, 3, 8])   # 0: no gswa
     @pytest.mark.parametrize("loops", [2, 3, 4])
     def test_step_logits_match_full_forward(self, loops, window, n_layers):
@@ -103,36 +118,53 @@ class TestSuffixPrefill:
                 cfg = small(mode="plt", loops=loops, gswa=gswa, window=window,
                             per_loop_gates=per_loop_gates, n_kv_heads=n_kv_heads,
                             n_layers=n_layers, max_seq=128)
-                suffix = 1000 - prefill_starts(cfg, 1000)[1]
+                suffix = 1000 - prefill_table(cfg, 1000)[1][0]
                 params = init_parameters(cfg, seed=loops + window)
                 for n in (max(1, suffix - 2), suffix + 5):
-                    starts = prefill_starts(cfg, n)
-                    assert (starts[1] > 0) == (n > suffix)
-                    tokens = np.random.default_rng(n).integers(
-                        0, cfg.vocab, size=n + 2 * window + 3)
-                    full = forward(params, tokens).data[0]
-                    sess = prefill(params, tokens[:n])
-                    worst = float(np.max(np.abs(sess.last_logits - full[n - 1])))
-                    for j in range(n, len(tokens)):
-                        worst = max(worst, float(np.max(np.abs(
-                            sess.step(int(tokens[j])) - full[j]))))
-                        assert sess.kv_entry_count()["window"] == \
-                            n_layers * (loops - 1) * min(window, sess.position)
+                    assert (prefill_table(cfg, n)[1][0] > 0) == (n > suffix)
+                    worst = suffix_parity_gap(cfg, params, n, 2 * window + 3)
                     assert worst < 1e-9, (per_loop_gates, n_kv_heads, n)
 
+    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    @pytest.mark.parametrize("mode, loops", [("vanilla", 1), ("vanilla_loop", 2),
+                                             ("vanilla_loop", 3), ("vanilla_loop", 4)])
+    def test_serial_wirings_match_full_forward(self, mode, loops, n_layers):
+        # only the last loop's top layer trims, to the last row (every other
+        # layer fills a cache or feeds the next loop): a 1-token prompt trims
+        # nothing, longer ones do
+        for n_kv_heads in (2, 1):
+            cfg = small(mode=mode, loops=loops, n_kv_heads=n_kv_heads, n_layers=n_layers)
+            params = init_parameters(cfg, seed=loops + n_layers)
+            for n in (1, 2, 9):
+                assert prefill_table(cfg, n)[-1][-1] == (n - 1 if n_layers else 0)
+                worst = suffix_parity_gap(cfg, params, n, 6)
+                assert worst < 1e-9, (n_kv_heads, n)
+
     def test_starts_follow_the_rule(self):
+        def starts(n, **kw):
+            return [rows[0] for rows in prefill_table(small(max_seq=512, **kw), n)]
         # plt2 runs loop 2 on the last row; with window 16 over 2 layers the
         # last row's 2 * 15 receptive field takes 31 rows, which covers the
         # ring seeds too
-        assert prefill_starts(small(mode="plt", loops=2), 512) == [0, 511]
-        assert prefill_starts(small(mode="plt", loops=3), 512) == [0, 510, 511]
-        assert prefill_starts(small(mode="plt", loops=2, gswa=True, window=16,
-                                    max_seq=512), 512) == [0, 481]
+        assert starts(512, mode="plt", loops=2) == [0, 511]
+        assert starts(512, mode="plt", loops=3) == [0, 510, 511]
+        assert starts(512, mode="plt", loops=2, gswa=True, window=16) == [0, 481]
         # loop 2 must cover loop 3's start - 1 and its own reach behind that
-        assert prefill_starts(small(mode="plt", loops=3, gswa=True, window=3),
-                              40) == [0, 30, 35]
-        assert prefill_starts(small(mode="plt", loops=2, gswa=True, window=3), 5) == [0, 0]
-        assert prefill_starts(small(mode="vanilla_loop", loops=3), 40) == [0, 0, 0]
+        assert starts(40, mode="plt", loops=3, gswa=True, window=3) == [0, 30, 35]
+        assert starts(5, mode="plt", loops=2, gswa=True, window=3) == [0, 0]
+        assert starts(40, mode="vanilla_loop", loops=3) == [0, 0, 0]
+        # the benchmark geometries, layer by layer
+        long = dict(d_model=128, n_heads=8, n_kv_heads=2, max_seq=544)
+        short = dict(d_model=256, n_layers=4, n_heads=8, n_kv_heads=2, max_seq=96)
+        assert prefill_table(small(**long), 512) == [[0, 0, 511]]
+        assert prefill_table(small(mode="plt", loops=2, gswa=True, window=16, **long),
+                             512) == [[0, 0, 480], [481, 496, 511]]
+        assert prefill_table(small(mode="plt", loops=2, gswa=True, window=16, **short),
+                             64) == [[0, 0, 0, 0, 2], [3, 18, 33, 48, 63]]
+        # a loop that fills its own cache starts at 0, even with no layers
+        assert prefill_table(small(mode="plt", loops=3, n_layers=0), 40) == [[0], [38], [39]]
+        assert prefill_table(small(mode="vanilla_loop", loops=2, n_layers=0), 40) == [[0], [0]]
+        assert prefill_table(small(mode="vanilla_loop", loops=2), 40) == [[0, 0, 0], [0, 0, 39]]
 
     def test_states_cover_each_loops_suffix_and_logits_cover_all(self):
         cfg = small(mode="plt", loops=3, gswa=True, window=3)
@@ -140,8 +172,23 @@ class TestSuffixPrefill:
         tokens = np.arange(30) % cfg.vocab
         states = forward(params, tokens, return_states=True)
         assert [h.shape[1] for h in states.hidden_per_loop] == \
-            [30 - s for s in states.starts]
+            [30 - rows[-1] for rows in states.rows]
+        assert [[k.shape[-2] for k, _ in kv] for kv in states.own_kv_per_loop] == \
+            [[30 - r for r in rows[:-1]] for rows in states.rows]
         assert forward(params, tokens).shape[1] == 30
+
+    def test_queries_run_only_on_the_rows_read_above(self, monkeypatch):
+        seen = {"q": [], "k": []}   # rows per layer
+        rope = parloop.model.apply_rope
+
+        def recorded(x, positions, tables):   # x: [b, rows, heads, d_head]
+            seen["q" if x.shape[-2] == cfg.n_heads else "k"].append(x.shape[-3])
+            return rope(x, positions, tables)
+
+        monkeypatch.setattr(parloop.model, "apply_rope", recorded)
+        cfg = small(mode="vanilla", n_heads=4, n_kv_heads=2)
+        prefill(init_parameters(cfg, seed=0), np.arange(9) % cfg.vocab)
+        assert seen == {"q": [9, 1], "k": [9, 9]}
 
 
 class TestPrefillRows:
@@ -187,7 +234,8 @@ class TestSessionStateHandoff:
         tokens = np.random.default_rng(loops).integers(0, cfg.vocab, size=100)
         suffix = prefill(params, tokens)
         assert suffix.prefill_rows < loops * len(tokens)
-        monkeypatch.setattr("parloop.model.prefill_starts", lambda cfg, n: [0] * cfg.loops)
+        monkeypatch.setattr("parloop.model.prefill_table",   # no row trimmed anywhere
+                            lambda cfg, n: [[0] * (cfg.n_layers + 1)] * cfg.loops)
         full = prefill(params, tokens)
         assert full.prefill_rows == loops * len(tokens)
         assert np.max(np.abs(suffix.last_logits - full.last_logits)) <= 1e-9

@@ -292,6 +292,47 @@ class TestEvalAccuracy(FastSetup):
         acc = eval_accuracy(dud, task, seed=0, batches=2, batch_size=8)
         assert acc < 0.2  # argmax ties resolve to token 0; echo half is random
 
+    def test_plain_array_logits_score_like_the_tape(self):
+        task = self.task()
+        params = init_parameters(self.cfg(task, mode="plt", loops=2, gswa=True, window=3),
+                                 seed=4)
+        train(params, task, TrainConfig(steps=20, batch_size=8, seed=4))
+        weights = params.arrays()
+        tokens = task.sample(Rng(0), 4)[0]
+        assert np.array_equal(forward(weights, tokens), forward(params, tokens).data)
+        assert eval_accuracy(lambda t: forward(weights, t), task, seed=1) == \
+            eval_accuracy(lambda t: forward(params, t), task, seed=1)
+
+    def test_ladder_and_cli_evals_build_no_tensor(self, monkeypatch, tmp_path):
+        cli, tasks = (importlib.import_module(f"parloop.{m}") for m in ("cli", "tasks"))
+        evals = []
+        init = Tensor.__init__
+
+        def counted(self, *args, **kwargs):
+            evals[-1] += 1
+            init(self, *args, **kwargs)
+
+        def eval_counting_tensors(*args, **kwargs):
+            evals.append(0)
+            monkeypatch.setattr(Tensor, "__init__", counted)
+            try:
+                return tasks.eval_accuracy(*args, **kwargs)
+            finally:
+                monkeypatch.setattr(Tensor, "__init__", init)
+
+        for module in (importlib.import_module("parloop.train"), cli):
+            monkeypatch.setattr(module, "eval_accuracy", eval_counting_tensors)
+        task = self.task()
+        base = dict(vocab=task.vocab, d_model=16, n_layers=1, n_heads=2, d_ff=32,
+                    max_seq=32)
+        ablation_run(task, base, TrainConfig(steps=1, batch_size=4, seed=0),
+                     archs=("vanilla", "plt"))
+        assert cli.run(["train", "--d-model", "16", "--n-layers", "1",
+                                "--n-heads", "2", "--task", "copy", "--src-len", "4",
+                                "--symbols", "8", "--steps", "1", "--batch-size", "4",
+                                "--out", str(tmp_path)]) == 0
+        assert evals == [0, 0, 0]
+
 
 class TestAblationLadder(FastSetup):
     def test_ladder_configs_have_expected_wiring(self):
