@@ -7,8 +7,10 @@ decode all run it. Query heads that share a key/value head are stacked
 against that head's keys and values in place (grouped-query attention), and
 queries are tiled in fixed blocks that each visit only the band of keys
 they can see, in the manner of FlashAttention; rows that share one position
-and fit one block (a decode step) skip the tiling. On the tape it is a
-single op with its own block-wise backward.
+and fit one block (a decode step) skip the tiling. A causal block masks only
+its diagonal columns, and the softmax is normalised after the value
+product, by dividing the output by the row sums. On the tape it is a single
+op with its own block-wise backward.
 
 The window ring is mirrored (each position is stored twice, ``window``
 slots apart), so the positions it holds are always one ordered, contiguous
@@ -103,23 +105,27 @@ def band_mask(q_positions: np.ndarray, k_positions: np.ndarray, window: int) -> 
 
 # Query rows per tile. Larger tiles visit more masked-out keys and, on the
 # window path, more keys outside the band; smaller ones pay more per-call
-# overhead. Prefill of a 512-token prompt (d_model 128, 8 query / 2 kv heads,
-# window 16, float64, one OpenBLAS thread on a 2-vCPU Xeon) ran fastest at 32:
-# plt+gswa 88 ms vs 96 at 64 and 136 at 128; at 64-token prompts 16..128 were
-# within noise of each other.
+# overhead. Timed on a 2-vCPU Intel Xeon (Haswell kernels), one OpenBLAS
+# 0.3.31 thread, numpy 2.4, float64, best of 3 over 20 rotating rounds:
+# prefill of a 512-token prompt (d_model 128, 2 layers, 8 query / 2 kv
+# heads, window 16) took 12.6 / 35.4 / 12.6 / 14.6 ms for vanilla /
+# vanilla_loop-2 / plt-2 / plt-2+gswa at 32, within noise at 16 (16 won
+# 9-10 of 20 rounds) and 13.2 / 37.8 / 13.6 / 15.6 at 64. At 16, 64-token
+# prompts (d_model 256, 4 layers) and copy-task training (199 against
+# 178 ms per 4 steps) were slower.
 BLOCK = 32
 
 
-def _softmax_rows(s: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of scores ``s``, in place; NaN (or a row
+def _exp_rows(s: np.ndarray) -> np.ndarray:
+    """Replace scores ``s`` in place by exp(s - row max), the unnormalised
+    softmax over the last axis, and return the row sums; NaN (or a row
     without a finite score) raises NumericError."""
     top = s.max(axis=-1, keepdims=True)
     if not np.isfinite(top).all():
         raise NumericError("attention scores contain NaN or a row with no finite entry")
     s -= top
     np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    return s
+    return s.sum(axis=-1, keepdims=True)
 
 
 def attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_pos,
@@ -137,12 +143,17 @@ def attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_pos,
     Rows are tiled BLOCK at a time, and each tile multiplies against just
     the key range [lo, hi) its rows can see; a mask is built only for a tile
     in which some row cannot see that whole range, so a tile whose rows share
-    one position never builds one. When ``tiles`` is a list, each tile's
-    (i0, i1, lo, hi, probabilities) is appended to it, with [i0, i1) its rows
-    and [lo, hi) its key indices, for the backward pass. Rows that fit one
-    tile and share one position (a decode step) skip the tiling: the same
-    operations run once on the whole query, so the result is bitwise the
-    tiled one.
+    one position never builds one. A causal tile's mask covers only the
+    columns from its first row's position on (its diagonal), since every row
+    sees the keys before that; the window's band mask spans the tile. Each
+    tile multiplies the unnormalised exp(scores - row max) by the values
+    and divides that output by the row sums. When ``tiles`` is a list, each
+    tile's (i0, i1, lo, hi, probabilities) is appended to it, with [i0, i1)
+    its rows and [lo, hi) its key indices, for the backward pass; the kept
+    scores are divided by their row sums after the product, so they are
+    probabilities. Rows that fit one tile and share one position (a decode
+    step) skip the tiling: the same operations run once on the whole query,
+    so the result is bitwise the tiled one.
 
     A query with no visible key raises EmptyContextError; NaN (or a row
     without a finite score) raises NumericError.
@@ -160,7 +171,10 @@ def attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_pos,
         lo = max(0, q_pos[0] - window + 1 - k_start) if window else 0
         hi = min(m, q_pos[0] + 1 - k_start)
         s = (q.reshape(*lead, kh, groups * n, dh) * scale) @ k[..., lo:hi, :].swapaxes(-1, -2)
-        return (_softmax_rows(s) @ v[..., lo:hi, :]).reshape(q.shape)
+        total = _exp_rows(s)
+        y = s @ v[..., lo:hi, :]
+        y /= total
+        return y.reshape(q.shape)
     q5 = q.reshape(*lead, kh, groups, n, dh)
     out = []
     for i0 in range(0, n, BLOCK):
@@ -171,15 +185,19 @@ def attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_pos,
         rows = groups * (i1 - i0)
         qb = q5[..., i0:i1, :].reshape(*lead, kh, rows, dh)
         s = (qb * scale) @ k[..., lo - k_start:hi - k_start, :].swapaxes(-1, -2)
-        if t0 < hi - 1 or (window and lo <= t1 - window):
-            band = s.reshape(*lead, kh, groups, i1 - i0, hi - lo)
-            kp = np.arange(lo, hi)
-            band += (band_mask(q_pos[i0:i1], kp, window) if window
-                     else causal_mask(q_pos[i0:i1], kp))
-        _softmax_rows(s)
-        out.append((s @ v[..., lo - k_start:hi - k_start, :]).reshape(
-            *lead, kh, groups, i1 - i0, dh))
+        band = s.reshape(*lead, kh, groups, i1 - i0, hi - lo)
+        if window and (t0 < hi - 1 or lo <= t1 - window):
+            band += band_mask(q_pos[i0:i1], np.arange(lo, hi), window)
+        elif not window and t0 < hi - 1:
+            # every row sees the keys before t0: only the diagonal needs a mask
+            c = max(t0, lo)
+            band[..., c - lo:] += causal_mask(q_pos[i0:i1], np.arange(c, hi))
+        total = _exp_rows(s)
+        y = s @ v[..., lo - k_start:hi - k_start, :]
+        y /= total
+        out.append(y.reshape(*lead, kh, groups, i1 - i0, dh))
         if tiles is not None:
+            s /= total   # the backward reads probabilities
             tiles.append((i0, i1, lo - k_start, hi - k_start, s))
     y = out[0] if len(out) == 1 else np.concatenate(out, axis=-2)
     return y.reshape(q.shape)

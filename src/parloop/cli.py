@@ -180,6 +180,8 @@ def build_parser():
     sp.add_argument("--steps", type=positive_int, default=64)
     sp.add_argument("--prompt-len", type=positive_int, default=16)
     sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--json", action="store_true",
+                    help="print the results as one JSON object")
     sp.set_defaults(func=cmd_bench)
 
     return p
@@ -363,6 +365,12 @@ def cmd_bench(args, argv) -> int:
     med = statistics.median(times) * 1e3
     p90 = statistics.quantiles(times, n=10)[-1] * 1e3 if len(times) >= 10 \
         else max(times) * 1e3
+    if args.json:
+        print(json.dumps(dict(mode=cfg.mode, loops=cfg.loops, steps=args.steps,
+                              prefill_ms=prefill_ms, median_ms=med, p90_ms=p90,
+                              passes_per_token=sess.passes_per_token,
+                              prefill_rows=sess.prefill_rows)))
+        return 0
     print(f"mode={cfg.mode} loops={cfg.loops} steps={args.steps} "
           f"prefill={prefill_ms:.3f}ms median={med:.3f}ms p90={p90:.3f}ms "
           f"passes/token={sess.passes_per_token:.1f} prefill_rows={sess.prefill_rows}")

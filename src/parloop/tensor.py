@@ -269,7 +269,10 @@ def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x) with a single exp (it need not saturate exactly)."""
     plain = not isinstance(x, Tensor)
     xd = x if plain else x.data
-    y = xd / (1.0 + np.exp(-xd))
+    y = np.negative(xd)   # xd / (1 + exp(-xd)), built in one buffer
+    np.exp(y, out=y)
+    y += 1.0
+    np.divide(xd, y, out=y)
     if plain:
         return y
 
@@ -295,7 +298,8 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
     xd, gd = (x, gain) if plain else (x.data, gain.data)
     if gd.shape != xd.shape[-1:]:
         raise DimensionError(f"rmsnorm gain shape {gd.shape} != ({xd.shape[-1]},)")
-    y = xd * _inv_rms(xd, eps) * gd
+    y = xd * _inv_rms(xd, eps)
+    y *= gd
     if plain:
         return y
     d = xd.shape[-1]

@@ -67,7 +67,7 @@ def check_teacher_forcing(seed: int = 0, tol: float = 1e-9) -> CheckResult:
     for i, cfg in enumerate(_configs(seed)):
         params = init_parameters(cfg, seed + i)
         tokens = Rng(seed + i).integers(0, cfg.vocab, (30,))
-        full = forward(params, tokens).data[0]
+        full = forward(params.arrays(), tokens)[0]
         for split in (5, 21):
             worst = max(worst, _decode_gap(params, tokens, full, split))
             trials += 9
@@ -86,7 +86,7 @@ def check_prefill_reach(seed: int = 0, tol: float = 1e-9) -> CheckResult:
     for i, cfg in enumerate(cfgs):
         params = init_parameters(cfg, seed + i, std=0.3)
         tokens = Rng(seed + i).fork("reach").integers(0, cfg.vocab, (49,))
-        worst = max(worst, _decode_gap(params, tokens, forward(params, tokens).data[0], 40))
+        worst = max(worst, _decode_gap(params, tokens, forward(params.arrays(), tokens)[0], 40))
     return CheckResult("prefill_reach", worst, tol, worst <= tol,
                        f"9 steps after a 40-token prompt over {len(cfgs)} "
                        f"gated-window wirings, std 0.3")
@@ -105,8 +105,9 @@ def check_causality(seed: int = 0, trials: int = 12) -> CheckResult:
         pos = int(rng.integers(1, n))
         bumped = tokens.copy()
         bumped[pos] = (bumped[pos] + 1 + rng.integers(0, cfg.vocab - 1)) % cfg.vocab
-        a = forward(params, tokens).data[0]
-        b = forward(params, bumped).data[0]
+        arrays = params.arrays()
+        a = forward(arrays, tokens)[0]
+        b = forward(arrays, bumped)[0]
         worst = max(worst, float(np.max(np.abs(a[:pos] - b[:pos]))))
     return CheckResult("causality", worst, 0.0, worst == 0.0,
                        f"{trials} random (model, position) perturbations")
@@ -138,13 +139,13 @@ def check_gate_limits(seed: int = 0) -> CheckResult:
     for layer in params.layers:
         layer.gate_weight.data[:] = 0.0
         layer.gate_bias.data[:] = -np.inf
-    got = forward(params, tokens).data
+    got = forward(params.arrays(), tokens)
     plain = ModelConfig(vocab=19, d_model=16, n_layers=2, n_heads=4,
                         n_kv_heads=2, d_ff=32, loops=2, mode="plt", max_seq=32)
     pp = init_parameters(plain, seed)
     for name, t in pp.named_tensors().items():   # every tensor but the gates
         t.data = params.named_tensors()[name].data.copy()
-    want = forward(pp, tokens).data
+    want = forward(pp.arrays(), tokens)
     worst = max(worst, float(np.max(np.abs(got - want))))
     return CheckResult("gate_saturation", worst, 0.0, worst == 0.0,
                        "bias driven to -inf/+inf")

@@ -238,6 +238,51 @@ class TestKernel:
                          max_coords=20, seed=window)
         assert res.passed, res.summary()
 
+    @pytest.mark.parametrize("window", [0, 5])
+    @pytest.mark.parametrize("k_start", [0, 5])
+    def test_later_queries_against_earlier_keys(self, k_start, window):
+        # a later loop's suffix: queries at s .. s + n - 1, s off the tile
+        # grid, read keys from k_start (a cache filled from the prompt's start)
+        rng = np.random.default_rng(31 + k_start + window)
+        s, n = BLOCK // 2 + 3, 2 * BLOCK + 3
+        m = s + n - k_start
+        q = rng.normal(size=(4, n, 4))
+        k = rng.normal(size=(2, m, 4))
+        v = rng.normal(size=(2, m, 4))
+        out = attention_np(q, k, v, np.arange(s, s + n), k_start=k_start, window=window)
+        allowed = allowed_set(s + n, window)[s:, k_start:]
+        want = naive_attend(q, np.repeat(k, 2, axis=0), np.repeat(v, 2, axis=0), allowed)
+        assert np.max(np.abs(out - want)) < 1e-12
+
+    def test_causal_mask_covers_only_each_tiles_diagonal(self, rng, monkeypatch):
+        import parloop.attention as attn
+        shapes = []
+
+        def recorded(q_positions, k_positions):
+            shapes.append((len(q_positions), len(k_positions)))
+            return causal_mask(q_positions, k_positions)
+        monkeypatch.setattr(attn, "causal_mask", recorded)
+        n = 2 * BLOCK + 3
+        q = rng.normal(size=(4, n, 4))
+        k = rng.normal(size=(2, n, 4))
+        out = attention_np(q, k, k, np.arange(n))
+        assert shapes == [(BLOCK, BLOCK), (BLOCK, BLOCK), (3, 3)]
+        want = naive_attend(q, np.repeat(k, 2, axis=0), np.repeat(k, 2, axis=0),
+                            allowed_set(n))
+        assert np.max(np.abs(out - want)) < 1e-12
+
+    @pytest.mark.parametrize("window", [0, 5])
+    def test_kept_tiles_hold_probabilities(self, window):
+        rng = np.random.default_rng(3 + window)
+        n = 2 * BLOCK + 3
+        q = rng.normal(size=(2, 4, n, 4)) * 3
+        k = rng.normal(size=(2, 2, n, 4)) * 3
+        tiles = []
+        attention_np(q, k, k, np.arange(n), window=window, tiles=tiles)
+        assert len(tiles) == 3
+        for *_, p in tiles:
+            assert np.max(np.abs(p.sum(axis=-1) - 1.0)) <= 1e-15
+
     def test_grouped_kv_grad_sums_over_copies(self, rng):
         q = Tensor(rng.normal(size=(2, 6, 3, 4)), requires_grad=True)
         k = Tensor(rng.normal(size=(2, 2, 3, 4)), requires_grad=True)

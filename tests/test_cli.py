@@ -310,6 +310,20 @@ def test_bench_reports_timings(capsys):
     assert "prefill=" in out and "prefill_rows=" in out
 
 
+def test_bench_json_carries_the_text_fields(capsys):
+    argv = ["bench", *TINY, "--steps", "12", "--prompt-len", "4", "--vocab", "32"]
+    assert run(argv) == 0
+    text = dict(field.split("=") for field in capsys.readouterr().out.split())
+    assert run([*argv, "--json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert set(got) == {"mode", "loops", "steps", "prefill_ms", "median_ms", "p90_ms",
+                        "passes_per_token", "prefill_rows"}
+    assert (got["mode"], got["loops"], got["steps"]) == ("plt", 2, 12)
+    assert got["passes_per_token"] == 1.0
+    assert got["prefill_rows"] == int(text["prefill_rows"])
+    assert min(got["prefill_ms"], got["median_ms"], got["p90_ms"]) > 0
+
+
 def test_bench_zero_steps_exits_2(capsys):
     assert run(["bench", "--steps", "0"]) == 2
     assert "must be >= 1" in capsys.readouterr().err

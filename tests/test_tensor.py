@@ -206,6 +206,12 @@ class TestActivations:
         assert rel(x.grad, numeric_grad(f, x.data.copy())) < 1e-6
         assert np.array_equal(silu(x).data, silu(x.data))
 
+    def test_silu_is_bitwise_the_written_out_formula(self, rng):
+        x = rng.normal(size=(3, 5, 8)) * 4
+        want = x / (1.0 + np.exp(-x))
+        assert np.array_equal(silu(x), want)
+        assert np.array_equal(silu(Tensor(x, requires_grad=True)).data, want)
+
 
 class TestRmsnorm:
     def test_forward_matches_definition(self, rng):
@@ -215,6 +221,14 @@ class TestRmsnorm:
         want = x / np.sqrt((x ** 2).mean(axis=-1, keepdims=True) + 1e-6) * gain
         assert np.allclose(y.data, want, atol=1e-12)
         assert np.array_equal(y.data, rmsnorm(x, gain, 1e-6))
+
+    def test_forward_is_bitwise_the_written_out_formula(self, rng):
+        x = rng.normal(size=(3, 5, 8))
+        gain = rng.normal(size=(8,))
+        want = x * (1.0 / np.sqrt((x * x).sum(axis=-1, keepdims=True) / 8 + 1e-6)) * gain
+        assert np.array_equal(rmsnorm(x, gain, 1e-6), want)
+        y = rmsnorm(Tensor(x, requires_grad=True), Tensor(gain, requires_grad=True), 1e-6)
+        assert np.array_equal(y.data, want)
 
     def test_grads_against_central_differences(self, rng):
         xv = rng.normal(size=(3, 6))

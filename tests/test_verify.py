@@ -1,7 +1,15 @@
-"""The verification suite's prefill-reach check catches a reach one layer short."""
+"""The verification suite: the prefill-reach check catches a reach one layer
+short, and the reference forwards record no tape."""
 
 import parloop.model
-from parloop.verify import check_prefill_reach
+import parloop.verify
+from parloop.tensor import Tensor
+from parloop.verify import (
+    check_causality,
+    check_gate_limits,
+    check_prefill_reach,
+    check_teacher_forcing,
+)
 
 
 def test_prefill_reach_passes():
@@ -21,3 +29,28 @@ def test_a_reach_one_layer_short_fails(monkeypatch):
     monkeypatch.setattr(parloop.model, "prefill_table", short)
     result = check_prefill_reach()
     assert not result.passed and result.max_err > 1e3 * result.tol, result.line()
+
+
+def test_reference_forwards_build_no_tensor(monkeypatch):
+    forwards = []
+    init = Tensor.__init__
+    forward = parloop.verify.forward
+
+    def counted(self, *args, **kwargs):
+        forwards[-1] += 1
+        init(self, *args, **kwargs)
+
+    def forward_counting_tensors(*args, **kwargs):
+        forwards.append(0)
+        monkeypatch.setattr(Tensor, "__init__", counted)
+        try:
+            return forward(*args, **kwargs)
+        finally:
+            monkeypatch.setattr(Tensor, "__init__", init)
+
+    monkeypatch.setattr(parloop.verify, "forward", forward_counting_tensors)
+    for check in (check_teacher_forcing, check_prefill_reach, check_causality,
+                  check_gate_limits):
+        assert check().passed
+    assert len(forwards) == 5 + 2 + 2 * 12 + 2
+    assert forwards == [0] * len(forwards)
