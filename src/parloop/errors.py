@@ -30,7 +30,7 @@ class TokenError(ParloopError):
 
 
 class PositionError(ParloopError):
-    """A cache write is not at the next position."""
+    """A cache write is not at the next position, or a row index lies outside the tokens."""
 
 
 class CapacityError(ParloopError):

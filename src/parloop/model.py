@@ -34,7 +34,8 @@ import numpy as np
 
 from .attention import (SharedKVCache, apply_rope, attention, build_rope_tables, gate_values,
                         gated_fuse)
-from .errors import CapacityError, ConfigError, EmptyInputError, InvalidLoopError, TokenError
+from .errors import (CapacityError, ConfigError, EmptyInputError, InvalidLoopError, PositionError,
+                     TokenError)
 from .tensor import Rng, Tensor, concat, embedding as gather_rows, rmsnorm, silu
 
 MODES = ("vanilla", "vanilla_loop", "plt")
@@ -214,11 +215,12 @@ def block_stack_forward(params: Parameters, x, positions, loop_index: int = 1,
     gate; or rows 1.. of a decode step, which run loops 2..L, each over its
     loop's heads of the layer's ring in ``rings`` and with its loop's gate.
 
-    ``rows`` is given by prefill only: the loop's row of ``prefill_table``,
-    whose entry j is the first row of the layer-j output that is read
-    later (entry 0: x's first row). Layer j then forms its keys and values
-    on every row it takes in, [rows[j - 1], n), and runs its queries,
-    attention, gate, output projection and MLP only on [rows[j], n).
+    ``rows`` is given by prefill and the training step: the loop's row of
+    ``prefill_table``, whose entry j is the first row of the layer-j
+    output that is read later (entry 0: x's first row). Layer j then forms
+    its keys and values on every row it takes in, [rows[j - 1], n), and
+    runs its queries, attention, gate, output projection and MLP only on
+    [rows[j], n).
 
     Returns (hidden, own_kv): the post-norm output (from row rows[-1] when
     ``rows`` is given) and the per-layer (roped_k, v) the pass made (None
@@ -304,15 +306,17 @@ class LoopActivations:
     rows: list                     # loops x (n_layers + 1) first rows
 
 
-def prefill_table(cfg: ModelConfig, n: int) -> list:
-    """For an n-token prompt, the first row each layer of each loop must
-    compute so that decoding can take over. Entry [l][j] is the first row
-    whose layer-j output in loop l + 1 is read later (j = 0: the loop's
-    input, j = n_layers: its hidden state). Decode reads each cache's
-    keys/values, the carries and logits at n - 1 and, with gswa, the ring
-    seeds at [n - window, n).
+def prefill_table(cfg: ModelConfig, n: int, top: int | None = None) -> list:
+    """For n tokens, the first row each layer of each loop must compute so
+    that every later read is served. Entry [l][j] is the first row whose
+    layer-j output in loop l + 1 is read later (j = 0: the loop's input,
+    j = n_layers: its hidden state). ``top`` is the first row whose logits
+    are read: n - 1 (the default) for a decode session, which also reads
+    each cache's keys/values, the carries at n - 1 and, with gswa, the
+    ring seeds at [n - window, n); the first scored row for the training
+    loss, which reads logits on [top, n).
 
-    - The top of the last loop is n - 1. An earlier plt loop's top is one
+    - The top of the last loop is ``top``. An earlier plt loop's top is one
       row before where the next loop starts, since that loop reads its
       output one position back; an earlier ``vanilla_loop`` loop's is
       where the next starts, 0.
@@ -322,20 +326,19 @@ def prefill_table(cfg: ModelConfig, n: int) -> list:
     - A later plt loop without gswa reads loop 1's keys, so each of its
       layers takes in just the rows the layer above needs.
     - A later gswa layer's queries from row r see their own keys back to
-      r - (window - 1), and the ring seeds need them on the last window
-      rows, so the layer below must start at the earlier of the two.
+      r - (window - 1), so the layer below starts there. As r <= n - 1,
+      that also covers the ring seeds on the last window rows.
     """
     depth, w = cfg.n_layers, cfg.window
     table = []
-    top = n - 1
+    top = n - 1 if top is None else top
     for loop in range(cfg.loops, 0, -1):
         if loop == 1 or cfg.mode != "plt":   # fills its own full cache
             rows = [0] * depth + [top if depth else 0]
         else:
             rows = [top]
             for _ in range(depth):
-                r = rows[0]
-                rows.insert(0, max(0, min(r - (w - 1), n - min(n, w))) if cfg.gswa else r)
+                rows.insert(0, max(0, rows[0] - (w - 1)) if cfg.gswa else rows[0])
         table.insert(0, rows)
         top = max(0, rows[0] - 1) if cfg.mode == "plt" else rows[0]
     return table
@@ -348,12 +351,17 @@ def head_weight(params: Parameters) -> Tensor:
     return params.embedding.swapaxes(-1, -2)
 
 
-def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False):
-    """Token ids [b, n] -> logits [b, n, vocab] under the configured wiring.
+def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False,
+            first_row: int = 0):
+    """Token ids [b, n] -> logits [b, n - first_row, vocab] for rows
+    [first_row, n) under the configured wiring.
 
-    With return_states=True, returns LoopActivations for a decode session
-    instead: each layer of each loop then runs only on the rows that
-    ``prefill_table`` asks of it, and no logits are formed.
+    Each layer of each loop runs only on the rows a later read needs
+    (``prefill_table``): with ``first_row`` > 0, the rows that feed the
+    returned logits, which is how the training step runs on its scored
+    rows. With return_states=True, returns LoopActivations for a decode
+    session instead, whose caches and last row take the table's default
+    top, and no logits are formed.
     """
     cfg = params.config
     tokens = np.asarray(tokens)
@@ -368,7 +376,12 @@ def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False)
         raise CapacityError(f"sequence length {n} exceeds max_seq {cfg.max_seq}")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab:
         raise TokenError(f"token ids must be in [0, {cfg.vocab})")
-    table = prefill_table(cfg, n) if return_states else [None] * cfg.loops
+    if not 0 <= first_row < n:
+        raise PositionError(f"first_row {first_row} outside the {n} token rows")
+    if return_states:
+        table = prefill_table(cfg, n)
+    else:   # a table of zeros trims nothing, so none is built for first_row 0
+        table = prefill_table(cfg, n, first_row) if first_row else [None] * cfg.loops
     positions = np.arange(n)
     e = gather_rows(params.embedding, tokens)
 
@@ -393,7 +406,8 @@ def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False)
     if return_states:
         return LoopActivations(hidden_per_loop=hiddens, own_kv_per_loop=kv_per_loop,
                                rows=table)
-    return hiddens[-1] @ head_weight(params)
+    lead = first_row - table[-1][-1] if first_row else 0   # a loop with no layers starts at 0
+    return (hiddens[-1][:, lead:] if lead else hiddens[-1]) @ head_weight(params)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Each task yields (tokens, mask) batches where mask[j] marks positions whose
 next-token prediction should count toward the loss; None means every
-position counts. Sampling is driven by an explicit Rng so a seed pins the
-whole data stream.
+position that has a target counts. ``scored_rows`` spans the scored rows
+of a batch, and the training step runs each layer only on the rows that
+feed them (see ``train.scored_loss``). Sampling is driven by an explicit
+Rng so a seed pins the whole data stream.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, EmptyInputError
 from .tensor import Rng, Tensor, cross_entropy
 
 
@@ -104,17 +106,38 @@ def _reject_extras(name: str, kw: dict) -> None:
         raise ConfigError(f"unknown options for task {name!r}: {sorted(kw)}")
 
 
-def cross_entropy_loss(logits: Tensor, tokens: np.ndarray,
-                       mask: Optional[np.ndarray] = None) -> Tensor:
-    """Next-token loss: row j of logits is scored against token j+1.
+def scored_rows(tokens: np.ndarray, mask: Optional[np.ndarray] = None) -> tuple:
+    """(first, stop): the input rows [first, stop) that span every scored
+    prediction of the batch. A row is scored when it has a target (every
+    row but the last) and, with a mask, the mask marks it in some example.
+    Raises EmptyInputError when no row is scored."""
+    n = np.shape(tokens)[1]
+    if mask is None:
+        scored = np.arange(n - 1)
+    else:
+        scored = np.flatnonzero(np.asarray(mask, dtype=bool)[:, :n - 1].any(axis=0))
+    if scored.size == 0:
+        raise EmptyInputError("no position of the batch is scored")
+    return int(scored[0]), int(scored[-1]) + 1
 
-    mask, when given, is [b, n] over input positions; the final position
-    has no target and never contributes.
+
+def cross_entropy_loss(logits: Tensor, tokens: np.ndarray,
+                       mask: Optional[np.ndarray] = None, first_row: int = 0) -> Tensor:
+    """Next-token loss: row j of logits is input row first_row + j, scored
+    against the token after it. The logits may cover every row (the last
+    has no target and never contributes) or, as the training step forms
+    them, just the scored rows [first_row, stop) of ``scored_rows``.
+
+    mask, when given, is [b, n] over input positions; only the rows the
+    logits cover are read.
     """
     tokens = np.asarray(tokens)
-    targets = tokens[:, 1:]
-    use = None if mask is None else np.asarray(mask, dtype=bool)[:, :-1]
-    return cross_entropy(logits[:, :-1, :], targets, use)
+    stop = min(first_row + logits.shape[1], tokens.shape[1] - 1)
+    targets = tokens[:, first_row + 1:stop + 1]
+    use = None if mask is None else np.asarray(mask, dtype=bool)[:, first_row:stop]
+    if stop - first_row < logits.shape[1]:
+        logits = logits[:, :stop - first_row]
+    return cross_entropy(logits, targets, use)
 
 
 def eval_accuracy(forward_fn, task: TaskSpec, seed: int, batches: int = 4,

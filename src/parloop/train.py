@@ -1,5 +1,11 @@
 """Training loop: Adam with warmup-cosine schedule and global-norm
-clipping, deterministic given a seed, with a plain-text loss log."""
+clipping, deterministic given a seed, with a plain-text loss log.
+
+Each step runs the model only on the rows its loss reads (``scored_loss``):
+the positions after the last scored row are dropped, and each layer of
+each loop runs only on the rows that feed a scored logit, as prefill runs
+only the rows a decode session reads.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +18,7 @@ from .checkpoint import save_checkpoint
 from .decode import prefill
 from .errors import CapacityError, ConfigError, DivergenceError, NumericError
 from .model import ModelConfig, forward, init_parameters
-from .tasks import TaskSpec, cross_entropy_loss, eval_accuracy
+from .tasks import TaskSpec, cross_entropy_loss, eval_accuracy, scored_rows
 from .tensor import Rng, global_grad_norm
 
 
@@ -96,6 +102,18 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
+def scored_loss(params, tokens: np.ndarray, mask=None):
+    """The training loss of one batch, formed on the rows it scores: the
+    positions after the last scored row are dropped (causal attention
+    feeds them to nothing the loss reads), and the forward runs each layer
+    only on the rows that feed the logits of [first, stop) (see
+    ``scored_rows`` and ``model.prefill_table``). The value and gradients
+    are those of the loss over a forward on every row."""
+    first, stop = scored_rows(tokens, mask)
+    return cross_entropy_loss(forward(params, tokens[:, :stop], first_row=first),
+                              tokens, mask, first_row=first)
+
+
 def train(params, task: TaskSpec, cfg: TrainConfig) -> TrainResult:
     """Run the loop; writes the loss log and checkpoint if paths are set.
 
@@ -112,7 +130,7 @@ def train(params, task: TaskSpec, cfg: TrainConfig) -> TrainResult:
         tokens, mask = task.sample(data_rng, cfg.batch_size)
         opt.zero_grad()
         try:
-            loss = cross_entropy_loss(forward(params, tokens), tokens, mask)
+            loss = scored_loss(params, tokens, mask)
         except NumericError as e:
             recent = ", ".join(f"{v:.4f}" for v in result.losses[-5:])
             raise DivergenceError(

@@ -3,8 +3,9 @@
 Each check builds small random models and measures how far an invariant is
 from holding; a check passes when its error is within tolerance. Exact
 invariants (causality, gate saturation, cache bounds) use zero tolerance;
-the decode-against-training check carries genuine floating-point noise, so
-it takes the caller's tolerance and honestly fails at zero.
+the checks of decode and of the row-trimmed training step against a full
+forward carry genuine floating-point noise, so they take the caller's
+tolerance and honestly fail at zero.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .gradcheck import grad_check
 from .model import ModelConfig, forward, init_parameters
 from .tasks import cross_entropy_loss
 from .tensor import Rng
+from .train import scored_loss
 
 
 @dataclass
@@ -89,6 +91,39 @@ def check_prefill_reach(seed: int = 0, tol: float = 1e-9) -> CheckResult:
         worst = max(worst, _decode_gap(params, tokens, forward(params.arrays(), tokens)[0], 40))
     return CheckResult("prefill_reach", worst, tol, worst <= tol,
                        f"9 steps after a 40-token prompt over {len(cfgs)} "
+                       f"gated-window wirings, std 0.3")
+
+
+def _loss_and_grads(params, loss_fn) -> list:
+    """[loss, then each parameter's gradient] after one backward of loss_fn()."""
+    for t in params.named_tensors().values():
+        t.grad = None
+    loss = loss_fn()
+    loss.backward()
+    return [loss.data] + [t.grad for t in params.named_tensors().values()]
+
+
+def check_train_reach(seed: int = 0, tol: float = 1e-9) -> CheckResult:
+    """The training step runs each layer only on the rows its loss reads
+    (``train.scored_loss``); its loss and gradients must match those of a
+    forward over every row, on the gated-window wirings with weights drawn
+    large (std 0.3), so that a layer which starts too late shows. The
+    error is the largest gap relative to the larger of 1 and the
+    reference's largest entry, over the loss and each gradient."""
+    worst = 0.0
+    cfgs = [cfg for cfg in _configs(seed) if cfg.gswa]
+    for i, cfg in enumerate(cfgs):
+        params = init_parameters(cfg, seed + i, std=0.3)
+        tokens = Rng(seed + i).fork("train-reach").integers(0, cfg.vocab, (2, 40))
+        mask = np.zeros(tokens.shape, dtype=bool)
+        mask[0, 24:32] = mask[1, 28:36] = True
+        got = _loss_and_grads(params, lambda: scored_loss(params, tokens, mask))
+        want = _loss_and_grads(
+            params, lambda: cross_entropy_loss(forward(params, tokens), tokens, mask))
+        worst = max([worst] + [float(np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(b))))
+                               for a, b in zip(got, want, strict=True)])
+    return CheckResult("train_reach", worst, tol, worst <= tol,
+                       f"loss and gradients on rows 24-35 of 40 over {len(cfgs)} "
                        f"gated-window wirings, std 0.3")
 
 
@@ -192,6 +227,7 @@ def run_all(seed: int = 0, tolerance: float = 1e-9,
     results = [
         check_teacher_forcing(seed, tolerance),
         check_prefill_reach(seed, tolerance),
+        check_train_reach(seed, tolerance),
         check_causality(seed),
         check_gate_limits(seed),
         check_cache_bounds(seed),

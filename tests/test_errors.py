@@ -7,11 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from parloop import (CheckpointError, ConfigError, DimensionError, HardwareProfile,
-                     ModelConfig, ParloopError, PositionError, TokenError, TrainConfig,
-                     WindowKVCache, decode_step_cost, default_profile, forward,
-                     generate, init_parameters, load_checkpoint, make_task, prefill,
-                     save_checkpoint, train)
+from parloop import (CheckpointError, ConfigError, DimensionError, EmptyInputError,
+                     HardwareProfile, ModelConfig, ParloopError, PositionError, TaskSpec,
+                     TokenError, TrainConfig, WindowKVCache, decode_step_cost,
+                     default_profile, forward, generate, init_parameters, load_checkpoint,
+                     make_task, prefill, save_checkpoint, train)
 from parloop.cli import run
 
 from reference_impl import save_per_gate_checkpoint
@@ -33,6 +33,16 @@ def train_tiny(**kw):
     cfg = ModelConfig(vocab=task.vocab, d_model=8, n_layers=1, n_heads=2,
                       max_seq=task.seq_len)
     return train(init_parameters(cfg, 0), task, TrainConfig(batch_size=2, **kw))
+
+
+def train_unscored():
+    """A batch whose mask scores no position: the loss reads no row."""
+    def sample(rng, batch):
+        return np.ones((batch, 5), dtype=np.int64), np.zeros((batch, 5), dtype=bool)
+
+    task = TaskSpec("unscored", vocab=3, seq_len=5, sample=sample)
+    cfg = ModelConfig(vocab=3, d_model=8, n_layers=1, n_heads=2, max_seq=5)
+    return train(init_parameters(cfg, 0), task, TrainConfig(steps=1, batch_size=2))
 
 
 def ring_skip():
@@ -110,6 +120,9 @@ CASES = [
     ("generate-bool-count", lambda _: generate(session(), True), ConfigError),
     ("generate-zero-count", lambda _: generate(session(), 0), ConfigError),
     ("train-zero-steps", lambda _: train_tiny(steps=0), ConfigError),
+    ("train-mask-scores-nothing", lambda _: train_unscored(), EmptyInputError),
+    ("forward-first-row-past-the-tokens",
+     lambda _: forward(params(), np.arange(4), first_row=4), PositionError),
     ("make-task-unknown", lambda _: make_task("sorting"), ConfigError),
     ("make-task-empty-source", lambda _: make_task("copy", src_len=0), ConfigError),
     ("load-checkpoint-missing", lambda p: load_checkpoint(p / "absent.ckpt"), CheckpointError),

@@ -8,9 +8,9 @@ import pytest
 
 from parloop.checkpoint import load_checkpoint
 from parloop.errors import CapacityError, ConfigError, DivergenceError, NumericError
-from parloop.model import ModelConfig, forward, init_parameters
-from parloop.tasks import cross_entropy_loss, eval_accuracy, make_task
-from parloop.tensor import Rng, Tensor
+from parloop.model import ModelConfig, forward, init_parameters, prefill_table
+from parloop.tasks import cross_entropy_loss, eval_accuracy, make_task, scored_rows
+from parloop.tensor import Rng, Tensor, cross_entropy
 from parloop.train import (
     PROBE_STEPS,
     Adam,
@@ -20,6 +20,7 @@ from parloop.train import (
     format_ablation,
     ladder_config,
     lr_at,
+    scored_loss,
     train,
 )
 
@@ -90,6 +91,99 @@ class TestLossMask:
         row = logits.data[0, 1]
         want = math.log(np.exp(row - row.max()).sum()) + row.max() - row[tokens[0, 2]]
         assert abs(got - want) < 1e-12
+
+
+def full_row_loss(params, tokens, mask):
+    """The loss over a forward on every row: the reference that the
+    scored-row step must match."""
+    logits = forward(params, tokens)
+    use = None if mask is None else np.asarray(mask, dtype=bool)[:, :-1]
+    return cross_entropy(logits[:, :-1, :], tokens[:, 1:], use)
+
+
+def loss_and_grads(params, loss_fn):
+    for t in params.named_tensors().values():
+        t.grad = None
+    loss = loss_fn()
+    loss.backward()
+    return loss.item(), {k: t.grad for k, t in params.named_tensors().items()}
+
+
+def staggered_batch(vocab):
+    """Three examples whose scored rows differ: [3, 6), [9, 12) and 7."""
+    tokens = np.random.default_rng(3).integers(0, vocab, size=(3, 14))
+    mask = np.zeros(tokens.shape, dtype=bool)
+    mask[0, 3:6] = mask[1, 9:12] = mask[2, 7] = True
+    return tokens, mask
+
+
+TRIM_WIRINGS = {
+    "vanilla": dict(mode="vanilla"),
+    "vanilla_loop2": dict(mode="vanilla_loop", loops=2),
+    "plt2": dict(mode="plt", loops=2),
+    "plt2_gswa": dict(mode="plt", loops=2, gswa=True, window=4),
+    "plt3_gswa_gates": dict(mode="plt", loops=3, gswa=True, window=3, per_loop_gates=True),
+}
+TRIM_TASKS = {
+    "copy": dict(src_len=6, symbols=8),
+    "reverse": dict(src_len=6, symbols=8),
+    "modular_add": dict(modulus=11, triples=5),
+    "char_lm": dict(seq_len=15),
+}
+
+
+class TestScoredRows:
+    def test_copy_model_table(self):
+        # the benchmark's copy model: 16 rows after the cut, rows 8.. scored
+        task = make_task("copy", src_len=8, symbols=16)
+        tokens, mask = task.sample(Rng(0), 4)
+        assert scored_rows(tokens, mask) == (8, 16)
+        cfg = ModelConfig(vocab=task.vocab, d_model=64, n_layers=2, n_heads=4, d_ff=128,
+                          mode="plt", loops=2, gswa=True, window=4, max_seq=task.seq_len)
+        assert prefill_table(cfg, 16, 8) == [[0, 0, 1], [2, 5, 8]]
+
+    def test_span_covers_every_example_and_stops_before_the_last_row(self):
+        tokens, mask = staggered_batch(9)
+        assert scored_rows(tokens, mask) == (3, 12)
+        assert scored_rows(tokens, None) == (0, 13)
+        mask[:, -1] = True   # the last row has no target
+        assert scored_rows(tokens, mask) == (3, 12)
+
+    def test_step_runs_only_the_scored_rows(self, monkeypatch):
+        task = make_task("copy", src_len=8, symbols=16)
+        params = init_parameters(ModelConfig(vocab=task.vocab, d_model=16, n_layers=1,
+                                             n_heads=2, max_seq=task.seq_len), 0)
+        seen = []
+        train_module = importlib.import_module("parloop.train")
+
+        def recording(params, tokens, **kw):
+            logits = forward(params, tokens, **kw)
+            seen.append((tokens.shape[1], logits.shape[1]))
+            return logits
+
+        monkeypatch.setattr(train_module, "forward", recording)
+        train(params, task, TrainConfig(steps=1, batch_size=2))
+        assert seen == [(16, 8)]   # 17 positions, rows 8..15 scored
+
+    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    @pytest.mark.parametrize("wiring", TRIM_WIRINGS)
+    def test_loss_and_grads_match_the_full_row_step(self, wiring, n_layers):
+        batches = {"staggered": staggered_batch(19)}
+        for name, kw in TRIM_TASKS.items():
+            task = make_task(name, **kw)
+            batches[name] = task.sample(Rng(n_layers), 3)
+        for name, (tokens, mask) in batches.items():
+            cfg = ModelConfig(vocab=256 if name == "char_lm" else 19, d_model=16,
+                              n_layers=n_layers, n_heads=2, d_ff=24, max_seq=16,
+                              **TRIM_WIRINGS[wiring])
+            params = init_parameters(cfg, n_layers, std=0.3)
+            got, got_grads = loss_and_grads(params, lambda: scored_loss(params, tokens, mask))
+            want, want_grads = loss_and_grads(params,
+                                              lambda: full_row_loss(params, tokens, mask))
+            assert abs(got - want) <= 1e-12 * abs(want), name
+            for key, g in want_grads.items():
+                err = np.max(np.abs(got_grads[key] - g))
+                assert err <= 1e-12 * np.max(np.abs(g)), (name, key, err)
 
 
 class TestAdam:

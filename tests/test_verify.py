@@ -1,5 +1,5 @@
-"""The verification suite: the prefill-reach check catches a reach one layer
-short, and the reference forwards record no tape."""
+"""The verification suite: the prefill-reach and train-reach checks catch a
+reach one layer short, and the reference forwards record no tape."""
 
 import parloop.model
 import parloop.verify
@@ -9,6 +9,7 @@ from parloop.verify import (
     check_gate_limits,
     check_prefill_reach,
     check_teacher_forcing,
+    check_train_reach,
 )
 
 
@@ -28,6 +29,25 @@ def test_a_reach_one_layer_short_fails(monkeypatch):
 
     monkeypatch.setattr(parloop.model, "prefill_table", short)
     result = check_prefill_reach()
+    assert not result.passed and result.max_err > 1e3 * result.tol, result.line()
+
+
+def test_train_reach_passes():
+    result = check_train_reach()
+    assert result.passed, result.line()
+
+
+def test_a_train_reach_one_layer_short_fails(monkeypatch):
+    table = parloop.model.prefill_table
+
+    def short(cfg, n, top=None):   # as above, on the training step's table
+        rows = table(cfg, n, top)
+        if cfg.gswa:
+            rows[-1][0] += cfg.window - 1
+        return rows
+
+    monkeypatch.setattr(parloop.model, "prefill_table", short)
+    result = check_train_reach()
     assert not result.passed and result.max_err > 1e3 * result.tol, result.line()
 
 
