@@ -4,10 +4,13 @@ Subcommands: train, generate, verify, cost, bench. Exit codes: 0 success,
 1 runtime or verification failure, 2 usage or configuration error.
 
 `train` and `bench` accept --config pointing at an INI file with [model],
-[task], and [train] sections; keys mirror the long option names with
-underscores, except `[task] name` for --task and `[model] weight_tying =
-false` for --no-weight-tying. Explicit command line flags win over the
-file. Unknown sections or keys are rejected.
+[task] and [train] sections. The file is read as the flags it stands for,
+parsed before the command line's, so any explicit flag wins, abbreviated or
+not. Keys are the long option names with underscores; `[task] name` stands
+for --task, a true switch (`gswa`, `per_loop_gates`) for its flag, and
+`[model] weight_tying = false` for --no-weight-tying. Each section accepts
+only its own keys. A bad section, key or value exits 2; for a bad value,
+argparse's message names the flag.
 """
 
 from __future__ import annotations
@@ -39,45 +42,14 @@ from .tasks import eval_accuracy, make_task
 from .train import TrainConfig, train
 from .verify import run_all
 
-# INI key -> (namespace dest, type); bool values accept 1/0, true/false,
-# yes/no, on/off
-MODEL_KEYS = {
-    "d_model": ("d_model", int),
-    "n_layers": ("n_layers", int),
-    "n_heads": ("n_heads", int),
-    "n_kv_heads": ("n_kv_heads", int),
-    "d_ff": ("d_ff", int),
-    "mode": ("mode", str),
-    "loops": ("loops", int),
-    "window": ("window", int),
-    "gswa": ("gswa", bool),
-    "per_loop_gates": ("per_loop_gates", bool),
-    "weight_tying": ("weight_tying", bool),
-    "max_seq": ("max_seq", int),
-}
-TASK_KEYS = {
-    "name": ("task", str),
-    "src_len": ("src_len", int),
-    "symbols": ("symbols", int),
-    "modulus": ("modulus", int),
-    "triples": ("triples", int),
-    "seq_len": ("seq_len", int),
-}
-TRAIN_KEYS = {
-    "steps": ("steps", int),
-    "batch_size": ("batch_size", int),
-    "lr": ("lr", float),
-    "warmup_steps": ("warmup_steps", int),
-    "clip_norm": ("clip_norm", float),
-    "seed": ("seed", int),
-}
-SECTIONS = {"model": MODEL_KEYS, "task": TASK_KEYS, "train": TRAIN_KEYS}
-
-TASK_OPTION_NAMES = {
-    "copy": ("src_len", "symbols"),
-    "reverse": ("src_len", "symbols"),
-    "modular_add": ("modulus", "triples"),
-    "char_lm": ("seq_len",),
+# INI section -> its keys, each the dest of the flag it stands for
+# (`name` stands for --task)
+SECTIONS = {
+    "model": ("d_model", "n_layers", "n_heads", "n_kv_heads", "d_ff", "mode",
+              "loops", "window", "gswa", "per_loop_gates", "weight_tying",
+              "max_seq"),
+    "task": ("name", "src_len", "symbols", "modulus", "triples", "seq_len"),
+    "train": ("steps", "batch_size", "lr", "warmup_steps", "clip_norm", "seed"),
 }
 
 
@@ -108,7 +80,8 @@ def _add_model_args(sp) -> None:
 
 def _add_task_args(sp) -> None:
     g = sp.add_argument_group("task")
-    g.add_argument("--task", choices=sorted(TASK_OPTION_NAMES), default="copy")
+    g.add_argument("--task", choices=["char_lm", "copy", "modular_add", "reverse"],
+                   default="copy")
     g.add_argument("--src-len", type=int, default=None)
     g.add_argument("--symbols", type=int, default=None)
     g.add_argument("--modulus", type=int, default=None)
@@ -192,35 +165,39 @@ def build_parser():
 # ---------------------------------------------------------------------------
 
 
-def apply_ini(args, argv: list) -> None:
-    """Fold INI values into args; explicit command line flags keep priority."""
-    cp = configparser.ConfigParser()
-    if not cp.read(args.config):
-        raise ConfigError(f"cannot read config file {args.config!r}")
+def ini_flags(args) -> list:
+    """The flags the INI file `args.config` stands for: `--key=value` or a
+    bare switch."""
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        if not cp.read(args.config):
+            raise ConfigError(f"cannot read config file {args.config!r}")
+    except configparser.Error as e:
+        raise ConfigError(f"bad config file {args.config!r}: {e}") from e
+    flags = []
     for section in cp.sections():
         if section not in SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
-        spec = SECTIONS[section]
         for key, raw in cp[section].items():
-            if key not in spec:
+            if key not in SECTIONS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            dest, typ = spec[key]
+            dest = "task" if key == "name" else key
             if not hasattr(args, dest):
                 raise ConfigError(
                     f"key {key!r} in [{section}] does not apply to this command")
-            # the tying switch is exposed as a negative flag
-            flag = ("--no-weight-tying" if dest == "weight_tying"
-                    else "--" + dest.replace("_", "-"))
-            if any(a == flag or a.startswith(flag + "=") for a in argv):
+            flag = "--" + dest.replace("_", "-")
+            if not isinstance(getattr(args, dest), bool):
+                flags.append(f"{flag}={raw}")
                 continue
             try:
-                if typ is bool:
-                    value = cp[section].getboolean(key)
-                else:
-                    value = typ(raw)
+                on = cp[section].getboolean(key)
             except ValueError as e:
                 raise ConfigError(f"bad value for {key!r} in [{section}]: {e}") from e
-            setattr(args, dest, value)
+            if dest == "weight_tying":   # exposed as a negative switch
+                flag, on = "--no-weight-tying", not on
+            if on:
+                flags.append(flag)
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -229,41 +206,21 @@ def apply_ini(args, argv: list) -> None:
 
 
 def _task_from_args(args):
-    kw = {}
-    for name in TASK_OPTION_NAMES[args.task]:
-        v = getattr(args, name)
-        if v is not None:
-            kw[name] = v
-    for task, names in TASK_OPTION_NAMES.items():
-        if task == args.task:
-            continue
-        for name in set(names) - set(TASK_OPTION_NAMES[args.task]):
-            if getattr(args, name) is not None:
-                raise ConfigError(f"--{name.replace('_', '-')} does not apply "
-                                  f"to task {args.task!r}")
-    return make_task(args.task, **kw)
+    kw = {k: getattr(args, k) for k in SECTIONS["task"] if k != "name"}
+    return make_task(args.task, **{k: v for k, v in kw.items() if v is not None})
 
 
 def _model_from_args(args, vocab: int) -> ModelConfig:
-    return ModelConfig(
-        vocab=vocab, d_model=args.d_model, n_layers=args.n_layers,
-        n_heads=args.n_heads, n_kv_heads=args.n_kv_heads, d_ff=args.d_ff,
-        mode=args.mode, loops=args.loops, window=args.window, gswa=args.gswa,
-        per_loop_gates=args.per_loop_gates, weight_tying=args.weight_tying,
-        max_seq=args.max_seq)
+    return ModelConfig(vocab=vocab, **{k: getattr(args, k) for k in SECTIONS["model"]})
 
 
-def cmd_train(args, argv) -> int:
-    if args.config:
-        apply_ini(args, argv)
+def cmd_train(args) -> int:
     task = _task_from_args(args)
     if task.seq_len > args.max_seq:
         raise ConfigError(f"task sequences ({task.seq_len}) exceed "
                           f"--max-seq ({args.max_seq})")
     cfg = _model_from_args(args, task.vocab)
-    tcfg = TrainConfig(steps=args.steps, batch_size=args.batch_size, lr=args.lr,
-                       warmup_steps=args.warmup_steps, clip_norm=args.clip_norm,
-                       seed=args.seed,
+    tcfg = TrainConfig(**{k: getattr(args, k) for k in SECTIONS["train"]},
                        log_path=os.path.join(args.out, "loss.csv"),
                        checkpoint_path=os.path.join(args.out, "model.ckpt"))
     os.makedirs(args.out, exist_ok=True)
@@ -289,7 +246,7 @@ def cmd_train(args, argv) -> int:
     return 0
 
 
-def cmd_generate(args, argv) -> int:
+def cmd_generate(args) -> int:
     params, _ = load_checkpoint(args.checkpoint)
     if args.text is not None:
         prompt = np.frombuffer(args.text.encode("utf-8"), dtype=np.uint8).astype(np.int64)
@@ -316,7 +273,7 @@ def cmd_generate(args, argv) -> int:
     return 0
 
 
-def cmd_verify(args, argv) -> int:
+def cmd_verify(args) -> int:
     if args.checkpoint is not None:
         load_checkpoint(args.checkpoint)  # CheckpointError -> exit 2
         print(f"pass  checkpoint_load          {args.checkpoint}")
@@ -329,7 +286,7 @@ def cmd_verify(args, argv) -> int:
     return 1 if failed else 0
 
 
-def cmd_cost(args, argv) -> int:
+def cmd_cost(args) -> int:
     cfg = standin_config()
     overrides = dict(mem_bandwidth=args.bandwidth, peak_flops=args.peak_flops,
                      weight_bytes_per_param=args.weight_bytes,
@@ -342,9 +299,7 @@ def cmd_cost(args, argv) -> int:
     return 0
 
 
-def cmd_bench(args, argv) -> int:
-    if args.config:
-        apply_ini(args, argv)
+def cmd_bench(args) -> int:
     cfg = _model_from_args(args, args.vocab)
     if args.prompt_len + args.steps > cfg.max_seq:
         raise ConfigError(f"--prompt-len + --steps must fit --max-seq "
@@ -385,10 +340,12 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # the file's flags come first, so the command line's win
+            args = parser.parse_args([args.command, *ini_flags(args), *argv[1:]])
+        return args.func(args)
     except SystemExit as e:
         return int(e.code or 0)
-    try:
-        return args.func(args, argv)
     except (ConfigError, CheckpointError, TokenError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -27,7 +27,7 @@ import zlib
 
 import numpy as np
 
-from .errors import DimensionError, EmptyInputError, NumericError
+from .errors import ConfigError, DimensionError, EmptyInputError, NumericError
 
 _GRAD_ENABLED = True
 
@@ -389,6 +389,8 @@ class Rng:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def normal(self, shape, std: float = 1.0) -> np.ndarray:

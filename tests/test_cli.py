@@ -131,11 +131,12 @@ def test_config_file_supplies_defaults(tmp_path):
     assert manifest["task"]["name"] == "copy"
 
 
-def test_explicit_flags_beat_the_config_file(tmp_path):
+@pytest.mark.parametrize("steps", [["--steps", "23"], ["--step", "23"], ["--steps=23"]],
+                         ids=["spaced", "abbreviated", "joined"])
+def test_explicit_flags_beat_the_config_file(tmp_path, steps):
     ini = write_ini(tmp_path, GOOD_INI)
     out = tmp_path / "run"
-    assert run(["train", "--config", ini, "--steps", "23",
-                "--out", str(out)]) == 0
+    assert run(["train", "--config", ini, *steps, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["train"]["steps"] == 23
     assert manifest["train"]["lr"] == 0.004  # untouched key still from file

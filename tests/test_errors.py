@@ -84,6 +84,12 @@ def garbage(tmp_path):
     return str(path)
 
 
+def ini(tmp_path, body):
+    path = tmp_path / "run.ini"
+    path.write_text(body)
+    return str(path)
+
+
 def cli(argv):
     """A command line call: ``argv`` builds the arguments from tmp_path."""
     return lambda p: run(argv(p))
@@ -123,6 +129,7 @@ CASES = [
     ("train-mask-scores-nothing", lambda _: train_unscored(), EmptyInputError),
     ("forward-first-row-past-the-tokens",
      lambda _: forward(params(), np.arange(4), first_row=4), PositionError),
+    ("rng-negative-seed", lambda _: init_parameters(ModelConfig(**CFG), -1), ConfigError),
     ("make-task-unknown", lambda _: make_task("sorting"), ConfigError),
     ("make-task-empty-source", lambda _: make_task("copy", src_len=0), ConfigError),
     ("load-checkpoint-missing", lambda p: load_checkpoint(p / "absent.ckpt"), CheckpointError),
@@ -154,6 +161,21 @@ CASES = [
     ("cli-garbage-checkpoint", cli(lambda p: ["generate", "--checkpoint", garbage(p),
                                               "--prompt", "1"]), EXIT_2),
     ("cli-zero-steps", cli(lambda p: ["train", "--steps", "0", "--out", str(p / "o")]), EXIT_2),
+    ("cli-negative-seed", cli(lambda p: ["train", "--seed", "-1", "--out", str(p / "o")]),
+     EXIT_2),
+    ("cli-ini-unknown-task", cli(lambda p: ["train", "--config", ini(p, "[task]\nname = bogus\n"),
+                                            "--out", str(p / "o")]), EXIT_2),
+    ("cli-ini-no-section-header", cli(lambda p: ["train", "--config", ini(p, "steps = 3\n"),
+                                                 "--out", str(p / "o")]), EXIT_2),
+    ("cli-ini-duplicate-key", cli(lambda p: ["train", "--config",
+                                             ini(p, "[train]\nlr = 1\nlr = 2\n"),
+                                             "--out", str(p / "o")]), EXIT_2),
+    ("cli-ini-percent-value", cli(lambda p: ["train", "--config", ini(p, "[train]\nlr = 5%\n"),
+                                             "--out", str(p / "o")]), EXIT_2),
+    ("cli-ini-bad-switch", cli(lambda p: ["train", "--config", ini(p, "[model]\ngswa = maybe\n"),
+                                          "--out", str(p / "o")]), EXIT_2),
+    ("cli-ini-task-key-for-bench",
+     cli(lambda p: ["bench", "--config", ini(p, "[task]\nname = copy\n")]), EXIT_2),
     ("cli-bench-zero-heads", cli(lambda _: ["bench", "--n-heads", "0"]), EXIT_2),
     ("cli-cost-zero-bandwidth", cli(lambda _: ["cost", "--bandwidth", "0"]), EXIT_2),
     ("cli-cost-negative-bandwidth", cli(lambda _: ["cost", "--bandwidth=-1e11"]), EXIT_2),
