@@ -275,16 +275,15 @@ class SharedKVCache:
     """Append-only per-layer key/value store, preallocated to max_seq.
 
     Written once by the first loop and read by every loop. Entry layout is
-    [n_layers, n_kv_heads, max_seq, d_head]; `length` counts complete
-    positions, and a position becomes visible as soon as its layer writes
-    it (queries in the same step slice up to pos + 1).
+    [n_layers, n_kv_heads, max_seq, d_head]. A position becomes visible as
+    soon as its layer writes it (queries in the same step slice up to
+    pos + 1); the decode session's ``position`` counts the complete ones.
     """
 
     def __init__(self, n_layers: int, n_kv_heads: int, d_head: int, max_seq: int):
         self.max_seq = max_seq
         self.k = np.zeros((n_layers, n_kv_heads, max_seq, d_head))
         self.v = np.zeros_like(self.k)
-        self.length = 0
 
     def write(self, layer: int, pos: int, k: np.ndarray, v: np.ndarray) -> None:
         """Store one position's keys/values ([n_kv_heads, d_head]) for a layer."""

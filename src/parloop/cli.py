@@ -223,8 +223,8 @@ def cmd_train(args) -> int:
     tcfg = TrainConfig(**{k: getattr(args, k) for k in SECTIONS["train"]},
                        log_path=os.path.join(args.out, "loss.csv"),
                        checkpoint_path=os.path.join(args.out, "model.ckpt"))
-    os.makedirs(args.out, exist_ok=True)
     params = init_parameters(cfg, args.seed)
+    os.makedirs(args.out, exist_ok=True)   # once every input check has passed
     result = train(params, task, tcfg)
     weights = params.arrays()   # eval records no tape
     acc = eval_accuracy(lambda toks: forward(weights, toks), task,

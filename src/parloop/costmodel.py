@@ -1,8 +1,14 @@
 """Analytical decode-step cost model.
 
-Latency per generated token is estimated with a two-ceiling roofline:
-``max(bytes_moved / mem_bandwidth, flops / peak_flops)`` per launched pass,
-with serial passes adding up. Five wirings are compared:
+Every row is ``passes`` serial passes of one two-ceiling roofline,
+``max(bytes_moved / mem_bandwidth, flops / peak_flops)`` per pass, with
+the passes adding up: L for the serial loop, 1 for every fused row. Each
+pass reads the block weights and its share of the cache and activation
+bytes; the output head's bytes and flops land on the last pass. A row's
+traffic comes from its ``variant_config``, as its flops do: a plt loop
+after the first reads loop 1's cache (``kv_share``) plus, with ``gswa``, a
+bounded window of its own, and every other loop reads its own full cache.
+Five wirings are compared:
 
 - ``vanilla``: one pass, one cache.
 - ``loop``: the stack applied L times in sequence, each pass re-reading the
@@ -15,10 +21,9 @@ with serial passes adding up. Five wirings are compared:
 - ``plt``: kv sharing plus the gated sliding window, which adds back a
   bounded per-stage window cache and the gate weights.
 
-Byte accounting per step: block weights are read once per pass, the output
-head once per token, each sequence in the batch reads its caches, and each
-row writes/reads its activations. Per-token embedding row gathers are
-ignored (a few kilobytes against megabytes).
+Each sequence in the batch reads its caches, and each row writes/reads
+its activations. Per-token embedding row gathers are ignored (a few
+kilobytes against megabytes).
 """
 
 from __future__ import annotations
@@ -132,53 +137,32 @@ def decode_step_cost(arch: str, cfg: ModelConfig, profile: HardwareProfile,
         raise ConfigError("batch and context must be >= 1")
     vcfg = variant_config(cfg, arch)
     L = vcfg.loops
+    passes = L if arch == "loop" else 1   # a fused row runs every loop in one pass
     wb = profile.weight_bytes_per_param
-    head_bytes = vcfg.vocab * vcfg.d_model * wb
     emb_params = vcfg.vocab * vcfg.d_model
-    total_params = count_params_from_config(vcfg)
-    block_params = total_params - emb_params - (0 if vcfg.weight_tying else emb_params)
+    head_bytes = emb_params * wb
+    block_params = count_params_from_config(vcfg) - emb_params * (1 if vcfg.weight_tying else 2)
     block_bytes = block_params * wb
 
     kv_full = context * profile.kv_bytes_per_entry * vcfg.n_layers
-    kv_window = min(vcfg.window, context) * profile.kv_bytes_per_entry * vcfg.n_layers
-    act_row = vcfg.n_layers * vcfg.d_model * profile.act_bytes_per_value * 2
-
-    flops = count_flops_per_token(vcfg, context)
-    flops_total = batch * flops["total"]
-    head_flops = batch * flops["head"]
-
-    if arch == "loop":
-        # L sequential passes; the head weights and flops land on the last.
-        pass_flops = (flops_total - head_flops) / L
-        latency = 0.0
-        bound = "memory"
-        for i in range(L):
-            b = block_bytes + batch * (kv_full + act_row)
-            f = pass_flops
-            if i == L - 1:
-                b += head_bytes
-                f += head_flops
-            t, bnd = _roofline(b, f, profile)
-            latency += t
-            if bnd == "compute":
-                bound = "compute"
-        weight = L * block_bytes + head_bytes
-        return StepCost(arch, batch, context, L, weight,
-                        batch * L * kv_full, batch * L * act_row,
-                        flops_total, latency, bound)
-
-    # one fused pass (vanilla is the case L = 1)
-    if arch == "loop_clp":
+    if vcfg.kv_share:   # later loops read loop 1's cache, with gswa plus a window of their own
+        window = min(vcfg.window, context) * profile.kv_bytes_per_entry * vcfg.n_layers
+        kv = batch * (kv_full + (L - 1) * (window if vcfg.gswa else 0))
+    else:               # every loop reads its own full cache
         kv = batch * L * kv_full
-    elif arch == "plt":
-        kv = batch * (kv_full + (L - 1) * kv_window)
-    else:   # vanilla and loop_clp_kvshare read one cache
-        kv = batch * kv_full
-    weight = block_bytes + head_bytes
-    act = batch * L * act_row
-    latency, bound = _roofline(weight + kv + act, flops_total, profile)
-    return StepCost(arch, batch, context, 1, weight, kv, act,
-                    flops_total, latency, bound)
+    act = batch * L * (vcfg.n_layers * vcfg.d_model * profile.act_bytes_per_value * 2)
+    flops = count_flops_per_token(vcfg, context)
+    flops_total, head_flops = batch * flops["total"], batch * flops["head"]
+
+    # each pass reads the block weights and its share of the cache and
+    # activations; the head's bytes and flops land on the last
+    body_flops = (flops_total - head_flops) / passes
+    t_body, body_bound = _roofline(block_bytes + kv / passes + act / passes, body_flops, profile)
+    t_last, last_bound = _roofline(block_bytes + head_bytes + kv / passes + act / passes,
+                                   body_flops + head_flops, profile)
+    bound = "compute" if passes > 1 and body_bound == "compute" else last_bound
+    return StepCost(arch, batch, context, passes, passes * block_bytes + head_bytes, kv, act,
+                    flops_total, (passes - 1) * t_body + t_last, bound)
 
 
 def latency_ratio(arch: str, cfg: ModelConfig, profile: HardwareProfile,

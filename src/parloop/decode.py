@@ -83,7 +83,6 @@ class DecodeSession:
         for cache, kv in zip(self.caches, states.own_kv_per_loop):
             for li, (k, v) in enumerate(kv):
                 cache.write_block(li, 0, k[0], v[0])
-            cache.length = n
         self.rings = [WindowKVCache(cfg.window, (cfg.loops - 1, kh), dh)
                       for _ in range(cfg.n_layers if cfg.gswa and cfg.loops > 1 else 0)]
         m = min(n, cfg.window)   # every later loop made keys on at least these rows
@@ -117,7 +116,6 @@ class DecodeSession:
             hidden = block_stack_forward(self.weights, x, p, shared_kv=cache,
                                          rings=self.rings)[0]
             x = e + hidden
-            cache.length = p + 1
             self.passes += 1
         self.inflight = hidden[:-1]
         self.position += 1
@@ -145,7 +143,7 @@ class DecodeSession:
     def kv_entry_count(self) -> dict:
         """Live cache positions per kind, summed over layers (and, for the
         window rings, over the loops that share each ring)."""
-        cached = self.cfg.n_layers * sum(c.length for c in self.caches)
+        cached = self.cfg.n_layers * len(self.caches) * self.position
         window = (self.cfg.loops - 1) * sum(r.entries() for r in self.rings)
         serial = self.cfg.mode == "vanilla_loop"
         return {"shared": 0 if serial else cached, "window": window,

@@ -10,11 +10,12 @@ only the rows a decode session reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .checkpoint import save_checkpoint
+from .costmodel import variant_config
 from .decode import prefill
 from .errors import CapacityError, ConfigError, DivergenceError, NumericError
 from .model import ModelConfig, forward, init_parameters
@@ -161,24 +162,19 @@ def train(params, task: TaskSpec, cfg: TrainConfig) -> TrainResult:
 # ablation ladder
 # ---------------------------------------------------------------------------
 
-LADDER = ("vanilla", "loop", "kvshare", "plt")
+LADDER = {"vanilla": "vanilla", "loop": "loop", "kvshare": "loop_clp_kvshare", "plt": "plt"}
 PROBE_STEPS = 8  # greedy decode steps of the ablation's counter probe
 
 
 def ladder_config(arch: str, base: dict, loops: int, window: int) -> ModelConfig:
-    """Model configs for the feature ladder, from plain to fully wired."""
-    kw = dict(base)
-    if arch == "vanilla":
-        kw.update(mode="vanilla", loops=1)
-    elif arch == "loop":
-        kw.update(mode="vanilla_loop", loops=loops)
-    elif arch == "kvshare":
-        kw.update(mode="plt", loops=loops)
-    elif arch == "plt":
-        kw.update(mode="plt", loops=loops, gswa=True, window=window)
-    else:
-        raise ConfigError(f"unknown ladder rung {arch!r}, expected one of {LADDER}")
-    return ModelConfig(**kw)
+    """Model configs for the feature ladder, from plain to fully wired. Each
+    rung (a key of ``LADDER``) is the ``variant_config`` of its cost row:
+    vanilla -> ``vanilla``, loop -> ``loop``, kvshare -> ``loop_clp_kvshare``
+    and plt -> ``plt``, the one rung that reads ``window``."""
+    if arch not in LADDER:
+        raise ConfigError(f"unknown ladder rung {arch!r}, expected one of {tuple(LADDER)}")
+    cfg = variant_config(ModelConfig(**{**base, "window": window}), LADDER[arch])
+    return cfg if arch == "vanilla" else replace(cfg, loops=loops)
 
 
 def ablation_run(task: TaskSpec, base_model: dict, tcfg: TrainConfig,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .costmodel import variant_config
 from .decode import prefill
 from .gradcheck import grad_check
 from .model import ModelConfig, forward, init_parameters
@@ -175,9 +176,7 @@ def check_gate_limits(seed: int = 0) -> CheckResult:
         layer.gate_weight.data[:] = 0.0
         layer.gate_bias.data[:] = -np.inf
     got = forward(params.arrays(), tokens)
-    plain = ModelConfig(vocab=19, d_model=16, n_layers=2, n_heads=4,
-                        n_kv_heads=2, d_ff=32, loops=2, mode="plt", max_seq=32)
-    pp = init_parameters(plain, seed)
+    pp = init_parameters(variant_config(cfg, "loop_clp_kvshare"), seed)
     for name, t in pp.named_tensors().items():   # every tensor but the gates
         t.data = params.named_tensors()[name].data.copy()
     want = forward(pp.arrays(), tokens)

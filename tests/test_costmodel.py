@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+from parloop.cli import run
 from parloop.costmodel import (
     ARCH_ROWS,
     HardwareProfile,
@@ -19,7 +20,9 @@ from parloop.costmodel import (
     variant_config,
 )
 from parloop.errors import ConfigError
-from parloop.model import ModelConfig, count_params_from_config
+from parloop.decode import prefill
+from parloop.model import ModelConfig, count_params_from_config, init_parameters
+from parloop.train import LADDER, ladder_config
 
 
 BATCHES = (4, 8, 16, 32, 64)
@@ -171,3 +174,96 @@ class TestReports:
     def test_sweep_covers_batches_times_archs(self, cfg, profile):
         costs = sweep(cfg, profile, BATCHES, CONTEXT)
         assert len(costs) == len(BATCHES) * len(ARCH_ROWS)
+
+
+def session_after(cfg, prompt_len=7, steps=4):
+    sess = prefill(init_parameters(cfg, 0), np.arange(prompt_len) % cfg.vocab)
+    for t in range(steps):
+        sess.step(t % cfg.vocab)
+    return sess
+
+
+class TestAgreesWithSessions:
+    """A row's passes and cache bytes are what a decode session of its
+    wiring counts, with the window shorter and longer than the context."""
+
+    @pytest.mark.parametrize("window", (4, 16))
+    @pytest.mark.parametrize("loops", (2, 3))
+    @pytest.mark.parametrize("rung", LADDER)
+    def test_row_prices_the_session(self, rung, loops, window, profile):
+        base = dict(vocab=13, d_model=16, n_layers=2, n_heads=4, n_kv_heads=2,
+                    d_ff=32, max_seq=32)
+        cfg = ladder_config(rung, base, loops, window)
+        sess = session_after(cfg)
+        c = decode_step_cost(LADDER[rung], cfg, profile, 1, sess.position)
+        assert sess.passes_per_token == c.passes
+        assert sess.kv_entry_count()["total"] * profile.kv_bytes_per_entry == c.kv_bytes
+
+
+# `parloop cost --csv` at the default profile, and with compute cut to 3e12
+# flop/s, where 23 of 25 rows are compute-bound and the serial row turns
+# compute-bound between batch 4 and 8. The headline table must not move.
+HEADLINE_CSV = """\
+arch,batch,context,passes,weight_bytes,kv_bytes,act_bytes,flops,latency_s,bound
+vanilla,4,5000,1,957303603.2,286720000.0,917504.0,10056892416.0,0.004788235,memory
+loop,4,5000,2,1820654796.8,573440000.0,1835008.0,19576913920.0,0.009215115,memory
+loop_clp,4,5000,1,957303603.2,573440000.0,1835008.0,19576913920.0,0.005894533,memory
+loop_clp_kvshare,4,5000,1,957303603.2,286720000.0,1835008.0,19342032896.0,0.004791764,memory
+plt,4,5000,1,958588736.0,290390016.0,1835008.0,19642974208.0,0.004810822,memory
+vanilla,8,5000,1,957303603.2,573440000.0,1835008.0,20113784832.0,0.005894533,memory
+loop,8,5000,2,1820654796.8,1146880000.0,3670016.0,39153827840.0,0.011427711,memory
+loop_clp,8,5000,1,957303603.2,1146880000.0,3670016.0,39153827840.0,0.008107129,memory
+loop_clp_kvshare,8,5000,1,957303603.2,573440000.0,3670016.0,38684065792.0,0.005901591,memory
+plt,8,5000,1,958588736.0,580780032.0,3670016.0,39285948416.0,0.005934765,memory
+vanilla,16,5000,1,957303603.2,1146880000.0,3670016.0,40227569664.0,0.008107129,memory
+loop,16,5000,2,1820654796.8,2293760000.0,7340032.0,78307655680.0,0.015852903,memory
+loop_clp,16,5000,1,957303603.2,2293760000.0,7340032.0,78307655680.0,0.012532322,memory
+loop_clp_kvshare,16,5000,1,957303603.2,1146880000.0,7340032.0,77368131584.0,0.008121245,memory
+plt,16,5000,1,958588736.0,1161560064.0,7340032.0,78571896832.0,0.008182649,memory
+vanilla,32,5000,1,957303603.2,2293760000.0,7340032.0,80455139328.0,0.012532322,memory
+loop,32,5000,2,1820654796.8,4587520000.0,14680064.0,156615311360.0,0.024703288,memory
+loop_clp,32,5000,1,957303603.2,4587520000.0,14680064.0,156615311360.0,0.021382706,memory
+loop_clp_kvshare,32,5000,1,957303603.2,2293760000.0,14680064.0,154736263168.0,0.012560553,memory
+plt,32,5000,1,958588736.0,2323120128.0,14680064.0,157143793664.0,0.012678419,memory
+vanilla,64,5000,1,957303603.2,4587520000.0,14680064.0,160910278656.0,0.021382706,memory
+loop,64,5000,2,1820654796.8,9175040000.0,29360128.0,313230622720.0,0.042404057,memory
+loop_clp,64,5000,1,957303603.2,9175040000.0,29360128.0,313230622720.0,0.039083476,memory
+loop_clp_kvshare,64,5000,1,957303603.2,4587520000.0,29360128.0,309472526336.0,0.021439168,memory
+plt,64,5000,1,958588736.0,4646240256.0,29360128.0,314287587328.0,0.021669958,memory
+"""
+
+HEADLINE_CSV_3E12 = """\
+arch,batch,context,passes,weight_bytes,kv_bytes,act_bytes,flops,latency_s,bound
+vanilla,4,5000,1,957303603.2,286720000.0,917504.0,10056892416.0,0.004788235,memory
+loop,4,5000,2,1820654796.8,573440000.0,1835008.0,19576913920.0,0.009215115,memory
+loop_clp,4,5000,1,957303603.2,573440000.0,1835008.0,19576913920.0,0.006525638,compute
+loop_clp_kvshare,4,5000,1,957303603.2,286720000.0,1835008.0,19342032896.0,0.006447344,compute
+plt,4,5000,1,958588736.0,290390016.0,1835008.0,19642974208.0,0.006547658,compute
+vanilla,8,5000,1,957303603.2,573440000.0,1835008.0,20113784832.0,0.006704595,compute
+loop,8,5000,2,1820654796.8,1146880000.0,3670016.0,39153827840.0,0.013051276,compute
+loop_clp,8,5000,1,957303603.2,1146880000.0,3670016.0,39153827840.0,0.013051276,compute
+loop_clp_kvshare,8,5000,1,957303603.2,573440000.0,3670016.0,38684065792.0,0.012894689,compute
+plt,8,5000,1,958588736.0,580780032.0,3670016.0,39285948416.0,0.013095316,compute
+vanilla,16,5000,1,957303603.2,1146880000.0,3670016.0,40227569664.0,0.013409190,compute
+loop,16,5000,2,1820654796.8,2293760000.0,7340032.0,78307655680.0,0.026102552,compute
+loop_clp,16,5000,1,957303603.2,2293760000.0,7340032.0,78307655680.0,0.026102552,compute
+loop_clp_kvshare,16,5000,1,957303603.2,1146880000.0,7340032.0,77368131584.0,0.025789377,compute
+plt,16,5000,1,958588736.0,1161560064.0,7340032.0,78571896832.0,0.026190632,compute
+vanilla,32,5000,1,957303603.2,2293760000.0,7340032.0,80455139328.0,0.026818380,compute
+loop,32,5000,2,1820654796.8,4587520000.0,14680064.0,156615311360.0,0.052205104,compute
+loop_clp,32,5000,1,957303603.2,4587520000.0,14680064.0,156615311360.0,0.052205104,compute
+loop_clp_kvshare,32,5000,1,957303603.2,2293760000.0,14680064.0,154736263168.0,0.051578754,compute
+plt,32,5000,1,958588736.0,2323120128.0,14680064.0,157143793664.0,0.052381265,compute
+vanilla,64,5000,1,957303603.2,4587520000.0,14680064.0,160910278656.0,0.053636760,compute
+loop,64,5000,2,1820654796.8,9175040000.0,29360128.0,313230622720.0,0.104410208,compute
+loop_clp,64,5000,1,957303603.2,9175040000.0,29360128.0,313230622720.0,0.104410208,compute
+loop_clp_kvshare,64,5000,1,957303603.2,4587520000.0,29360128.0,309472526336.0,0.103157509,compute
+plt,64,5000,1,958588736.0,4646240256.0,29360128.0,314287587328.0,0.104762529,compute
+"""
+
+
+@pytest.mark.parametrize("flags, want", [((), HEADLINE_CSV),
+                                         (("--peak-flops", "3e12"), HEADLINE_CSV_3E12)])
+def test_headline_table_is_pinned(flags, want, capsys):
+    assert run(["cost", "--csv", *flags]) == 0
+    assert capsys.readouterr().out == want.replace("\n", "\r\n")   # csv ends rows in CRLF

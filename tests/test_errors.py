@@ -190,6 +190,7 @@ CASES = [
 def test_bad_input_raises_a_parloop_error(call, expected, tmp_path):
     if expected == EXIT_2:   # a raw exception would escape run() and fail here
         assert call(tmp_path) == 2
+        assert not (tmp_path / "o").exists()   # a refused run leaves no --out behind
         return
     assert issubclass(expected, ParloopError)
     with pytest.raises(expected):
