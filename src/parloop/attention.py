@@ -2,15 +2,15 @@
 attention kernel, head-wise gate fusion, and the two decode-time caches
 (append-only per-layer cache, fixed-size sliding-window ring).
 
-The kernel is the only attention implementation; prefill, training and
-decode all run it. Query heads that share a key/value head are stacked
-against that head's keys and values in place (grouped-query attention), and
-queries are tiled in fixed blocks that each visit only the band of keys
-they can see, in the manner of FlashAttention; rows that share one position
-and fit one block (a decode step) skip the tiling. A causal block masks only
-its diagonal columns, and the softmax is normalised after the value
-product, by dividing the output by the row sums. On the tape it is a single
-op with its own block-wise backward.
+``attention`` is the only attention implementation; prefill, training and
+decode all run it, on plain arrays or, as one tape op with its own
+block-wise backward, on Tensors. Query heads that share a key/value head are
+stacked against that head's keys and values in place (grouped-query
+attention), and queries are tiled in fixed blocks that each visit only the
+band of keys they can see, in the manner of FlashAttention. A causal block
+masks only its diagonal columns, and a block whose rows share one position
+(a decode step's single block) builds no mask. The softmax is normalised
+after the value product, by dividing the output by the row sums.
 
 The window ring is mirrored (each position is stored twice, ``window``
 slots apart), so the positions it holds are always one ordered, contiguous
@@ -128,9 +128,8 @@ def _exp_rows(s: np.ndarray) -> np.ndarray:
     return s.sum(axis=-1, keepdims=True)
 
 
-def attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_pos,
-                 k_start: int = 0, window: int = 0, tiles: list | None = None) -> np.ndarray:
-    """Grouped, block-banded scaled dot-product attention on plain arrays.
+def attention(q, k, v, q_pos, window: int = 0, k_start: int = 0):
+    """Grouped, block-banded scaled dot-product attention.
 
     q: [..., heads, n, dh] with row i at position q_pos[i] (q_pos a
     nondecreasing array or list, or an int for rows that all sit at one
@@ -143,39 +142,34 @@ def attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_pos,
     Rows are tiled BLOCK at a time, and each tile multiplies against just
     the key range [lo, hi) its rows can see; a mask is built only for a tile
     in which some row cannot see that whole range, so a tile whose rows share
-    one position never builds one. A causal tile's mask covers only the
-    columns from its first row's position on (its diagonal), since every row
-    sees the keys before that; the window's band mask spans the tile. Each
-    tile multiplies the unnormalised exp(scores - row max) by the values
-    and divides that output by the row sums. When ``tiles`` is a list, each
-    tile's (i0, i1, lo, hi, probabilities) is appended to it, with [i0, i1)
-    its rows and [lo, hi) its key indices, for the backward pass; the kept
-    scores are divided by their row sums after the product, so they are
-    probabilities. Rows that fit one tile and share one position (a decode
-    step) skip the tiling: the same operations run once on the whole query,
-    so the result is bitwise the tiled one.
+    one position (a decode step) never builds one. A causal tile's mask
+    covers only the columns from its first row's position on (its diagonal),
+    since every row sees the keys before that; the window's band mask spans
+    the tile. Each tile multiplies the unnormalised exp(scores - row max) by
+    the values and divides that output by the row sums.
+
+    Plain arrays give a plain array. On Tensors it is one tape op: when a
+    backward will run, each tile's scores are divided by their row sums after
+    the value product and kept as probabilities, and the backward forms each
+    tile's share of dQ, dK and dV from them, without a dense score matrix.
 
     A query with no visible key raises EmptyContextError; NaN (or a row
     without a finite score) raises NumericError.
     """
-    *lead, heads, n, dh = q.shape
+    plain = not isinstance(q, Tensor)
+    qd, kd, vd = (q, k, v) if plain else (q.data, k.data, v.data)
+    *lead, heads, n, dh = qd.shape
     if isinstance(q_pos, int):
         q_pos = [q_pos] * n
-    kh, m = k.shape[-3], k.shape[-2]
+    kh, m = kd.shape[-3], kd.shape[-2]
     groups = heads // kh
     k_end = k_start + m
     if m == 0 or k_start > q_pos[0] or (window and k_end <= q_pos[-1] - window + 1):
         raise EmptyContextError("query position with no attendable key")
     scale = 1.0 / math.sqrt(dh)
-    if tiles is None and n <= BLOCK and q_pos[0] == q_pos[-1]:
-        lo = max(0, q_pos[0] - window + 1 - k_start) if window else 0
-        hi = min(m, q_pos[0] + 1 - k_start)
-        s = (q.reshape(*lead, kh, groups * n, dh) * scale) @ k[..., lo:hi, :].swapaxes(-1, -2)
-        total = _exp_rows(s)
-        y = s @ v[..., lo:hi, :]
-        y /= total
-        return y.reshape(q.shape)
-    q5 = q.reshape(*lead, kh, groups, n, dh)
+    keep = not plain and needs_grad(q, k, v)
+    tiles = []   # (i0, i1, lo, hi, probabilities), key indices [lo, hi), when kept
+    q5 = qd.reshape(*lead, kh, groups, n, dh)
     out = []
     for i0 in range(0, n, BLOCK):
         i1 = min(i0 + BLOCK, n)
@@ -184,7 +178,7 @@ def attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_pos,
         hi = min(k_end, t1 + 1)
         rows = groups * (i1 - i0)
         qb = q5[..., i0:i1, :].reshape(*lead, kh, rows, dh)
-        s = (qb * scale) @ k[..., lo - k_start:hi - k_start, :].swapaxes(-1, -2)
+        s = (qb * scale) @ kd[..., lo - k_start:hi - k_start, :].swapaxes(-1, -2)
         band = s.reshape(*lead, kh, groups, i1 - i0, hi - lo)
         if window and (t0 < hi - 1 or lo <= t1 - window):
             band += band_mask(q_pos[i0:i1], np.arange(lo, hi), window)
@@ -193,53 +187,36 @@ def attention_np(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_pos,
             c = max(t0, lo)
             band[..., c - lo:] += causal_mask(q_pos[i0:i1], np.arange(c, hi))
         total = _exp_rows(s)
-        y = s @ v[..., lo - k_start:hi - k_start, :]
+        y = s @ vd[..., lo - k_start:hi - k_start, :]
         y /= total
         out.append(y.reshape(*lead, kh, groups, i1 - i0, dh))
-        if tiles is not None:
+        if keep:
             s /= total   # the backward reads probabilities
             tiles.append((i0, i1, lo - k_start, hi - k_start, s))
-    y = out[0] if len(out) == 1 else np.concatenate(out, axis=-2)
-    return y.reshape(q.shape)
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor, q_pos, window: int = 0,
-              k_start: int = 0) -> Tensor:
-    """``attention_np`` as one tape op, keys at positions k_start .. k_start + m - 1.
-
-    The backward pass walks the saved tiles and forms each tile's share of
-    dQ, dK and dV from its kept probabilities, without a dense score matrix.
-    """
-    if not isinstance(q, Tensor):
-        return attention_np(q, k, v, q_pos, k_start, window)
-    # tiles are kept only when a backward will read them
-    tiles = [] if needs_grad(q, k, v) else None
-    y = attention_np(q.data, k.data, v.data, q_pos, k_start, window, tiles)
+    y5 = out[0] if len(out) == 1 else np.concatenate(out, axis=-2)
+    y = y5.reshape(qd.shape)
+    if plain:
+        return y
 
     def bwd(g):
-        *lead, heads, n, dh = q.shape
-        kh = k.shape[-3]
-        groups = heads // kh
-        shape5 = (*lead, kh, groups, n, dh)
-        g5, y5, q5 = g.reshape(shape5), y.reshape(shape5), q.data.reshape(shape5)
-        scale = 1.0 / math.sqrt(dh)
-        dq = np.empty(shape5, dtype=g.dtype)
-        dk = np.zeros(k.shape, dtype=g.dtype)
-        dv = np.zeros(v.shape, dtype=g.dtype)
+        g5 = g.reshape(y5.shape)
+        dq = np.empty(y5.shape, dtype=g.dtype)
+        dk = np.zeros(kd.shape, dtype=g.dtype)
+        dv = np.zeros(vd.shape, dtype=g.dtype)
         for i0, i1, lo, hi, p in tiles:
             rows = groups * (i1 - i0)
             gb = g5[..., i0:i1, :].reshape(*lead, kh, rows, dh)
             qb = q5[..., i0:i1, :].reshape(*lead, kh, rows, dh)
             yb = y5[..., i0:i1, :].reshape(*lead, kh, rows, dh)
             dv[..., lo:hi, :] += p.swapaxes(-1, -2) @ gb
-            ds = gb @ v.data[..., lo:hi, :].swapaxes(-1, -2)
+            ds = gb @ vd[..., lo:hi, :].swapaxes(-1, -2)
             ds -= (gb * yb).sum(axis=-1, keepdims=True)
             ds *= p
             ds *= scale
-            dq[..., i0:i1, :] = (ds @ k.data[..., lo:hi, :]).reshape(
+            dq[..., i0:i1, :] = (ds @ kd[..., lo:hi, :]).reshape(
                 *lead, kh, groups, i1 - i0, dh)
             dk[..., lo:hi, :] += ds.swapaxes(-1, -2) @ qb
-        for t, d in ((q, dq.reshape(q.shape)), (k, dk), (v, dv)):
+        for t, d in ((q, dq.reshape(qd.shape)), (k, dk), (v, dv)):
             if t.requires_grad:
                 t._accum(d)
 

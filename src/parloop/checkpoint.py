@@ -22,8 +22,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import CheckpointError
-from .model import ModelConfig, Parameters, build_parameters
+from .errors import CheckpointError, ConfigError
+from .model import ModelConfig, Parameters, build_parameters, count_params_from_config
 
 MAGIC = b"PLTCKPT1"
 VERSION = 1
@@ -80,7 +80,7 @@ def load_checkpoint(path):
         config = manifest["config"]
         config.pop("kv_share", None)   # older manifests stored it; mode now implies it
         cfg = ModelConfig(**config)
-    except (TypeError, KeyError, AttributeError) as e:
+    except (TypeError, KeyError, AttributeError, ConfigError) as e:
         raise CheckpointError(f"bad config in manifest: {e}") from e
     if manifest.get("dtype") not in DTYPES:
         raise CheckpointError(
@@ -89,6 +89,10 @@ def load_checkpoint(path):
     if not isinstance(manifest.get("tensors"), list):
         raise CheckpointError("manifest 'tensors' is not a list")
     payload = data[16 + mlen:]
+    n_params = count_params_from_config(cfg)
+    if n_params * dtype.itemsize > len(payload):   # checked before the model is allocated
+        raise CheckpointError(
+            f"payload of {len(payload)} bytes cannot hold the config's {n_params} parameters")
 
     params = build_parameters(cfg, np.zeros)
     named = params.named_tensors()

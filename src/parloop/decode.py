@@ -42,7 +42,7 @@ import numpy as np
 
 from .attention import SharedKVCache, WindowKVCache
 from .errors import CapacityError, ConfigError, DimensionError, TokenError
-from .model import Parameters, block_stack_forward, forward, head_weight
+from .model import Parameters, block_stack_forward, forward, head_weight, is_int
 from .tensor import Rng
 
 
@@ -130,7 +130,7 @@ class DecodeSession:
         if self.position >= self.cfg.max_seq:
             raise CapacityError(
                 f"position {self.position} is at max_seq {self.cfg.max_seq}")
-        if not _is_int(token):
+        if not is_int(token):
             raise TokenError(f"token id {token!r} is not an integer")
         if not 0 <= token < self.cfg.vocab:
             raise TokenError(f"token id {token} is outside [0, {self.cfg.vocab})")
@@ -148,11 +148,6 @@ class DecodeSession:
         serial = self.cfg.mode == "vanilla_loop"
         return {"shared": 0 if serial else cached, "window": window,
                 "per_loop": cached if serial else 0, "total": cached + window}
-
-
-def _is_int(x) -> bool:
-    """An integer that is not a bool (``True`` would index as a mask)."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def prefill(params: Parameters, prompt: np.ndarray) -> DecodeSession:
@@ -175,7 +170,7 @@ def generate(session: DecodeSession, n_tokens: int, temperature: float = 0.0,
              seed: int = 0) -> list:
     """Emit n_tokens continuations; every emitted token is fed back, so the
     session stays consistent for further calls."""
-    if not _is_int(n_tokens) or n_tokens < 1:
+    if not is_int(n_tokens) or n_tokens < 1:
         raise ConfigError(f"n_tokens must be an integer >= 1, got {n_tokens!r}")
     if not isinstance(temperature, numbers.Real) or math.isnan(temperature):
         raise ConfigError(f"temperature must be a number, not {temperature!r}")

@@ -39,6 +39,15 @@ from .errors import (CapacityError, ConfigError, EmptyInputError, InvalidLoopErr
 from .tensor import Rng, Tensor, concat, embedding as gather_rows, rmsnorm, silu
 
 MODES = ("vanilla", "vanilla_loop", "plt")
+# (field, least value) of each integer size, and the on/off switches
+SIZES = (("vocab", 2), ("d_model", 1), ("n_layers", 0), ("n_heads", 1), ("loops", 1),
+         ("n_kv_heads", 1), ("d_ff", 1), ("window", 0), ("max_seq", 1))
+SWITCHES = ("gswa", "weight_tying", "per_loop_gates")
+
+
+def is_int(x) -> bool:
+    """An integer that is not a bool (``True`` would index as a mask)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass
@@ -66,17 +75,13 @@ class ModelConfig:
             self.n_kv_heads = self.n_heads
         if self.d_ff is None:
             self.d_ff = 4 * self.d_model
-        if self.vocab < 2:
-            raise ConfigError("vocab must be >= 2")
-        if self.n_layers < 0:
-            raise ConfigError("n_layers must be >= 0")
-        if self.loops < 1:
-            raise ConfigError("loops must be >= 1")
-        if self.max_seq < 1:
-            raise ConfigError("max_seq must be >= 1")
-        for name in ("d_model", "n_heads", "n_kv_heads", "d_ff"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, least in SIZES:
+            value = getattr(self, name)
+            if not is_int(value) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in SWITCHES:
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if not 0.0 < self.norm_eps < math.inf:
             raise ConfigError(f"norm_eps must be positive and finite, got {self.norm_eps}")
         if not 0.0 < self.rope_theta < math.inf:

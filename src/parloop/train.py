@@ -18,7 +18,7 @@ from .checkpoint import save_checkpoint
 from .costmodel import variant_config
 from .decode import prefill
 from .errors import CapacityError, ConfigError, DivergenceError, NumericError
-from .model import ModelConfig, forward, init_parameters
+from .model import ModelConfig, forward, init_parameters, is_int
 from .tasks import TaskSpec, cross_entropy_loss, eval_accuracy, scored_rows
 from .tensor import Rng, global_grad_norm
 
@@ -121,8 +121,10 @@ def train(params, task: TaskSpec, cfg: TrainConfig) -> TrainResult:
     Raises DivergenceError the moment the loss stops being finite, with
     the step and recent loss history in the message.
     """
-    if cfg.steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {cfg.steps}")
+    for name in ("steps", "batch_size"):
+        value = getattr(cfg, name)
+        if not is_int(value) or value < 1:
+            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
     named = params.named_tensors()
     opt = Adam(named, cfg.beta1, cfg.beta2, cfg.eps)
     data_rng = Rng(cfg.seed).fork("task-data")

@@ -135,7 +135,8 @@ def save_per_gate_checkpoint(path, params, drop=()):
     """Write ``params`` as checkpoints were written before each layer's
     gates were stacked: one ``layers.{i}.gates.{g}.weight`` / ``.bias``
     entry per gate, each gate's weight then its bias, where the stacked
-    tensors now sit. Entries named in ``drop`` are left out."""
+    tensors now sit. Entries named in ``drop`` are left out of the
+    manifest; their bytes stay, so the payload keeps its full size."""
     named = params.named_tensors()
     entries = []
     for name, t in named.items():
@@ -147,10 +148,9 @@ def save_per_gate_checkpoint(path, params, drop=()):
             entries.append((name, t.data))
     tensors, chunks, offset = [], [], 0
     for name, a in entries:
-        if name in drop:
-            continue
         chunks.append(np.ascontiguousarray(a, dtype="<f8").tobytes())
-        tensors.append({"name": name, "shape": list(a.shape), "offset": offset})
+        if name not in drop:
+            tensors.append({"name": name, "shape": list(a.shape), "offset": offset})
         offset += len(chunks[-1])
     manifest = {"version": 1, "config": asdict(params.config), "dtype": "float64",
                 "extra": {}, "tensors": tensors}

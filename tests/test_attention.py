@@ -11,7 +11,6 @@ from parloop.attention import (
     WindowKVCache,
     apply_rope,
     attention,
-    attention_np,
     band_mask,
     build_rope_tables,
     causal_mask,
@@ -165,9 +164,9 @@ class TestAttendCore:
         q = rng.normal(size=(1, 2, 4))
         k = rng.normal(size=(1, 2, 4))
         with pytest.raises(EmptyContextError):   # query 0 precedes keys 1, 2
-            attention_np(q, k, k, np.arange(2), k_start=1)
+            attention(q, k, k, np.arange(2), k_start=1)
         with pytest.raises(EmptyContextError):   # query 5 is past keys 0, 1
-            attention_np(q, k, k, np.array([4, 5]), window=4)
+            attention(q, k, k, np.array([4, 5]), window=4)
 
     def test_window_before_first_loop_rejected(self):
         cfg = ModelConfig(vocab=11, d_model=8, n_layers=1, n_heads=2, mode="plt",
@@ -183,7 +182,7 @@ class TestAttendCore:
         k = rng.normal(size=(2, 3, 4))
         q[1, 2, 0] = np.nan
         with pytest.raises(NumericError):
-            attention_np(q, k, k, np.arange(3))
+            attention(q, k, k, np.arange(3))
 
 
 class TestKernel:
@@ -198,7 +197,7 @@ class TestKernel:
         q = rng.normal(size=(kh * groups, n, dh))
         k = rng.normal(size=(kh, n, dh))
         v = rng.normal(size=(kh, n, dh))
-        out = attention_np(q, k, v, np.arange(n), window=window)
+        out = attention(q, k, v, np.arange(n), window=window)
         want = naive_attend(q, np.repeat(k, groups, axis=0),
                             np.repeat(v, groups, axis=0), allowed_set(n, window))
         assert np.max(np.abs(out - want)) < 1e-12
@@ -249,7 +248,7 @@ class TestKernel:
         q = rng.normal(size=(4, n, 4))
         k = rng.normal(size=(2, m, 4))
         v = rng.normal(size=(2, m, 4))
-        out = attention_np(q, k, v, np.arange(s, s + n), k_start=k_start, window=window)
+        out = attention(q, k, v, np.arange(s, s + n), k_start=k_start, window=window)
         allowed = allowed_set(s + n, window)[s:, k_start:]
         want = naive_attend(q, np.repeat(k, 2, axis=0), np.repeat(v, 2, axis=0), allowed)
         assert np.max(np.abs(out - want)) < 1e-12
@@ -265,23 +264,11 @@ class TestKernel:
         n = 2 * BLOCK + 3
         q = rng.normal(size=(4, n, 4))
         k = rng.normal(size=(2, n, 4))
-        out = attention_np(q, k, k, np.arange(n))
+        out = attention(q, k, k, np.arange(n))
         assert shapes == [(BLOCK, BLOCK), (BLOCK, BLOCK), (3, 3)]
         want = naive_attend(q, np.repeat(k, 2, axis=0), np.repeat(k, 2, axis=0),
                             allowed_set(n))
         assert np.max(np.abs(out - want)) < 1e-12
-
-    @pytest.mark.parametrize("window", [0, 5])
-    def test_kept_tiles_hold_probabilities(self, window):
-        rng = np.random.default_rng(3 + window)
-        n = 2 * BLOCK + 3
-        q = rng.normal(size=(2, 4, n, 4)) * 3
-        k = rng.normal(size=(2, 2, n, 4)) * 3
-        tiles = []
-        attention_np(q, k, k, np.arange(n), window=window, tiles=tiles)
-        assert len(tiles) == 3
-        for *_, p in tiles:
-            assert np.max(np.abs(p.sum(axis=-1) - 1.0)) <= 1e-15
 
     def test_grouped_kv_grad_sums_over_copies(self, rng):
         q = Tensor(rng.normal(size=(2, 6, 3, 4)), requires_grad=True)
@@ -304,47 +291,26 @@ class TestKernel:
         monkeypatch.setattr(attn, "band_mask", no_mask)
         q = rng.normal(size=(4, 3, 4))      # three rows, all at position 6
         k = rng.normal(size=(2, 7, 4))
-        out = attention_np(q, k, k, np.full(3, 6))
+        out = attention(q, k, k, np.full(3, 6))
         want = naive_attend(q, np.repeat(k, 2, axis=0), np.repeat(k, 2, axis=0),
                             np.ones((3, 7), dtype=bool))
         assert np.max(np.abs(out - want)) < 1e-12
-        ring = attention_np(q, k[:, 3:], k[:, 3:], np.full(3, 6), k_start=3, window=4)
-        assert np.array_equal(ring, attention_np(q, k[:, 3:], k[:, 3:], np.full(3, 6),
-                                                 k_start=3))
-
-    @pytest.mark.parametrize("groups", [1, 2, 4])
-    @pytest.mark.parametrize("source", ["shared", "ring"])
-    @pytest.mark.parametrize("rows", [1, 3])
-    def test_single_tile_path_is_bitwise_the_tiled_path(self, groups, source, rows):
-        rng = np.random.default_rng(10 * groups + rows)
-        kh, dh, p = 2, 8, 20
-        kv = rng.normal(size=(2, kh, 24, dh))
-        if source == "shared":   # a cache view holding keys past the query, too
-            cache = SharedKVCache(1, kh, dh, max_seq=32)
-            cache.write_block(0, 0, kv[0], kv[1])
-            (k, v), k_start, window = cache.view(0, 24), 0, 0
-        else:
-            ring = WindowKVCache(6, kh, dh)
-            ring.write_block(0, kv[0, :, :p + 1], kv[1, :, :p + 1])
-            k, v, _ = ring.gather(p)
-            k_start, window = ring.lo, 6
-        q = rng.normal(size=(rows, kh * groups, dh)).transpose(1, 0, 2)  # as decode passes it
-        at = [p] * rows
-        fast = attention_np(q, k, v, at, k_start, window)
-        assert np.array_equal(fast, attention_np(q, k, v, at, k_start, window, tiles=[]))
+        ring = attention(q, k[:, 3:], k[:, 3:], np.full(3, 6), k_start=3, window=4)
+        assert np.array_equal(ring, attention(q, k[:, 3:], k[:, 3:], np.full(3, 6),
+                                              k_start=3))
 
     def test_single_tile_path_keeps_its_errors(self, rng):
         q = rng.normal(size=(4, 1, 8))
         k = rng.normal(size=(2, 5, 8))
         with pytest.raises(EmptyContextError):      # no keys at all
-            attention_np(q, k[:, :0], k[:, :0], [4])
+            attention(q, k[:, :0], k[:, :0], [4])
         with pytest.raises(EmptyContextError):      # every key after the query
-            attention_np(q, k, k, [2], k_start=3)
+            attention(q, k, k, [2], k_start=3)
         with pytest.raises(EmptyContextError):      # every key before the window
-            attention_np(q, k, k, [20], k_start=3, window=4)
+            attention(q, k, k, [20], k_start=3, window=4)
         q[1, 0, 3] = np.nan
         with pytest.raises(NumericError):
-            attention_np(q, k, k, [7], k_start=3)
+            attention(q, k, k, [7], k_start=3)
 
     @pytest.mark.parametrize("kw", [dict(mode="vanilla"),
                                     dict(mode="vanilla_loop", loops=2),

@@ -131,6 +131,17 @@ def test_config_file_supplies_defaults(tmp_path):
     assert manifest["task"]["name"] == "copy"
 
 
+def test_config_file_switch_set_false_reaches_the_model(tmp_path):
+    # the INI line becomes --no-weight-tying
+    ini = write_ini(tmp_path, GOOD_INI.replace("window = 4\n",
+                                               "window = 4\nweight_tying = false\n"))
+    out = tmp_path / "run"
+    assert run(["train", "--config", ini, "--steps", "2", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["model"]["weight_tying"] is False
+    assert manifest["model"]["gswa"] is True
+
+
 @pytest.mark.parametrize("steps", [["--steps", "23"], ["--step", "23"], ["--steps=23"]],
                          ids=["spaced", "abbreviated", "joined"])
 def test_explicit_flags_beat_the_config_file(tmp_path, steps):

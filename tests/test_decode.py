@@ -8,7 +8,7 @@ import pytest
 import parloop.decode
 import parloop.model
 
-from parloop.attention import SharedKVCache, WindowKVCache, attention_np
+from parloop.attention import SharedKVCache, WindowKVCache, attention
 from parloop.decode import DecodeSession, _select, generate, prefill
 from parloop.errors import (CapacityError, ConfigError, DimensionError, EmptyInputError,
                             TokenError)
@@ -486,8 +486,8 @@ class TestGroupedAttend:
             k_start, window = pos[0], 8
         q = rng.standard_normal((rows, kh * groups, dh))
         at = k_start + k.shape[1] - 1
-        got = attention_np(q.transpose(1, 0, 2), k, v, np.full(rows, at),
-                           k_start, window).transpose(1, 0, 2)
+        got = attention(q.transpose(1, 0, 2), k, v, np.full(rows, at),
+                        window, k_start).transpose(1, 0, 2)
         assert got.shape == q.shape
         assert np.max(np.abs(got - repeat_einsum_attend(q, k, v))) < 1e-9
 

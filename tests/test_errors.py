@@ -2,6 +2,8 @@
 caller as a ``ParloopError`` subclass (exit 2 from the command line), never
 as a raw numpy or Python exception and never as a silent result."""
 
+import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +34,7 @@ def train_tiny(**kw):
     task = make_task("copy", src_len=2, symbols=4)
     cfg = ModelConfig(vocab=task.vocab, d_model=8, n_layers=1, n_heads=2,
                       max_seq=task.seq_len)
-    return train(init_parameters(cfg, 0), task, TrainConfig(batch_size=2, **kw))
+    return train(init_parameters(cfg, 0), task, TrainConfig(**{"batch_size": 2, **kw}))
 
 
 def train_unscored():
@@ -67,6 +69,28 @@ def checkpoint(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, params())
     return str(path)
+
+
+def header(manifest: bytes, length=None) -> bytes:
+    """A checkpoint's magic and length word, then ``manifest``."""
+    return b"PLTCKPT1" + struct.pack("<Q", len(manifest) if length is None else length) + manifest
+
+
+def tampered(tmp_path, edit):
+    """A checkpoint of ``params()`` whose manifest went through ``edit``."""
+    data = open(checkpoint(tmp_path), "rb").read()
+    (length,) = struct.unpack("<Q", data[8:16])
+    manifest = json.loads(data[16:16 + length])
+    edit(manifest)
+    path = tmp_path / "tampered.ckpt"
+    path.write_bytes(header(json.dumps(manifest).encode()) + data[16 + length:])
+    return path
+
+
+def raw_file(tmp_path, data: bytes):
+    path = tmp_path / "raw.ckpt"
+    path.write_bytes(data)
+    return path
 
 
 def per_gate_file_missing_a_loop(tmp_path):
@@ -111,6 +135,19 @@ CASES = [
     ("config-negative-d-ff", lambda _: ModelConfig(**CFG, d_ff=-4), ConfigError),
     ("config-zero-rope-theta", lambda _: ModelConfig(**CFG, rope_theta=0.0), ConfigError),
     ("config-inf-rope-theta", lambda _: ModelConfig(**CFG, rope_theta=float("inf")), ConfigError),
+    ("config-vocab-one", lambda _: ModelConfig(**{**CFG, "vocab": 1}), ConfigError),
+    ("config-negative-n-layers", lambda _: ModelConfig(**{**CFG, "n_layers": -1}), ConfigError),
+    ("config-zero-loops", lambda _: ModelConfig(**{**CFG, "loops": 0}), ConfigError),
+    ("config-zero-max-seq", lambda _: ModelConfig(**{**CFG, "max_seq": 0}), ConfigError),
+    ("config-odd-d-head", lambda _: ModelConfig(**{**CFG, "d_model": 6}), ConfigError),
+    ("config-per-loop-gates-without-gswa",
+     lambda _: ModelConfig(vocab=17, d_model=16, n_layers=1, n_heads=2, mode="plt", loops=2,
+                           per_loop_gates=True), ConfigError),
+    ("config-float-loops", lambda _: ModelConfig(**{**CFG, "loops": 2.0}), ConfigError),
+    ("config-float-window", lambda _: ModelConfig(**{**CFG, "window": 4.0}), ConfigError),
+    ("config-float-max-seq", lambda _: ModelConfig(**{**CFG, "max_seq": 32.0}), ConfigError),
+    ("config-bool-n-layers", lambda _: ModelConfig(**{**CFG, "n_layers": True}), ConfigError),
+    ("config-text-gswa", lambda _: ModelConfig(**{**CFG, "gswa": "yes"}), ConfigError),
     ("forward-out-of-range-id", lambda _: forward(params(), np.array([1, 17])), TokenError),
     ("forward-float-ids", lambda _: forward(params(), np.array([1.5, 2.0])), TokenError),
     ("prefill-2d-prompt", lambda _: prefill(params(), np.zeros((2, 2), int)), DimensionError),
@@ -126,16 +163,51 @@ CASES = [
     ("generate-bool-count", lambda _: generate(session(), True), ConfigError),
     ("generate-zero-count", lambda _: generate(session(), 0), ConfigError),
     ("train-zero-steps", lambda _: train_tiny(steps=0), ConfigError),
+    ("train-float-steps", lambda _: train_tiny(steps=2.5), ConfigError),
+    ("train-float-batch-size", lambda _: train_tiny(steps=1, batch_size=2.5), ConfigError),
     ("train-mask-scores-nothing", lambda _: train_unscored(), EmptyInputError),
     ("forward-first-row-past-the-tokens",
      lambda _: forward(params(), np.arange(4), first_row=4), PositionError),
     ("rng-negative-seed", lambda _: init_parameters(ModelConfig(**CFG), -1), ConfigError),
     ("make-task-unknown", lambda _: make_task("sorting"), ConfigError),
     ("make-task-empty-source", lambda _: make_task("copy", src_len=0), ConfigError),
+    ("make-task-modulus-one", lambda _: make_task("modular_add", modulus=1), ConfigError),
+    ("make-task-no-triples", lambda _: make_task("modular_add", triples=0), ConfigError),
+    ("make-task-char-lm-one-byte", lambda _: make_task("char_lm", seq_len=1), ConfigError),
+    ("make-task-char-lm-past-the-corpus",
+     lambda _: make_task("char_lm", seq_len=10**6), ConfigError),
     ("load-checkpoint-missing", lambda p: load_checkpoint(p / "absent.ckpt"), CheckpointError),
     ("load-checkpoint-garbage", lambda p: load_checkpoint(garbage(p)), CheckpointError),
     ("load-checkpoint-per-gate-missing-a-loop",
      lambda p: load_checkpoint(per_gate_file_missing_a_loop(p)), CheckpointError),
+    ("load-checkpoint-truncated-manifest",
+     lambda p: load_checkpoint(raw_file(p, header(b"{}", length=99))), CheckpointError),
+    ("load-checkpoint-manifest-not-json",
+     lambda p: load_checkpoint(raw_file(p, header(b"{not json"))), CheckpointError),
+    ("load-checkpoint-version-2",
+     lambda p: load_checkpoint(tampered(p, lambda m: m.update(version=2))), CheckpointError),
+    ("load-checkpoint-no-config",
+     lambda p: load_checkpoint(tampered(p, lambda m: m.pop("config"))), CheckpointError),
+    ("load-checkpoint-bogus-mode",
+     lambda p: load_checkpoint(tampered(p, lambda m: m["config"].update(mode="bogus"))),
+     CheckpointError),
+    ("load-checkpoint-float-vocab",
+     lambda p: load_checkpoint(tampered(p, lambda m: m["config"].update(vocab=17.0))),
+     CheckpointError),
+    ("load-checkpoint-huge-vocab",   # refused before the model is allocated
+     lambda p: load_checkpoint(tampered(p, lambda m: m["config"].update(vocab=10**13))),
+     CheckpointError),
+    ("load-checkpoint-unknown-tensor",
+     lambda p: load_checkpoint(tampered(p, lambda m: m["tensors"][0].update(name="bogus"))),
+     CheckpointError),
+    ("load-checkpoint-missing-tensor",
+     lambda p: load_checkpoint(tampered(p, lambda m: m["tensors"].pop())), CheckpointError),
+    ("load-checkpoint-offset-past-the-payload",
+     lambda p: load_checkpoint(tampered(p, lambda m: m["tensors"][-1].update(offset=10**6))),
+     CheckpointError),
+    ("load-checkpoint-shape-mismatch",
+     lambda p: load_checkpoint(tampered(p, lambda m: m["tensors"][0].update(shape=[1, 2]))),
+     CheckpointError),
     ("cost-zero-batch", lambda _: decode_step_cost("plt", ModelConfig(**CFG),
                                                    default_profile(), 0, 16), ConfigError),
     ("profile-zero-bandwidth", lambda _: HardwareProfile(

@@ -125,6 +125,18 @@ class TestMatmul:
                 fd = (loss(t.data + e) - loss(t.data - e)) / 2.0
                 assert rel(grad.reshape(-1)[i], fd) < 1e-6
 
+    @pytest.mark.parametrize("x_shape", [(2, 3, 4), (3, 4), (3, 1, 3, 4)])
+    def test_batched_right_operand(self, x_shape, rng):
+        # a right operand with its own batch axis, against which the left one broadcasts
+        x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
+        u = rng.normal(size=np.broadcast_shapes(x_shape[:-2], (2,)) + (3, 5))
+        ((x @ w) * u).sum().backward()
+        gx = numeric_grad(lambda v: float(((v @ w.data) * u).sum()), x.data.copy())
+        gw = numeric_grad(lambda v: float(((x.data @ v) * u).sum()), w.data.copy())
+        assert rel(x.grad, gx) < 1e-6
+        assert rel(w.grad, gw) < 1e-6
+
     def test_inner_extent_mismatch_raises(self):
         with pytest.raises(DimensionError):
             Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((4, 2)))

@@ -1,5 +1,6 @@
-"""The verification suite: the prefill-reach and train-reach checks catch a
-reach one layer short, and the reference forwards record no tape."""
+"""The verification suite: the gradients check passes, the prefill-reach and
+train-reach checks catch a reach one layer short, and the reference
+forwards record no tape."""
 
 import parloop.model
 import parloop.verify
@@ -7,10 +8,16 @@ from parloop.tensor import Tensor
 from parloop.verify import (
     check_causality,
     check_gate_limits,
+    check_gradients,
     check_prefill_reach,
     check_teacher_forcing,
     check_train_reach,
 )
+
+
+def test_gradients_check_passes():
+    result = check_gradients()
+    assert result.passed, result.line()
 
 
 def test_prefill_reach_passes():
