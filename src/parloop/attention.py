@@ -52,7 +52,10 @@ def build_rope_tables(max_seq: int, d_head: int, theta: float = 10000.0) -> Rope
         raise ConfigError(f"d_head {d_head} must be even for rotary embedding")
     half = d_head // 2
     freqs = theta ** (-np.arange(half, dtype=np.float64) / half)
-    angles = np.arange(max_seq, dtype=np.float64)[:, None] * freqs[None, :]
+    try:
+        angles = np.arange(max_seq, dtype=np.float64)[:, None] * freqs[None, :]
+    except (MemoryError, ValueError) as e:   # ValueError: past numpy's largest array
+        raise ConfigError(f"max_seq {max_seq} is too large for the rotary tables: {e}") from e
     cos, sin = np.cos(angles), np.sin(angles)
     return RopeTables(cos=np.concatenate([cos, cos], axis=1),
                       sin=np.concatenate([-sin, sin], axis=1))

@@ -2,57 +2,70 @@
 
 Layout: 8-byte magic, little-endian uint64 manifest length, UTF-8 JSON
 manifest, then the raw tensor payload. The manifest records the model
-config, the payload dtype, and per-tensor name/shape/offset, with offsets
-relative to the start of the payload. Tensors are stored little-endian in
-the order listed. Saves write float64; a float32 payload is read and
-widened to float64, the only dtype a Tensor holds.
+config, the payload dtype and the tensor table: name/shape/offset per
+tensor, offsets relative to the start of the payload. The payload is the
+``model.param_shapes`` table at contiguous offsets, little-endian, and
+nothing else. Saves write float64; a float32 payload is read and widened
+to float64, the only dtype a Tensor holds.
 
-Tensor names are those of ``model.param_shapes``, where each gswa layer
-holds its gates stacked as ``layers.{i}.gate_weight`` / ``gate_bias``.
-Files written before the gates were stacked name one gate per entry,
-``layers.{i}.gates.{g}.weight`` / ``.bias``; they still load, each entry
-into slice g, and every slice must be present.
+Each gswa layer holds its gates stacked (``layers.{i}.gate_weight`` /
+``gate_bias``). Files in the older per-gate layout still load: there each
+gate's ``layers.{i}.gates.{g}.weight``, then ``.bias``, sit where the
+stacked tensors sit now.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict
+from itertools import accumulate, zip_longest
 
 import numpy as np
 
 from .errors import CheckpointError, ConfigError
-from .model import ModelConfig, Parameters, build_parameters, count_params_from_config
+from .model import (ModelConfig, Parameters, build_parameters, count_params_from_config,
+                    param_shapes)
 
 MAGIC = b"PLTCKPT1"
 VERSION = 1
 DTYPES = ("float64", "float32")
 
 
+def _layout(cfg: ModelConfig, itemsize: int, per_gate: bool = False) -> tuple:
+    """(entries, slots): the manifest's ``tensors`` entries for ``cfg`` in
+    file order at contiguous offsets, and the (tensor name, index) each
+    fills, the index being ``...`` or, for a per-gate entry, its gate."""
+    shapes, parts = param_shapes(cfg), []   # (file name, shape, slot)
+    for name, shape in shapes.items():
+        stem, gate, kind = name.rpartition(".gate_")
+        if not (per_gate and gate):
+            parts.append((name, shape, (name, ...)))
+        elif kind == "weight":   # each gate's weight, then its bias
+            parts += [(f"{stem}.gates.{g}.{k}", shapes[f"{stem}.gate_{k}"][1:],
+                       (f"{stem}.gate_{k}", g))
+                      for g in range(shape[0]) for k in ("weight", "bias")]
+    offsets = accumulate((math.prod(shape) * itemsize for _, shape, _ in parts), initial=0)
+    entries = [{"name": n, "shape": list(s), "offset": o} for (n, s, _), o in zip(parts, offsets)]
+    return entries, [slot for _, _, slot in parts]
+
+
 def save_checkpoint(path, params: Parameters, extra: dict | None = None) -> None:
-    tensors = []
-    offset = 0
-    chunks = []
-    for name, t in params.named_tensors().items():
-        raw = np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-        tensors.append({"name": name, "shape": list(t.shape), "offset": offset})
-        chunks.append(raw)
-        offset += len(raw)
     manifest = {
         "version": VERSION,
         "config": asdict(params.config),
         "dtype": "float64",
         "extra": extra or {},
-        "tensors": tensors,
+        "tensors": _layout(params.config, 8)[0],
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
-        for raw in chunks:
-            f.write(raw)
+        for t in params.named_tensors().values():
+            f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path):
@@ -86,50 +99,29 @@ def load_checkpoint(path):
         raise CheckpointError(
             f"unsupported payload dtype {manifest.get('dtype')!r}, expected one of {DTYPES}")
     dtype = np.dtype(manifest["dtype"]).newbyteorder("<")
-    if not isinstance(manifest.get("tensors"), list):
-        raise CheckpointError("manifest 'tensors' is not a list")
     payload = data[16 + mlen:]
     n_params = count_params_from_config(cfg)
-    if n_params * dtype.itemsize > len(payload):   # checked before the model is allocated
-        raise CheckpointError(
-            f"payload of {len(payload)} bytes cannot hold the config's {n_params} parameters")
-
-    params = build_parameters(cfg, np.zeros)
+    if len(payload) != n_params * dtype.itemsize:   # checked before the model is allocated
+        raise CheckpointError(f"payload of {len(payload)} bytes is not the config's "
+                              f"{n_params} parameters of {dtype.name}")
+    tensors = manifest.get("tensors")
+    if not isinstance(tensors, list):
+        raise CheckpointError("manifest 'tensors' is not a list")
+    layouts = [_layout(cfg, dtype.itemsize, per_gate) for per_gate in (False, True)]
+    differ = [next((i for i, (a, b) in enumerate(zip_longest(tensors, entries)) if a != b),
+                   None) for entries, _ in layouts]
+    if None not in differ:   # name the first difference from the table followed longest
+        i = max(differ)
+        entries = layouts[differ.index(i)][0]
+        raise CheckpointError(f"tensor entry {i} is {(tensors + [None])[i]}, "
+                              f"the config implies {(entries + [None])[i]}")
+    entries, slots = layouts[differ.index(None)]
+    try:
+        params = build_parameters(cfg, np.zeros)
+    except ConfigError as e:
+        raise CheckpointError(f"bad config in manifest: {e}") from e
     named = params.named_tensors()
-    slots = {name: (name, None) for name in named}   # file name -> (tensor, slice)
-    for name, t in named.items():   # older files store each gate on its own
-        stem, sep, kind = name.rpartition(".gate_")
-        if sep:
-            slots.update((f"{stem}.gates.{g}.{kind}", (name, g)) for g in range(len(t.data)))
-    seen = set()
-    for entry in manifest["tensors"]:
-        try:
-            name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
-        except (TypeError, KeyError) as e:
-            raise CheckpointError(f"malformed tensor entry {entry!r}: {e!r}") from e
-        if not isinstance(offset, int) or offset < 0:
-            raise CheckpointError(f"bad offset {offset!r} for tensor {name!r}")
-        if not isinstance(name, str) or name not in slots:
-            raise CheckpointError(f"unknown tensor {name!r} in checkpoint")
-        target, g = slots[name]
-        t = named[target]
-        want = t.data.shape if g is None else t.data.shape[1:]
-        if want != shape:
-            raise CheckpointError(
-                f"shape mismatch for {name!r}: config implies {want}, file has {shape}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * dtype.itemsize
-        if offset + nbytes > len(payload):
-            raise CheckpointError(f"truncated payload at tensor {name!r}")
-        arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
-        if g is None:
-            t.data = arr.astype(np.float64).reshape(shape)
-        else:
-            t.data[g] = arr.reshape(shape)
-        seen.add((target, g))
-    # a tensor is loaded whole, or (stacked gates) slice by slice
-    missing = [name for name, t in named.items() if (name, None) not in seen
-               and not all((name, g) in seen for g in range(len(t.data)))]
-    if missing:
-        raise CheckpointError(f"checkpoint missing tensors: {sorted(missing)}")
+    for entry, (name, index) in zip(entries, slots):
+        view = named[name].data[index]   # the whole tensor, or one gate of it
+        view[...] = np.frombuffer(payload, dtype, view.size, entry["offset"]).reshape(view.shape)
     return params, manifest.get("extra", {})

@@ -31,11 +31,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
-from .model import ModelConfig, count_flops_per_token, count_params_from_config
+from .model import ModelConfig, count_flops_per_token, count_params_from_config, is_real
 
 ARCH_ROWS = ("vanilla", "loop", "loop_clp", "loop_clp_kvshare", "plt")
 
@@ -59,8 +58,7 @@ class HardwareProfile:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name != "name" and not (isinstance(value, numbers.Real)
-                                         and 0 < value < math.inf):
+            if f.name != "name" and not (is_real(value) and 0 < value < math.inf):
                 raise ConfigError(f"hardware profile {f.name} must be positive and "
                                   f"finite, got {value!r}")
 

@@ -36,13 +36,12 @@ the prompt with one block write.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from .attention import SharedKVCache, WindowKVCache
 from .errors import CapacityError, ConfigError, DimensionError, TokenError
-from .model import Parameters, block_stack_forward, forward, head_weight, is_int
+from .model import Parameters, block_stack_forward, forward, head_weight, is_int, is_real
 from .tensor import Rng
 
 
@@ -172,7 +171,7 @@ def generate(session: DecodeSession, n_tokens: int, temperature: float = 0.0,
     session stays consistent for further calls."""
     if not is_int(n_tokens) or n_tokens < 1:
         raise ConfigError(f"n_tokens must be an integer >= 1, got {n_tokens!r}")
-    if not isinstance(temperature, numbers.Real) or math.isnan(temperature):
+    if not is_real(temperature) or math.isnan(temperature):
         raise ConfigError(f"temperature must be a number, not {temperature!r}")
     if session.position + n_tokens > session.cfg.max_seq:
         raise CapacityError(

@@ -18,15 +18,16 @@ strictly earlier positions, so during decoding all loop stages can run in
 a single batched pass over displaced tokens.
 
 ``param_shapes`` is the one description of the parameter layout; building,
-naming and counting parameters all walk it. Each gswa layer stacks its
-gates into ``gate_weight`` / ``gate_bias``, and checkpoints that name one
-gate per loop still load (see ``checkpoint``).
+naming, counting and checkpointing parameters all walk it. Each gswa layer
+stacks its gates into ``gate_weight`` / ``gate_bias``, and checkpoints that
+name one gate per loop still load (see ``checkpoint``).
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -50,6 +51,11 @@ def is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def is_real(x) -> bool:
+    """A real number that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass
 class ModelConfig:
     vocab: int
@@ -71,21 +77,23 @@ class ModelConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}, expected one of {MODES}")
+        for name, least in SIZES:
+            value = getattr(self, name)
+            if value is None and name in ("n_kv_heads", "d_ff"):
+                continue   # filled in below, from sizes checked here
+            if not is_int(value) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.n_kv_heads is None:
             self.n_kv_heads = self.n_heads
         if self.d_ff is None:
             self.d_ff = 4 * self.d_model
-        for name, least in SIZES:
-            value = getattr(self, name)
-            if not is_int(value) or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         for name in SWITCHES:
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        if not 0.0 < self.norm_eps < math.inf:
-            raise ConfigError(f"norm_eps must be positive and finite, got {self.norm_eps}")
-        if not 0.0 < self.rope_theta < math.inf:
-            raise ConfigError(f"rope_theta must be positive and finite, got {self.rope_theta}")
+        for name in ("norm_eps", "rope_theta"):
+            value = getattr(self, name)
+            if not (is_real(value) and 0.0 < value < math.inf):
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.d_head % 2 != 0:

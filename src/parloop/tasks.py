@@ -16,6 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, EmptyInputError
+from .model import is_int
 from .tensor import Rng, Tensor, cross_entropy
 
 
@@ -60,8 +61,8 @@ def make_task(name: str, **kw) -> TaskSpec:
         src_len = kw.pop("src_len", 8)
         symbols = kw.pop("symbols", 16)
         _reject_extras(name, kw)
-        if src_len < 1 or symbols < 2:
-            raise ConfigError("copy/reverse need src_len >= 1 and symbols >= 2")
+        if not (is_int(src_len) and is_int(symbols)) or src_len < 1 or symbols < 2:
+            raise ConfigError("copy/reverse need integers src_len >= 1 and symbols >= 2")
         vocab, n, sample = _copy_like(src_len, symbols, reverse=(name == "reverse"))
         return TaskSpec(name, vocab, n, sample,
                         params={"src_len": src_len, "symbols": symbols})
@@ -69,8 +70,8 @@ def make_task(name: str, **kw) -> TaskSpec:
         modulus = kw.pop("modulus", 23)
         triples = kw.pop("triples", 6)
         _reject_extras(name, kw)
-        if modulus < 2 or triples < 1:
-            raise ConfigError("modular_add needs modulus >= 2 and triples >= 1")
+        if not (is_int(modulus) and is_int(triples)) or modulus < 2 or triples < 1:
+            raise ConfigError("modular_add needs integers modulus >= 2 and triples >= 1")
         n = 3 * triples
 
         def sample(rng: Rng, batch: int):
@@ -86,8 +87,8 @@ def make_task(name: str, **kw) -> TaskSpec:
     if name == "char_lm":
         seq_len = kw.pop("seq_len", 64)
         _reject_extras(name, kw)
-        if seq_len < 2:
-            raise ConfigError("char_lm needs seq_len >= 2")
+        if not is_int(seq_len) or seq_len < 2:
+            raise ConfigError("char_lm needs an integer seq_len >= 2")
         corpus = np.frombuffer(CORPUS.encode("utf-8"), dtype=np.uint8)
         if seq_len >= len(corpus):
             raise ConfigError(f"seq_len {seq_len} exceeds corpus size {len(corpus)}")

@@ -18,7 +18,7 @@ from .checkpoint import save_checkpoint
 from .costmodel import variant_config
 from .decode import prefill
 from .errors import CapacityError, ConfigError, DivergenceError, NumericError
-from .model import ModelConfig, forward, init_parameters, is_int
+from .model import ModelConfig, forward, init_parameters, is_int, is_real
 from .tasks import TaskSpec, cross_entropy_loss, eval_accuracy, scored_rows
 from .tensor import Rng, global_grad_norm
 
@@ -121,10 +121,13 @@ def train(params, task: TaskSpec, cfg: TrainConfig) -> TrainResult:
     Raises DivergenceError the moment the loss stops being finite, with
     the step and recent loss history in the message.
     """
-    for name in ("steps", "batch_size"):
+    for name, least in (("steps", 1), ("batch_size", 1), ("warmup_steps", 0)):
         value = getattr(cfg, name)
-        if not is_int(value) or value < 1:
-            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if not is_int(value) or value < least:
+            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    for name in ("lr", "clip_norm", "beta1", "beta2", "eps"):
+        if not is_real(getattr(cfg, name)):
+            raise ConfigError(f"{name} must be a number, got {getattr(cfg, name)!r}")
     named = params.named_tensors()
     opt = Adam(named, cfg.beta1, cfg.beta2, cfg.eps)
     data_rng = Rng(cfg.seed).fork("task-data")

@@ -336,6 +336,14 @@ def test_bench_json_carries_the_text_fields(capsys):
     assert min(got["prefill_ms"], got["median_ms"], got["p90_ms"]) > 0
 
 
+def test_bench_single_step_reports_its_time_as_p90(capsys):
+    # under ten steps there are no deciles: p90 is the slowest step
+    assert run(["bench", *TINY, "--steps", "1", "--prompt-len", "4", "--vocab", "32",
+                "--json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["p90_ms"] == got["median_ms"] > 0
+
+
 def test_bench_zero_steps_exits_2(capsys):
     assert run(["bench", "--steps", "0"]) == 2
     assert "must be >= 1" in capsys.readouterr().err

@@ -93,6 +93,17 @@ def raw_file(tmp_path, data: bytes):
     return path
 
 
+def trailing_bytes(tmp_path):
+    """A whole checkpoint with eight more bytes after its payload."""
+    return raw_file(tmp_path, open(checkpoint(tmp_path), "rb").read() + bytes(8))
+
+
+def overlap(manifest):
+    """Point ``mlp_norm``'s entry at ``attn_norm``'s bytes."""
+    entries = {e["name"]: e for e in manifest["tensors"]}
+    entries["layers.0.mlp_norm"]["offset"] = entries["layers.0.attn_norm"]["offset"]
+
+
 def per_gate_file_missing_a_loop(tmp_path):
     """A checkpoint in the pre-stacking layout that lacks loop 3's gate."""
     path = tmp_path / "per_gate.ckpt"
@@ -148,6 +159,12 @@ CASES = [
     ("config-float-max-seq", lambda _: ModelConfig(**{**CFG, "max_seq": 32.0}), ConfigError),
     ("config-bool-n-layers", lambda _: ModelConfig(**{**CFG, "n_layers": True}), ConfigError),
     ("config-text-gswa", lambda _: ModelConfig(**{**CFG, "gswa": "yes"}), ConfigError),
+    ("config-text-norm-eps", lambda _: ModelConfig(**CFG, norm_eps="x"), ConfigError),
+    ("config-text-rope-theta", lambda _: ModelConfig(**CFG, rope_theta="x"), ConfigError),
+    ("config-bool-norm-eps", lambda _: ModelConfig(**CFG, norm_eps=True), ConfigError),
+    ("config-none-d-model", lambda _: ModelConfig(**{**CFG, "d_model": None}), ConfigError),
+    ("init-max-seq-past-numpy",   # rotary tables larger than numpy's largest array
+     lambda _: init_parameters(ModelConfig(**{**CFG, "max_seq": 10**19}), 0), ConfigError),
     ("forward-out-of-range-id", lambda _: forward(params(), np.array([1, 17])), TokenError),
     ("forward-float-ids", lambda _: forward(params(), np.array([1.5, 2.0])), TokenError),
     ("prefill-2d-prompt", lambda _: prefill(params(), np.zeros((2, 2), int)), DimensionError),
@@ -161,10 +178,15 @@ CASES = [
      lambda _: generate(session(), 1, temperature="hot"), ConfigError),
     ("generate-float-count", lambda _: generate(session(), 1.5), ConfigError),
     ("generate-bool-count", lambda _: generate(session(), True), ConfigError),
+    ("generate-bool-temperature",
+     lambda _: generate(session(), 1, temperature=True), ConfigError),
     ("generate-zero-count", lambda _: generate(session(), 0), ConfigError),
     ("train-zero-steps", lambda _: train_tiny(steps=0), ConfigError),
     ("train-float-steps", lambda _: train_tiny(steps=2.5), ConfigError),
     ("train-float-batch-size", lambda _: train_tiny(steps=1, batch_size=2.5), ConfigError),
+    ("train-text-lr", lambda _: train_tiny(steps=1, lr="x"), ConfigError),
+    ("train-text-clip-norm", lambda _: train_tiny(steps=1, clip_norm="x"), ConfigError),
+    ("train-text-warmup-steps", lambda _: train_tiny(steps=1, warmup_steps="x"), ConfigError),
     ("train-mask-scores-nothing", lambda _: train_unscored(), EmptyInputError),
     ("forward-first-row-past-the-tokens",
      lambda _: forward(params(), np.arange(4), first_row=4), PositionError),
@@ -176,6 +198,10 @@ CASES = [
     ("make-task-char-lm-one-byte", lambda _: make_task("char_lm", seq_len=1), ConfigError),
     ("make-task-char-lm-past-the-corpus",
      lambda _: make_task("char_lm", seq_len=10**6), ConfigError),
+    ("make-task-float-src-len", lambda _: make_task("copy", src_len=2.0), ConfigError),
+    ("make-task-text-symbols", lambda _: make_task("copy", symbols="x"), ConfigError),
+    ("make-task-float-modulus", lambda _: make_task("modular_add", modulus=5.5), ConfigError),
+    ("make-task-float-seq-len", lambda _: make_task("char_lm", seq_len=3.5), ConfigError),
     ("load-checkpoint-missing", lambda p: load_checkpoint(p / "absent.ckpt"), CheckpointError),
     ("load-checkpoint-garbage", lambda p: load_checkpoint(garbage(p)), CheckpointError),
     ("load-checkpoint-per-gate-missing-a-loop",
@@ -208,6 +234,18 @@ CASES = [
     ("load-checkpoint-shape-mismatch",
      lambda p: load_checkpoint(tampered(p, lambda m: m["tensors"][0].update(shape=[1, 2]))),
      CheckpointError),
+    ("load-checkpoint-huge-max-seq",   # rotary tables numpy cannot allocate
+     lambda p: load_checkpoint(tampered(p, lambda m: m["config"].update(max_seq=10**13))),
+     CheckpointError),
+    ("load-checkpoint-trailing-bytes", lambda p: load_checkpoint(trailing_bytes(p)),
+     CheckpointError),
+    ("load-checkpoint-duplicate-entry",
+     lambda p: load_checkpoint(tampered(p, lambda m: m["tensors"].append(m["tensors"][0]))),
+     CheckpointError),
+    ("load-checkpoint-overlapping-offsets", lambda p: load_checkpoint(tampered(p, overlap)),
+     CheckpointError),
+    ("load-checkpoint-reordered",
+     lambda p: load_checkpoint(tampered(p, lambda m: m["tensors"].reverse())), CheckpointError),
     ("cost-zero-batch", lambda _: decode_step_cost("plt", ModelConfig(**CFG),
                                                    default_profile(), 0, 16), ConfigError),
     ("profile-zero-bandwidth", lambda _: HardwareProfile(
@@ -223,6 +261,8 @@ CASES = [
      lambda _: replace(default_profile(), kv_bytes_per_entry=-3.0), ConfigError),
     ("profile-zero-act-bytes",
      lambda _: replace(default_profile(), act_bytes_per_value=0.0), ConfigError),
+    ("profile-bool-bandwidth",
+     lambda _: replace(default_profile(), mem_bandwidth=True), ConfigError),
     ("ring-write-skips-a-position", lambda _: ring_skip(), PositionError),
     ("ring-write-repeats-a-position", lambda _: ring_repeat(), PositionError),
     ("ring-block-leaves-a-gap", lambda _: ring_block_gap(), PositionError),
@@ -232,6 +272,10 @@ CASES = [
                                                "--prompt", "1 99"]), EXIT_2),
     ("cli-garbage-checkpoint", cli(lambda p: ["generate", "--checkpoint", garbage(p),
                                               "--prompt", "1"]), EXIT_2),
+    ("cli-empty-prompt", cli(lambda p: ["generate", "--checkpoint", checkpoint(p),
+                                        "--prompt", ""]), EXIT_2),
+    ("cli-train-huge-max-seq",
+     cli(lambda p: ["train", "--max-seq", str(10**13), "--out", str(p / "o")]), EXIT_2),
     ("cli-zero-steps", cli(lambda p: ["train", "--steps", "0", "--out", str(p / "o")]), EXIT_2),
     ("cli-negative-seed", cli(lambda p: ["train", "--seed", "-1", "--out", str(p / "o")]),
      EXIT_2),

@@ -350,15 +350,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent.ckpt")
 
-    @pytest.mark.parametrize("corrupt", [
-        pytest.param(lambda m: m.update(dtype="float99"), id="bad-dtype-string"),
-        pytest.param(lambda m: m["tensors"][0].pop("offset"), id="missing-offset"),
-        pytest.param(lambda m: m["tensors"][1].update(offset=-8), id="negative-offset"),
-        pytest.param(lambda m: m.update(tensors=7), id="tensors-not-a-list"),
-        pytest.param(lambda m: [1, 2], id="manifest-not-an-object"),
-        pytest.param(lambda m: m.update(dtype="int8"), id="int8-dtype"),
+    @pytest.mark.parametrize("corrupt, match", [   # match: what the error names
+        pytest.param(lambda m: m.update(dtype="float99"), "dtype 'float99'",
+                     id="bad-dtype-string"),
+        pytest.param(lambda m: m["tensors"][0].pop("offset"), "entry 0 is .*'embedding'",
+                     id="missing-offset"),
+        pytest.param(lambda m: m["tensors"][1].update(offset=-8), "entry 1 is .*'offset': -8",
+                     id="negative-offset"),
+        pytest.param(lambda m: m.update(tensors=7), "'tensors' is not a list",
+                     id="tensors-not-a-list"),
+        pytest.param(lambda m: [1, 2], "not a JSON object", id="manifest-not-an-object"),
+        pytest.param(lambda m: m.update(dtype="int8"), "dtype 'int8'", id="int8-dtype"),
+        pytest.param(lambda m: m["tensors"].insert(2, m["tensors"][-1]),
+                     "entry 2 is .*'final_norm'.*implies .*'layers.0.wq'",
+                     id="entry-out-of-place"),
     ])
-    def test_malformed_manifest_rejected(self, tmp_path, corrupt):
+    def test_malformed_manifest_rejected(self, tmp_path, corrupt, match):
         p = tmp_path / "m.ckpt"
         save_checkpoint(p, init_parameters(small(), seed=0))
         data = p.read_bytes()
@@ -367,7 +374,7 @@ class TestCheckpoint:
         manifest = corrupt(manifest) or manifest
         blob = json.dumps(manifest).encode()
         p.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + mlen:])
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match=match):
             load_checkpoint(p)
 
 

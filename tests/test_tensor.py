@@ -141,6 +141,10 @@ class TestMatmul:
         with pytest.raises(DimensionError):
             Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((4, 2)))
 
+    def test_one_dimensional_operand_raises(self):
+        with pytest.raises(DimensionError):
+            Tensor(np.zeros((2, 3))) @ Tensor(np.zeros(3))
+
 
 class TestShapes:
     def test_reshape_swapaxes_getitem(self, rng):
@@ -317,6 +321,10 @@ class TestCrossEntropy:
         with pytest.raises(EmptyInputError):
             cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 1]),
                           np.array([False, False]))
+
+    def test_target_shape_mismatch_raises(self):
+        with pytest.raises(DimensionError):
+            cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 1, 2]))
 
     def test_grad_against_central_differences(self, rng):
         logits_v = rng.normal(size=(3, 4, 5))

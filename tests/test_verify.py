@@ -1,4 +1,4 @@
-"""The verification suite: the gradients check passes, the prefill-reach and
+"""The verification suite: the gradients check passes and ends ``run_all``, the prefill-reach and
 train-reach checks catch a reach one layer short, and the reference
 forwards record no tape."""
 
@@ -12,12 +12,19 @@ from parloop.verify import (
     check_prefill_reach,
     check_teacher_forcing,
     check_train_reach,
+    run_all,
 )
 
 
 def test_gradients_check_passes():
     result = check_gradients()
     assert result.passed, result.line()
+
+
+def test_run_all_ends_with_the_gradients_check():
+    results = run_all(include_grad=True)
+    assert results[-1].name == "gradients"
+    assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
 
 
 def test_prefill_reach_passes():
