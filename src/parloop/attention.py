@@ -1,6 +1,6 @@
 """Attention primitives: rotary embeddings, causal and banded masks, the
 attention kernel, head-wise gate fusion, and the two decode-time caches
-(append-only per-layer cache, fixed-size sliding-window ring).
+(append-only per-layer, sliding-window ring), each with one ``write`` of a run.
 
 ``attention`` is the only attention implementation; prefill, training and
 decode all run it, on plain arrays or, as one tape op with its own
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigError, EmptyContextError, NumericError, PositionError
-from .tensor import Tensor, needs_grad, node, sigmoid
+from .tensor import Tensor, is_int, needs_grad, node, sigmoid
 
 NEG_INF = float("-inf")
 
@@ -254,10 +254,10 @@ def gated_fuse(g: Tensor, y_local: Tensor, y_global: Tensor) -> Tensor:
 class SharedKVCache:
     """Append-only per-layer key/value store, preallocated to max_seq.
 
-    Written once by the first loop and read by every loop. Entry layout is
-    [n_layers, n_kv_heads, max_seq, d_head]. A position becomes visible as
-    soon as its layer writes it (queries in the same step slice up to
-    pos + 1); the decode session's ``position`` counts the complete ones.
+    Written by the first loop, the prompt's run of positions and then one
+    per step, and read by every loop. Entry layout is [n_layers, n_kv_heads,
+    max_seq, d_head]. A position is visible once its layer writes it (queries
+    in the same step slice up to pos + 1); ``position`` counts complete ones.
     """
 
     def __init__(self, n_layers: int, n_kv_heads: int, d_head: int, max_seq: int):
@@ -265,20 +265,15 @@ class SharedKVCache:
         self.k = np.zeros((n_layers, n_kv_heads, max_seq, d_head))
         self.v = np.zeros_like(self.k)
 
-    def write(self, layer: int, pos: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Store one position's keys/values ([n_kv_heads, d_head]) for a layer."""
-        if pos >= self.max_seq:
-            raise CapacityError(f"cache full: position {pos} >= max_seq {self.max_seq}")
-        self.k[layer, :, pos, :] = k
-        self.v[layer, :, pos, :] = v
-
-    def write_block(self, layer: int, start: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Store a run of positions ([n_kv_heads, n, d_head]) starting at `start`."""
-        n = k.shape[-2]
-        if start + n > self.max_seq:
-            raise CapacityError(f"cache full: {start + n} > max_seq {self.max_seq}")
-        self.k[layer, :, start:start + n, :] = k
-        self.v[layer, :, start:start + n, :] = v
+    def write(self, layer: int, start: int, k: np.ndarray, v: np.ndarray) -> None:
+        """Store a layer's keys/values ([n_kv_heads, n, d_head]) from position `start`."""
+        if not is_int(start) or start < 0:
+            raise PositionError(f"cache write at position {start!r}, expected an integer >= 0")
+        end = start + k.shape[-2]
+        if end > self.max_seq:
+            raise CapacityError(f"cache full: {end} > max_seq {self.max_seq}")
+        self.k[layer, :, start:end, :] = k
+        self.v[layer, :, start:end, :] = v
 
     def view(self, layer: int, upto: int):
         """Keys/values for positions [0, upto) as [n_kv_heads, upto, d_head]."""
@@ -294,8 +289,8 @@ class WindowKVCache:
     d_head], and position p is written to slot p % window and again to slot
     p % window + window. Any run of at most `window` consecutive positions
     therefore sits in one contiguous, ordered stretch of slots, so `gather`
-    hands out views and never sorts or copies. Positions are written in
-    order (`lo` is the oldest held, `hi` the newest), and occupancy never
+    hands out views and never sorts or copies. Runs of positions are written
+    in order (`lo` is the oldest held, `hi` the newest), and occupancy never
     exceeds the window regardless of how long decoding runs.
     """
 
@@ -315,25 +310,16 @@ class WindowKVCache:
         self.lo = max(start if empty else self.lo, end - self.window + 1)
         self.hi = end
 
-    def write(self, pos: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Store the next position's keys/values ([*heads, d_head])."""
-        self._hold(pos, pos)
-        both = slice(pos % self.window, None, self.window)   # the slot and its mirror
-        self.k[..., both, :] = k[..., None, :]
-        self.v[..., both, :] = v[..., None, :]
-
-    def write_block(self, start: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Store a run of positions ([*heads, n, d_head]) from `start`;
-        only the last `window` of them are kept."""
+    def write(self, start: int, k: np.ndarray, v: np.ndarray) -> None:
+        """Store keys/values ([*heads, n, d_head]) from `start` on; keep the last `window`."""
+        if not is_int(start) or start < 0:
+            raise PositionError(f"ring write at position {start!r}, expected an integer >= 0")
         n = k.shape[-2]
-        if n == 0:
-            return
         self._hold(start, start + n - 1)
-        keep = min(n, self.window)
-        slots = np.arange(start + n - keep, start + n) % self.window
-        for half in (slots, slots + self.window):
-            self.k[..., half, :] = k[..., n - keep:, :]
-            self.v[..., half, :] = v[..., n - keep:, :]
+        for i in range(max(0, n - self.window), n):
+            both = slice((start + i) % self.window, None, self.window)   # the slot and its mirror
+            self.k[..., both, :] = k[..., i:i + 1, :]
+            self.v[..., both, :] = v[..., i:i + 1, :]
 
     def gather(self, query_pos: int):
         """All held entries visible from `query_pos`, ordered by position.

@@ -34,7 +34,8 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
-from .model import ModelConfig, count_flops_per_token, count_params_from_config, is_real
+from .model import ModelConfig, count_flops_per_token, count_params_from_config
+from .tensor import is_real
 
 ARCH_ROWS = ("vanilla", "loop", "loop_clp", "loop_clp_kvshare", "plt")
 

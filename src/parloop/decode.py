@@ -30,7 +30,7 @@ fills its cache over the whole prompt and runs its top layer on the rows
 the next loop reads, and each later plt loop runs only a suffix that
 narrows layer by layer to the last row. The rows it drops feed nothing a
 step reads, so the handoff is exact, and a session seeds each ring from
-the prompt with one block write.
+the prompt through the ring's one ``write``.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ import numpy as np
 
 from .attention import SharedKVCache, WindowKVCache
 from .errors import CapacityError, ConfigError, DimensionError, TokenError
-from .model import Parameters, block_stack_forward, forward, head_weight, is_int, is_real
-from .tensor import Rng
+from .model import Parameters, block_stack_forward, forward, head_weight
+from .tensor import Rng, is_int, is_real
 
 
 class DecodeSession:
@@ -81,14 +81,14 @@ class DecodeSession:
                        for _ in range(cfg.loops if serial else 1)]
         for cache, kv in zip(self.caches, states.own_kv_per_loop):
             for li, (k, v) in enumerate(kv):
-                cache.write_block(li, 0, k[0], v[0])
+                cache.write(li, 0, k[0], v[0])
         self.rings = [WindowKVCache(cfg.window, (cfg.loops - 1, kh), dh)
                       for _ in range(cfg.n_layers if cfg.gswa and cfg.loops > 1 else 0)]
         m = min(n, cfg.window)   # every later loop made keys on at least these rows
         for li, ring in enumerate(self.rings):
             ks, vs = zip(*(loop_kv[li] for loop_kv in states.own_kv_per_loop[1:]))
-            ring.write_block(n - m, np.stack([k[0, :, -m:] for k in ks]),
-                             np.stack([v[0, :, -m:] for v in vs]))
+            ring.write(n - m, np.stack([k[0, :, -m:] for k in ks]),
+                       np.stack([v[0, :, -m:] for v in vs]))
 
         rows = 1 if serial else cfg.loops
         self.inflight = np.array([h[0, -1] for h in states.hidden_per_loop[:rows - 1]]

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import copy
 import math
-import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -37,23 +36,13 @@ from .attention import (SharedKVCache, apply_rope, attention, build_rope_tables,
                         gated_fuse)
 from .errors import (CapacityError, ConfigError, EmptyInputError, InvalidLoopError, PositionError,
                      TokenError)
-from .tensor import Rng, Tensor, concat, embedding as gather_rows, rmsnorm, silu
+from .tensor import Rng, Tensor, concat, embedding as gather_rows, is_int, is_real, rmsnorm, silu
 
 MODES = ("vanilla", "vanilla_loop", "plt")
 # (field, least value) of each integer size, and the on/off switches
 SIZES = (("vocab", 2), ("d_model", 1), ("n_layers", 0), ("n_heads", 1), ("loops", 1),
          ("n_kv_heads", 1), ("d_ff", 1), ("window", 0), ("max_seq", 1))
 SWITCHES = ("gswa", "weight_tying", "per_loop_gates")
-
-
-def is_int(x) -> bool:
-    """An integer that is not a bool (``True`` would index as a mask)."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def is_real(x) -> bool:
-    """A real number that is not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 @dataclass
@@ -264,14 +253,14 @@ def block_stack_forward(params: Parameters, x, positions, loop_index: int = 1,
         q_full = h @ layer.wq
         q = apply_rope(split_heads(q_full, heads), at, rope).swapaxes(-3, -2)
         if step:
-            shared_kv.write(li, positions, k[:, 0], v[:, 0])
+            shared_kv.write(li, positions, k[:, :1], v[:, :1])
             kv = shared_kv.view(li, positions + 1)
         else:
             kv = (k, v) if shared_kv is None else shared_kv[li]
         y = attention(q, *kv, positions)
         if use_local and step:
             ring = rings[li]
-            ring.write(positions, _later(k)[..., 0, :], _later(v)[..., 0, :])
+            ring.write(positions, _later(k), _later(v))
             kw, vw, _ = ring.gather(positions)
             y[:, 1:] = _window_mix(cfg, layer, slice(None), _later(q_full), _later(q), _later(y),
                                    kw, vw, positions, ring.lo).swapaxes(0, 1)[:, :, 0]

@@ -16,8 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, EmptyInputError
-from .model import is_int
-from .tensor import Rng, Tensor, cross_entropy
+from .tensor import Rng, Tensor, cross_entropy, is_int
 
 
 @dataclass

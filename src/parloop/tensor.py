@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import zlib
 
 import numpy as np
@@ -30,6 +31,16 @@ import numpy as np
 from .errors import ConfigError, DimensionError, EmptyInputError, NumericError
 
 _GRAD_ENABLED = True
+
+
+def is_int(x) -> bool:
+    """An integer that is not a bool (``True`` would index as a mask)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """A real number that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 @contextlib.contextmanager
@@ -388,9 +399,9 @@ class Rng:
     """Seed-derived random stream; identical seeds give identical draws."""
 
     def __init__(self, seed: int):
+        if not is_int(seed) or seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
         self.seed = int(seed)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def normal(self, shape, std: float = 1.0) -> np.ndarray:

@@ -18,32 +18,44 @@ from .checkpoint import save_checkpoint
 from .costmodel import variant_config
 from .decode import prefill
 from .errors import CapacityError, ConfigError, DivergenceError, NumericError
-from .model import ModelConfig, forward, init_parameters, is_int, is_real
+from .model import ModelConfig, forward, init_parameters
 from .tasks import TaskSpec, cross_entropy_loss, eval_accuracy, scored_rows
-from .tensor import Rng, global_grad_norm
+from .tensor import Rng, global_grad_norm, is_int, is_real
 
 
-@dataclass
+@dataclass(frozen=True)   # checked once, when built
 class TrainConfig:
     steps: int = 200
     batch_size: int = 32
     lr: float = 3e-3
     warmup_steps: int = 20
     clip_norm: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.95
-    eps: float = 1e-8
     seed: int = 0
     log_path: str | None = None         # csv: step,loss,lr,grad_norm
     checkpoint_path: str | None = None
 
+    def __post_init__(self):
+        for name, least in (("steps", 1), ("batch_size", 1), ("warmup_steps", 0)):
+            value = getattr(self, name)
+            if not is_int(value) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("lr", "clip_norm"):   # a clip_norm of 0 turns clipping off
+            value = getattr(self, name)
+            if not (is_real(value) and 0.0 <= value < math.inf):
+                raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
+
 
 class Adam:
     """Standard Adam with bias correction; tensors without a gradient are
-    left untouched."""
+    left untouched. Raises ConfigError unless 0 <= beta1, beta2 < 1 and eps
+    is positive and finite."""
 
     def __init__(self, tensors: dict, beta1: float = 0.9, beta2: float = 0.95,
                  eps: float = 1e-8):
+        if not all(is_real(b) and 0.0 <= b < 1.0 for b in (beta1, beta2)):
+            raise ConfigError(f"beta1 and beta2 must be in [0, 1), got {beta1!r}, {beta2!r}")
+        if not (is_real(eps) and 0.0 < eps < math.inf):
+            raise ConfigError(f"eps must be positive and finite, got {eps!r}")
         self.tensors = dict(tensors)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(t.data) for k, t in self.tensors.items()}
@@ -121,15 +133,8 @@ def train(params, task: TaskSpec, cfg: TrainConfig) -> TrainResult:
     Raises DivergenceError the moment the loss stops being finite, with
     the step and recent loss history in the message.
     """
-    for name, least in (("steps", 1), ("batch_size", 1), ("warmup_steps", 0)):
-        value = getattr(cfg, name)
-        if not is_int(value) or value < least:
-            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-    for name in ("lr", "clip_norm", "beta1", "beta2", "eps"):
-        if not is_real(getattr(cfg, name)):
-            raise ConfigError(f"{name} must be a number, got {getattr(cfg, name)!r}")
     named = params.named_tensors()
-    opt = Adam(named, cfg.beta1, cfg.beta2, cfg.eps)
+    opt = Adam(named)
     data_rng = Rng(cfg.seed).fork("task-data")
     result = TrainResult()
     for step in range(cfg.steps):

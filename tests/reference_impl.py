@@ -1,8 +1,8 @@
 """Straight-line numpy re-derivation of the model forward used as a test
 oracle. Everything is written position by position and head by head, with
 no shared code, tapes, or batching tricks, so agreement with the library
-is meaningful. Also a writer for the checkpoint layout that predates the
-stacked gate tensors."""
+is meaningful. Also a dependency oracle for ``model.prefill_table`` and a
+writer for the checkpoint layout that predates the stacked gate tensors."""
 
 import json
 import math
@@ -125,6 +125,66 @@ def ref_forward(weights, cfg, tokens):
     if "head" in weights:
         return hidden @ weights["head"]
     return hidden @ weights["embedding"].T
+
+
+def ref_prefill_table(cfg, n, top):
+    """The rows each layer of each loop must compute, found by following
+    the model's dependencies back from what is read, one (loop, layer, row)
+    at a time, without the closed-form rule of ``model.prefill_table``.
+
+    Node (l, j, r) is the layer-j output of loop l + 1 at row r (j = 0: the
+    loop's input, j = n_layers: its hidden state). The reads, which serve a
+    decode session and the training loss alike (the one table serves both):
+    every layer's keys on every row of each loop that keeps its own cache
+    (loop 1, and every ``vanilla_loop`` loop), which is also handed every
+    row when it has no layers; with gswa, each later loop's ring seeds on
+    the last ``window`` rows; the plt carries, each earlier loop's hidden
+    state at row n - 1; and the logits on [top, n). The dependencies, from
+    the relations the paper opens with:
+
+    - layer j at row r reads layer j - 1 at r (residual and queries) and the
+      keys it attends, made from layer j - 1's output: its own on rows
+      0..r in a loop that keeps its own cache; otherwise loop 1's on rows
+      0..r (kv sharing) and, with gswa, its own on the last ``window`` rows
+      up to r;
+    - a later loop's input at row r reads the loop before at r - 1 under plt
+      (none at row 0) and at r under ``vanilla_loop``.
+
+    Returns, per loop and layer, the first row whose output is read.
+    """
+    depth, w, plt = cfg.n_layers, cfg.window, cfg.mode == "plt"
+    need = [[[False] * n for _ in range(depth + 1)] for _ in range(cfg.loops)]
+    todo = []
+
+    def read(loop, j, rows):
+        for r in rows:
+            if not need[loop][j][r]:
+                need[loop][j][r] = True
+                todo.append((loop, j, r))
+
+    for loop in range(cfg.loops):
+        if loop == 0 or not plt:   # keeps its own cache (with no layers: its input)
+            for j in range(max(depth, 1)):
+                read(loop, j, range(n))
+        elif cfg.gswa:
+            for j in range(depth):
+                read(loop, j, range(max(0, n - w), n))
+        if plt and loop < cfg.loops - 1:
+            read(loop, depth, [n - 1])
+    read(cfg.loops - 1, depth, range(top, n))
+    while todo:
+        loop, j, r = todo.pop()
+        if j > 0:
+            read(loop, j - 1, [r])
+            if loop == 0 or not plt:
+                read(loop, j - 1, range(r + 1))
+            else:
+                read(0, j - 1, range(r + 1))
+                if cfg.gswa:
+                    read(loop, j - 1, range(max(0, r - w + 1), r + 1))
+        elif loop > 0 and (r > 0 or not plt):
+            read(loop - 1, depth, [r - 1 if plt else r])
+    return [[rows.index(True) for rows in layers] for layers in need]
 
 
 def weights_of(params):

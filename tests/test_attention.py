@@ -362,38 +362,39 @@ class TestGate:
 class TestSharedKVCache:
     def test_write_then_view_roundtrip(self, rng):
         c = SharedKVCache(n_layers=2, n_kv_heads=3, d_head=4, max_seq=8)
-        k0 = rng.normal(size=(3, 4))
-        v0 = rng.normal(size=(3, 4))
-        c.write(layer=1, pos=0, k=k0, v=v0)
+        k0 = rng.normal(size=(3, 1, 4))
+        v0 = rng.normal(size=(3, 1, 4))
+        c.write(layer=1, start=0, k=k0, v=v0)
         k, v = c.view(layer=1, upto=1)
-        assert np.array_equal(k[:, 0, :], k0)
-        assert np.array_equal(v[:, 0, :], v0)
+        assert np.array_equal(k, k0)
+        assert np.array_equal(v, v0)
 
     def test_block_write_matches_loop_of_writes(self, rng):
+        # a run equals the same positions written as one-position runs
         a = SharedKVCache(1, 2, 4, max_seq=6)
         b = SharedKVCache(1, 2, 4, max_seq=6)
         ks = rng.normal(size=(2, 5, 4))
         vs = rng.normal(size=(2, 5, 4))
-        a.write_block(0, 0, ks, vs)
+        a.write(0, 0, ks, vs)
         for p in range(5):
-            b.write(0, p, ks[:, p], vs[:, p])
+            b.write(0, p, ks[:, p:p + 1], vs[:, p:p + 1])
         assert np.array_equal(a.k, b.k) and np.array_equal(a.v, b.v)
 
     def test_capacity_exceeded_raises(self):
         c = SharedKVCache(1, 1, 2, max_seq=2)
-        c.write(0, 0, np.zeros((1, 2)), np.zeros((1, 2)))
-        c.write(0, 1, np.zeros((1, 2)), np.zeros((1, 2)))
+        c.write(0, 0, np.zeros((1, 1, 2)), np.zeros((1, 1, 2)))
+        c.write(0, 1, np.zeros((1, 1, 2)), np.zeros((1, 1, 2)))
         with pytest.raises(CapacityError):
-            c.write(0, 2, np.zeros((1, 2)), np.zeros((1, 2)))
+            c.write(0, 2, np.zeros((1, 1, 2)), np.zeros((1, 1, 2)))
         with pytest.raises(CapacityError):
-            c.write_block(0, 1, np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
+            c.write(0, 1, np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
 
 
 class TestWindowKVCache:
     def test_occupancy_never_exceeds_window(self, rng):
         c = WindowKVCache(window=3, n_kv_heads=1, d_head=2)
         for p in range(10):
-            c.write(p, rng.normal(size=(1, 2)), rng.normal(size=(1, 2)))
+            c.write(p, rng.normal(size=(1, 1, 2)), rng.normal(size=(1, 1, 2)))
             assert c.entries() <= 3
         assert c.entries() == 3
 
@@ -401,20 +402,20 @@ class TestWindowKVCache:
         c = WindowKVCache(window=4, n_kv_heads=2, d_head=3)
         stored = {}
         for p in range(9):
-            k = rng.normal(size=(2, 3))
-            v = rng.normal(size=(2, 3))
+            k = rng.normal(size=(2, 1, 3))
+            v = rng.normal(size=(2, 1, 3))
             stored[p] = (k, v)
             c.write(p, k, v)
         k, v, pos = c.gather(query_pos=8)
         assert list(pos) == [5, 6, 7, 8]
         for i, p in enumerate(pos):
-            assert np.array_equal(k[:, i, :], stored[p][0])
-            assert np.array_equal(v[:, i, :], stored[p][1])
+            assert np.array_equal(k[:, i:i + 1, :], stored[p][0])
+            assert np.array_equal(v[:, i:i + 1, :], stored[p][1])
 
     def test_gather_partial_fill(self, rng):
         c = WindowKVCache(window=5, n_kv_heads=1, d_head=2)
-        c.write(0, rng.normal(size=(1, 2)), rng.normal(size=(1, 2)))
-        c.write(1, rng.normal(size=(1, 2)), rng.normal(size=(1, 2)))
+        c.write(0, rng.normal(size=(1, 1, 2)), rng.normal(size=(1, 1, 2)))
+        c.write(1, rng.normal(size=(1, 1, 2)), rng.normal(size=(1, 1, 2)))
         k, v, pos = c.gather(query_pos=1)
         assert list(pos) == [0, 1]
         assert k.shape == (1, 2, 2)
@@ -428,26 +429,28 @@ class TestWindowKVCache:
         c = WindowKVCache(window=window, n_kv_heads=2, d_head=3)
         stored = {}
         for p in range(4 * window + 2):     # partly filled first, then 4 wraps
-            stored[p] = rng.normal(size=(2, 2, 3))
+            stored[p] = rng.normal(size=(2, 2, 1, 3))
             c.write(p, *stored[p])
             k, v, pos = c.gather(query_pos=p)
             assert np.shares_memory(k, c.k) and np.shares_memory(v, c.v)
             assert list(pos) == list(range(max(0, p - window + 1), p + 1))
             assert c.entries() == len(pos) == min(p + 1, window)
             for i, q in enumerate(pos):
-                assert np.array_equal(k[:, i], stored[q][0])
-                assert np.array_equal(v[:, i], stored[q][1])
+                assert np.array_equal(k[:, i], stored[q][0][:, 0])
+                assert np.array_equal(v[:, i], stored[q][1][:, 0])
 
     @pytest.mark.parametrize("start, n", [(0, 1), (0, 3), (0, 4), (0, 11), (6, 2)])
     def test_block_write_matches_position_writes(self, rng, start, n):
+        # a run equals the same positions written as one-position runs
         kv = rng.normal(size=(2, 2, n + 5, 3))
         a = WindowKVCache(window=4, n_kv_heads=2, d_head=3)
         b = WindowKVCache(window=4, n_kv_heads=2, d_head=3)
-        a.write_block(start, kv[0, :, :n], kv[1, :, :n])
-        for i in range(n + 5):   # b by single writes; both carry on past the block
+        a.write(start, kv[0, :, :n], kv[1, :, :n])
+        for i in range(n + 5):   # b by runs of one; both carry on past a's run
+            one = slice(i, i + 1)
             if i >= n:
-                a.write(start + i, kv[0, :, i], kv[1, :, i])
-            b.write(start + i, kv[0, :, i], kv[1, :, i])
+                a.write(start + i, kv[0, :, one], kv[1, :, one])
+            b.write(start + i, kv[0, :, one], kv[1, :, one])
             if i >= n - 1:
                 assert a.entries() == b.entries()
                 for q in range(start, start + i + 1):

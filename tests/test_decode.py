@@ -14,6 +14,8 @@ from parloop.errors import (CapacityError, ConfigError, DimensionError, EmptyInp
                             TokenError)
 from parloop.model import ModelConfig, forward, init_parameters, prefill_table
 
+from reference_impl import ref_prefill_table
+
 
 def small(**kw):
     base = dict(vocab=17, d_model=16, n_layers=2, n_heads=4, n_kv_heads=2,
@@ -165,6 +167,21 @@ class TestSuffixPrefill:
         assert prefill_table(small(mode="plt", loops=3, n_layers=0), 40) == [[0], [38], [39]]
         assert prefill_table(small(mode="vanilla_loop", loops=2, n_layers=0), 40) == [[0], [0]]
         assert prefill_table(small(mode="vanilla_loop", loops=2), 40) == [[0, 0, 0], [0, 0, 39]]
+
+    @pytest.mark.parametrize("mode, gswa", [("vanilla", False), ("vanilla_loop", False),
+                                            ("plt", False), ("plt", True)])
+    def test_table_matches_the_dependency_oracle(self, mode, gswa):
+        # exact both ways: a table that over-covers passes every parity test
+        for loops in [1] if mode == "vanilla" else [1, 2, 3, 4]:
+            for n_layers in range(4):
+                for window in range(1, 6) if gswa else [0]:
+                    cfg = small(mode=mode, loops=loops, n_layers=n_layers, gswa=gswa,
+                                window=window, max_seq=16)
+                    for n in range(1, 13):
+                        assert prefill_table(cfg, n) == ref_prefill_table(cfg, n, n - 1)
+                        for top in range(n):
+                            assert prefill_table(cfg, n, top) == ref_prefill_table(cfg, n, top), \
+                                (loops, n_layers, window, n, top)
 
     def test_states_cover_each_loops_suffix_and_logits_cover_all(self):
         cfg = small(mode="plt", loops=3, gswa=True, window=3)
@@ -472,15 +489,15 @@ class TestGroupedAttend:
         kh, dh, rows = 2, 6, 3
         if source == "shared":   # strided view of a partly written cache
             cache = SharedKVCache(1, kh, dh, max_seq=16)
-            cache.write_block(0, 0, rng.standard_normal((kh, 10, dh)),
-                              rng.standard_normal((kh, 10, dh)))
+            cache.write(0, 0, rng.standard_normal((kh, 10, dh)),
+                        rng.standard_normal((kh, 10, dh)))
             k, v = cache.view(0, 10)
             k_start, window = 0, 0
         else:                    # ring holding 5 of its 8 slots
             ring = WindowKVCache(8, kh, dh)
             for pos in range(5):
-                ring.write(pos, rng.standard_normal((kh, dh)),
-                           rng.standard_normal((kh, dh)))
+                ring.write(pos, rng.standard_normal((kh, 1, dh)),
+                           rng.standard_normal((kh, 1, dh)))
             k, v, pos = ring.gather(4)
             assert k.shape == (kh, 5, dh)
             k_start, window = pos[0], 8

@@ -9,11 +9,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from parloop import (CheckpointError, ConfigError, DimensionError, EmptyInputError,
-                     HardwareProfile, ModelConfig, ParloopError, PositionError, TaskSpec,
-                     TokenError, TrainConfig, WindowKVCache, decode_step_cost,
-                     default_profile, forward, generate, init_parameters, load_checkpoint,
-                     make_task, prefill, save_checkpoint, train)
+from parloop import (Adam, CheckpointError, ConfigError, DimensionError, EmptyInputError,
+                     HardwareProfile, ModelConfig, ParloopError, PositionError, Rng,
+                     SharedKVCache, TaskSpec, TokenError, TrainConfig, WindowKVCache,
+                     decode_step_cost, default_profile, forward, generate, init_parameters,
+                     load_checkpoint, make_task, prefill, save_checkpoint, train)
 from parloop.cli import run
 
 from reference_impl import save_per_gate_checkpoint
@@ -47,22 +47,27 @@ def train_unscored():
     return train(init_parameters(cfg, 0), task, TrainConfig(steps=1, batch_size=2))
 
 
+def kv_run(n):
+    """Zero keys (or values) for a run of n positions of one head, d_head 2."""
+    return np.zeros((1, n, 2))
+
+
 def ring_skip():
     ring = WindowKVCache(4, 1, 2)
-    ring.write(0, np.zeros((1, 2)), np.zeros((1, 2)))
-    ring.write(2, np.zeros((1, 2)), np.zeros((1, 2)))
+    ring.write(0, kv_run(1), kv_run(1))
+    ring.write(2, kv_run(1), kv_run(1))
 
 
 def ring_repeat():
     ring = WindowKVCache(4, 1, 2)
-    ring.write_block(0, np.zeros((1, 3, 2)), np.zeros((1, 3, 2)))
-    ring.write(2, np.zeros((1, 2)), np.zeros((1, 2)))
+    ring.write(0, kv_run(3), kv_run(3))
+    ring.write(2, kv_run(1), kv_run(1))
 
 
 def ring_block_gap():
     ring = WindowKVCache(4, 1, 2)
-    ring.write(0, np.zeros((1, 2)), np.zeros((1, 2)))
-    ring.write_block(3, np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
+    ring.write(0, kv_run(1), kv_run(1))
+    ring.write(3, kv_run(2), kv_run(2))
 
 
 def checkpoint(tmp_path):
@@ -181,16 +186,26 @@ CASES = [
     ("generate-bool-temperature",
      lambda _: generate(session(), 1, temperature=True), ConfigError),
     ("generate-zero-count", lambda _: generate(session(), 0), ConfigError),
+    ("generate-float-seed",   # a positive temperature draws from an Rng
+     lambda _: generate(session(), 1, temperature=1.0, seed=1.5), ConfigError),
     ("train-zero-steps", lambda _: train_tiny(steps=0), ConfigError),
     ("train-float-steps", lambda _: train_tiny(steps=2.5), ConfigError),
     ("train-float-batch-size", lambda _: train_tiny(steps=1, batch_size=2.5), ConfigError),
     ("train-text-lr", lambda _: train_tiny(steps=1, lr="x"), ConfigError),
     ("train-text-clip-norm", lambda _: train_tiny(steps=1, clip_norm="x"), ConfigError),
     ("train-text-warmup-steps", lambda _: train_tiny(steps=1, warmup_steps="x"), ConfigError),
+    ("train-float-seed", lambda _: train_tiny(steps=1, seed=2.5), ConfigError),
+    ("train-text-seed", lambda _: train_tiny(steps=1, seed="x"), ConfigError),
+    ("train-negative-lr", lambda _: train_tiny(steps=1, lr=-1), ConfigError),
+    ("train-inf-lr", lambda _: train_tiny(steps=1, lr=float("inf")), ConfigError),
+    ("train-negative-clip-norm", lambda _: train_tiny(steps=1, clip_norm=-1), ConfigError),
+    ("adam-beta1-above-one", lambda _: Adam(params().named_tensors(), beta1=2.0), ConfigError),
+    ("adam-negative-eps", lambda _: Adam(params().named_tensors(), eps=-1), ConfigError),
     ("train-mask-scores-nothing", lambda _: train_unscored(), EmptyInputError),
     ("forward-first-row-past-the-tokens",
      lambda _: forward(params(), np.arange(4), first_row=4), PositionError),
     ("rng-negative-seed", lambda _: init_parameters(ModelConfig(**CFG), -1), ConfigError),
+    ("rng-float-seed", lambda _: Rng(2.5), ConfigError),
     ("make-task-unknown", lambda _: make_task("sorting"), ConfigError),
     ("make-task-empty-source", lambda _: make_task("copy", src_len=0), ConfigError),
     ("make-task-modulus-one", lambda _: make_task("modular_add", modulus=1), ConfigError),
@@ -266,6 +281,16 @@ CASES = [
     ("ring-write-skips-a-position", lambda _: ring_skip(), PositionError),
     ("ring-write-repeats-a-position", lambda _: ring_repeat(), PositionError),
     ("ring-block-leaves-a-gap", lambda _: ring_block_gap(), PositionError),
+    ("ring-write-negative-start",
+     lambda _: WindowKVCache(2, 1, 2).write(-5, kv_run(1), kv_run(1)), PositionError),
+    ("ring-write-float-start",
+     lambda _: WindowKVCache(2, 1, 2).write(1.5, kv_run(1), kv_run(1)), PositionError),
+    ("cache-write-negative-start",
+     lambda _: SharedKVCache(1, 1, 2, max_seq=4).write(0, -1, kv_run(1), kv_run(1)),
+     PositionError),
+    ("cache-write-float-start",
+     lambda _: SharedKVCache(1, 1, 2, max_seq=4).write(0, 1.0, kv_run(1), kv_run(1)),
+     PositionError),
     ("cli-nan-temperature", cli(lambda p: ["generate", "--checkpoint", checkpoint(p),
                                            "--prompt", "1 2", "--temperature", "nan"]), EXIT_2),
     ("cli-out-of-range-prompt", cli(lambda p: ["generate", "--checkpoint", checkpoint(p),
@@ -279,6 +304,9 @@ CASES = [
     ("cli-zero-steps", cli(lambda p: ["train", "--steps", "0", "--out", str(p / "o")]), EXIT_2),
     ("cli-negative-seed", cli(lambda p: ["train", "--seed", "-1", "--out", str(p / "o")]),
      EXIT_2),
+    ("cli-negative-lr", cli(lambda p: ["train", "--lr=-1", "--out", str(p / "o")]), EXIT_2),
+    ("cli-negative-warmup-steps",
+     cli(lambda p: ["train", "--warmup-steps=-1", "--out", str(p / "o")]), EXIT_2),
     ("cli-ini-unknown-task", cli(lambda p: ["train", "--config", ini(p, "[task]\nname = bogus\n"),
                                             "--out", str(p / "o")]), EXIT_2),
     ("cli-ini-no-section-header", cli(lambda p: ["train", "--config", ini(p, "steps = 3\n"),
