@@ -30,10 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, EmptyContextError, NumericError, PositionError
+from .errors import (CapacityError, ConfigError, DimensionError, EmptyContextError, NumericError,
+                     PositionError)
 from .tensor import Tensor, is_int, needs_grad, node, sigmoid
 
 NEG_INF = float("-inf")
+ROPE_THETA = 10000.0   # rotary base: pair i turns by ROPE_THETA ** (-i / half) per position
 
 
 # ---------------------------------------------------------------------------
@@ -47,11 +49,11 @@ class RopeTables:
     sin: np.ndarray  # [max_seq, d_head]: -sin, then sin
 
 
-def build_rope_tables(max_seq: int, d_head: int, theta: float = 10000.0) -> RopeTables:
+def build_rope_tables(max_seq: int, d_head: int) -> RopeTables:
     if d_head % 2 != 0:
         raise ConfigError(f"d_head {d_head} must be even for rotary embedding")
     half = d_head // 2
-    freqs = theta ** (-np.arange(half, dtype=np.float64) / half)
+    freqs = ROPE_THETA ** (-np.arange(half, dtype=np.float64) / half)
     try:
         angles = np.arange(max_seq, dtype=np.float64)[:, None] * freqs[None, :]
     except (MemoryError, ValueError) as e:   # ValueError: past numpy's largest array
@@ -251,6 +253,15 @@ def gated_fuse(g: Tensor, y_local: Tensor, y_global: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _run_length(store: np.ndarray, k, v) -> int:
+    """n, for keys and values both [*heads, n, d_head] to fit ``store`` [*heads, slots, d_head]."""
+    want = (*store.shape[:-2], np.shape(k)[-2] if np.ndim(k) >= 2 else None, store.shape[-1])
+    if np.shape(k) != want or np.shape(v) != want:
+        raise DimensionError(f"keys {np.shape(k)} and values {np.shape(v)} are not both "
+                             f"[*heads, n, d_head] for a store of {store.shape}")
+    return want[-2]
+
+
 class SharedKVCache:
     """Append-only per-layer key/value store, preallocated to max_seq.
 
@@ -269,7 +280,7 @@ class SharedKVCache:
         """Store a layer's keys/values ([n_kv_heads, n, d_head]) from position `start`."""
         if not is_int(start) or start < 0:
             raise PositionError(f"cache write at position {start!r}, expected an integer >= 0")
-        end = start + k.shape[-2]
+        end = start + _run_length(self.k[layer], k, v)
         if end > self.max_seq:
             raise CapacityError(f"cache full: {end} > max_seq {self.max_seq}")
         self.k[layer, :, start:end, :] = k
@@ -314,7 +325,7 @@ class WindowKVCache:
         """Store keys/values ([*heads, n, d_head]) from `start` on; keep the last `window`."""
         if not is_int(start) or start < 0:
             raise PositionError(f"ring write at position {start!r}, expected an integer >= 0")
-        n = k.shape[-2]
+        n = _run_length(self.k, k, v)   # checked before _hold records the run
         self._hold(start, start + n - 1)
         for i in range(max(0, n - self.window), n):
             both = slice((start + i) % self.window, None, self.window)   # the slot and its mirror

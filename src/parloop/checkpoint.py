@@ -24,9 +24,11 @@ from itertools import accumulate, zip_longest
 
 import numpy as np
 
+from .attention import ROPE_THETA
 from .errors import CheckpointError, ConfigError
 from .model import (ModelConfig, Parameters, build_parameters, count_params_from_config,
                     param_shapes)
+from .tensor import NORM_EPS
 
 MAGIC = b"PLTCKPT1"
 VERSION = 1
@@ -92,6 +94,9 @@ def load_checkpoint(path):
     try:
         config = manifest["config"]
         config.pop("kv_share", None)   # older manifests stored it; mode now implies it
+        for key, fixed in (("rope_theta", ROPE_THETA), ("norm_eps", NORM_EPS)):
+            if (value := config.pop(key, fixed)) != fixed:   # older manifests stored them
+                raise CheckpointError(f"config {key} {value!r} is not the model's {fixed}")
         cfg = ModelConfig(**config)
     except (TypeError, KeyError, AttributeError, ConfigError) as e:
         raise CheckpointError(f"bad config in manifest: {e}") from e

@@ -18,15 +18,15 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import os
 import statistics
 import sys
 import time
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .costmodel import (
     ARCH_ROWS,
     default_profile,
@@ -40,7 +40,7 @@ from .errors import CheckpointError, ConfigError, ParloopError, TokenError
 from .model import ModelConfig, forward, init_parameters
 from .tasks import eval_accuracy, make_task
 from .train import TrainConfig, train
-from .verify import run_all
+from .verify import CheckResult, run_all
 
 # INI section -> its keys, each the dest of the flag it stands for
 # (`name` stands for --task)
@@ -129,6 +129,7 @@ def build_parser():
                     help="skip the finite-difference gradient check")
     sp.add_argument("--checkpoint", default=None,
                     help="also require this checkpoint to load cleanly")
+    sp.add_argument("--json", action="store_true", help="print the checks as one JSON object")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("cost", help="analytical decode cost comparison")
@@ -220,12 +221,14 @@ def cmd_train(args) -> int:
         raise ConfigError(f"task sequences ({task.seq_len}) exceed "
                           f"--max-seq ({args.max_seq})")
     cfg = _model_from_args(args, task.vocab)
-    tcfg = TrainConfig(**{k: getattr(args, k) for k in SECTIONS["train"]},
-                       log_path=os.path.join(args.out, "loss.csv"),
-                       checkpoint_path=os.path.join(args.out, "model.ckpt"))
+    tcfg = TrainConfig(**{k: getattr(args, k) for k in SECTIONS["train"]})
     params = init_parameters(cfg, args.seed)
-    os.makedirs(args.out, exist_ok=True)   # once every input check has passed
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)   # once every input check has passed
     result = train(params, task, tcfg)
+    (out / "loss.csv").write_text(result.log_csv())
+    save_checkpoint(out / "model.ckpt", params, extra={
+        "steps": tcfg.steps, "final_loss": result.final_loss, "seed": tcfg.seed})
     weights = params.arrays()   # eval records no tape
     acc = eval_accuracy(lambda toks: forward(weights, toks), task,
                         seed=args.seed + 1)
@@ -233,13 +236,10 @@ def cmd_train(args) -> int:
         "command": "train",
         "model": asdict(cfg),
         "task": {"name": task.name, **task.params},
-        "train": {k: v for k, v in asdict(tcfg).items()
-                  if k not in ("log_path", "checkpoint_path")},
+        "train": asdict(tcfg),
         "results": {"final_loss": result.final_loss, "accuracy": acc},
     }
-    with open(os.path.join(args.out, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"trained {task.name}: final_loss={result.final_loss:.6f} "
           f"accuracy={acc:.3f}")
     print(f"wrote {args.out}/model.ckpt, loss.csv, manifest.json")
@@ -274,15 +274,20 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    loaded = []
     if args.checkpoint is not None:
         load_checkpoint(args.checkpoint)  # CheckpointError -> exit 2
-        print(f"pass  checkpoint_load          {args.checkpoint}")
+        loaded.append(CheckResult("checkpoint_load", 0.0, 0.0, True, args.checkpoint))
+        if not args.json:
+            print(f"pass  checkpoint_load          {args.checkpoint}")
     results = run_all(seed=args.seed, tolerance=args.tolerance,
                       include_grad=not args.skip_grad)
-    for r in results:
-        print(r.line())
     failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    if args.json:
+        print(json.dumps({"checks": [asdict(r) for r in loaded + results]}))
+    else:
+        print(*(r.line() for r in results), sep="\n")
+        print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return 1 if failed else 0
 
 

@@ -36,7 +36,7 @@ from .attention import (SharedKVCache, apply_rope, attention, build_rope_tables,
                         gated_fuse)
 from .errors import (CapacityError, ConfigError, EmptyInputError, InvalidLoopError, PositionError,
                      TokenError)
-from .tensor import Rng, Tensor, concat, embedding as gather_rows, is_int, is_real, rmsnorm, silu
+from .tensor import Rng, Tensor, concat, embedding as gather_rows, is_int, rmsnorm, silu
 
 MODES = ("vanilla", "vanilla_loop", "plt")
 # (field, least value) of each integer size, and the on/off switches
@@ -60,8 +60,6 @@ class ModelConfig:
     weight_tying: bool = True
     per_loop_gates: bool = False
     max_seq: int = 256
-    rope_theta: float = 10000.0
-    norm_eps: float = 1e-6
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -79,10 +77,6 @@ class ModelConfig:
         for name in SWITCHES:
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        for name in ("norm_eps", "rope_theta"):
-            value = getattr(self, name)
-            if not (is_real(value) and 0.0 < value < math.inf):
-                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.d_head % 2 != 0:
@@ -143,7 +137,7 @@ class Parameters:
 
     def __init__(self, config: ModelConfig, tensors: dict):
         self.config = config
-        self.rope = build_rope_tables(config.max_seq, config.d_head, config.rope_theta)
+        self.rope = build_rope_tables(config.max_seq, config.d_head)
         self._bind(tensors)
 
     def _bind(self, tensors: dict) -> None:
@@ -236,11 +230,11 @@ def block_stack_forward(params: Parameters, x, positions, loop_index: int = 1,
             f"sliding-window path is defined for loops >= 2, got {loop_index}")
     own = use_local or not isinstance(shared_kv, list)   # the pass needs its own keys
     gi = loop_index - 2 if cfg.per_loop_gates else 0
-    eps, heads, kv_heads, rope = cfg.norm_eps, cfg.n_heads, cfg.n_kv_heads, params.rope
+    heads, kv_heads, rope = cfg.n_heads, cfg.n_kv_heads, params.rope
     at = positions if step else positions[:, None]   # each row's rotary row, across its heads
     own_kv = []
     for li, layer in enumerate(params.layers):
-        h = rmsnorm(x, layer.attn_norm, eps)
+        h = rmsnorm(x, layer.attn_norm)
         k = v = None
         if own:   # on every row the layer takes in
             k = apply_rope(split_heads(h @ layer.wk, kv_heads), at, rope).swapaxes(-3, -2)
@@ -268,9 +262,9 @@ def block_stack_forward(params: Parameters, x, positions, loop_index: int = 1,
             y = _window_mix(cfg, layer, slice(gi, gi + 1), q_full, q, y, k, v,
                             positions, positions[0] - cut)   # k starts at the first input row
         x = x + y.swapaxes(-3, -2).reshape(x.shape) @ layer.wo   # heads merged back
-        hm = rmsnorm(x, layer.mlp_norm, eps)
+        hm = rmsnorm(x, layer.mlp_norm)
         x = x + (silu(hm @ layer.w_gate) * (hm @ layer.w_up)) @ layer.w_down
-    return rmsnorm(x, params.final_norm, eps), own_kv
+    return rmsnorm(x, params.final_norm), own_kv
 
 
 def _later(t):
@@ -359,11 +353,11 @@ def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False,
     [first_row, n) under the configured wiring.
 
     Each layer of each loop runs only on the rows a later read needs
-    (``prefill_table``): with ``first_row`` > 0, the rows that feed the
-    returned logits, which is how the training step runs on its scored
-    rows. With return_states=True, returns LoopActivations for a decode
-    session instead, whose caches and last row take the table's default
-    top, and no logits are formed.
+    (``prefill_table``): the rows that feed the returned logits, which is
+    how the training step runs on its scored rows (for ``first_row`` 0 the
+    table is all zeros and trims nothing). With return_states=True, returns
+    LoopActivations for a decode session instead, whose caches and last row
+    take the table's default top, and no logits are formed.
     """
     cfg = params.config
     tokens = np.asarray(tokens)
@@ -380,10 +374,7 @@ def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False,
         raise TokenError(f"token ids must be in [0, {cfg.vocab})")
     if not 0 <= first_row < n:
         raise PositionError(f"first_row {first_row} outside the {n} token rows")
-    if return_states:
-        table = prefill_table(cfg, n)
-    else:   # a table of zeros trims nothing, so none is built for first_row 0
-        table = prefill_table(cfg, n, first_row) if first_row else [None] * cfg.loops
+    table = prefill_table(cfg, n, None if return_states else first_row)
     positions = np.arange(n)
     e = gather_rows(params.embedding, tokens)
 
@@ -393,7 +384,7 @@ def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False,
     shared = own_kv if cfg.kv_share else None
     for loop_index in range(2, cfg.loops + 1):
         rows, below = table[loop_index - 1], table[loop_index - 2]
-        s, prev_s = (rows[0], below[-1]) if rows else (0, 0)   # prev covers [prev_s, n)
+        s, prev_s = rows[0], below[-1]   # prev covers [prev_s, n)
         prev = hiddens[-1]
         if cfg.mode != "plt":
             b = e + prev
@@ -408,7 +399,7 @@ def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False,
     if return_states:
         return LoopActivations(hidden_per_loop=hiddens, own_kv_per_loop=kv_per_loop,
                                rows=table)
-    lead = first_row - table[-1][-1] if first_row else 0   # a loop with no layers starts at 0
+    lead = first_row - table[-1][-1]   # a loop with no layers starts at 0
     return (hiddens[-1][:, lead:] if lead else hiddens[-1]) @ head_weight(params)
 
 

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError, EmptyInputError, NumericError
 
 _GRAD_ENABLED = True
+NORM_EPS = 1e-6   # added to rmsnorm's mean square
 
 
 def is_int(x) -> bool:
@@ -295,28 +296,28 @@ def silu(x: Tensor) -> Tensor:
     return node(y, (x,), bwd)
 
 
-def _inv_rms(x: np.ndarray, eps: float) -> np.ndarray:
+def _inv_rms(x: np.ndarray) -> np.ndarray:
     # the mean as sum / d: the same arithmetic as .mean(), without its Python wrapper
     ms = (x * x).sum(axis=-1, keepdims=True) / x.shape[-1]
     if not ms.max() < math.inf:   # NaN fails the comparison too
         raise NumericError("rmsnorm input has a non-finite mean square (NaN or overflow)")
-    return 1.0 / np.sqrt(ms + eps)
+    return 1.0 / np.sqrt(ms + NORM_EPS)
 
 
-def rmsnorm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
-    """x / sqrt(mean(x^2, last) + eps) * gain."""
+def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
+    """x / sqrt(mean(x^2, last) + NORM_EPS) * gain."""
     plain = not isinstance(x, Tensor)
     xd, gd = (x, gain) if plain else (x.data, gain.data)
     if gd.shape != xd.shape[-1:]:
         raise DimensionError(f"rmsnorm gain shape {gd.shape} != ({xd.shape[-1]},)")
-    y = xd * _inv_rms(xd, eps)
+    y = xd * _inv_rms(xd)
     y *= gd
     if plain:
         return y
     d = xd.shape[-1]
 
     def bwd(g):
-        inv = _inv_rms(xd, eps)
+        inv = _inv_rms(xd)
         if gain.requires_grad:
             gain._accum((g * xd * inv).reshape(-1, d).sum(axis=0))
         if x.requires_grad:

@@ -1,5 +1,6 @@
 """Training loop: Adam with warmup-cosine schedule and global-norm
-clipping, deterministic given a seed, with a plain-text loss log.
+clipping, deterministic given a seed. It writes no file: ``parloop train``
+saves the loss log (``TrainResult.log_csv``) and the checkpoint.
 
 Each step runs the model only on the rows its loss reads (``scored_loss``):
 the positions after the last scored row are dropped, and each layer of
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .checkpoint import save_checkpoint
 from .costmodel import variant_config
 from .decode import prefill
 from .errors import CapacityError, ConfigError, DivergenceError, NumericError
@@ -31,8 +31,6 @@ class TrainConfig:
     warmup_steps: int = 20
     clip_norm: float = 1.0
     seed: int = 0
-    log_path: str | None = None         # csv: step,loss,lr,grad_norm
-    checkpoint_path: str | None = None
 
     def __post_init__(self):
         for name, least in (("steps", 1), ("batch_size", 1), ("warmup_steps", 0)):
@@ -109,6 +107,7 @@ class TrainResult:
     grad_norms: list = field(default_factory=list)
 
     def log_csv(self) -> str:
+        """The loss log, one row per step: step,loss,lr,grad_norm."""
         lines = ["step,loss,lr,grad_norm"]
         for i, row in enumerate(zip(self.losses, self.lrs, self.grad_norms)):
             lines.append(f"{i}," + ",".join(f"{v:.12e}" for v in row))
@@ -128,7 +127,7 @@ def scored_loss(params, tokens: np.ndarray, mask=None):
 
 
 def train(params, task: TaskSpec, cfg: TrainConfig) -> TrainResult:
-    """Run the loop; writes the loss log and checkpoint if paths are set.
+    """Run the loop on ``params`` in place; returns what each step measured, writes nothing.
 
     Raises DivergenceError the moment the loss stops being finite, with
     the step and recent loss history in the message.
@@ -158,13 +157,6 @@ def train(params, task: TaskSpec, cfg: TrainConfig) -> TrainResult:
         result.losses.append(loss_val)
         result.lrs.append(lr)
     result.final_loss = result.losses[-1]
-    if cfg.log_path:
-        with open(cfg.log_path, "w") as f:
-            f.write(result.log_csv())
-    if cfg.checkpoint_path:
-        save_checkpoint(cfg.checkpoint_path, params,
-                        extra={"steps": cfg.steps, "final_loss": result.final_loss,
-                               "seed": cfg.seed})
     return result
 
 

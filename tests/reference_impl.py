@@ -54,13 +54,13 @@ def ref_stack(weights, cfg, x, loop_index, shared):
     own_kv = []
     for li in range(cfg.n_layers):
         p = f"layers.{li}."
-        normed = np.stack([ref_rms(x[i], weights[p + "attn_norm"], cfg.norm_eps)
+        normed = np.stack([ref_rms(x[i], weights[p + "attn_norm"], 1e-6)
                            for i in range(n)])
         q_full = normed @ weights[p + "wq"]
         if shared is None or use_local:
             k_full = normed @ weights[p + "wk"]
             v_full = normed @ weights[p + "wv"]
-            keys = [[ref_rope(k_full[j, g * dh:(g + 1) * dh], j, cfg.rope_theta)
+            keys = [[ref_rope(k_full[j, g * dh:(g + 1) * dh], j, 10000.0)
                      for g in range(kv_heads)] for j in range(n)]
             vals = [[v_full[j, g * dh:(g + 1) * dh] for g in range(kv_heads)]
                     for j in range(n)]
@@ -74,7 +74,7 @@ def ref_stack(weights, cfg, x, loop_index, shared):
         for i in range(n):
             for hh in range(h_heads):
                 g_idx = hh // groups
-                q = ref_rope(q_full[i, hh * dh:(hh + 1) * dh], i, cfg.rope_theta)
+                q = ref_rope(q_full[i, hh * dh:(hh + 1) * dh], i, 10000.0)
                 if shared is None:
                     ctx = list(range(i + 1))
                     scores = np.array([q @ keys[j][g_idx] for j in ctx]) / math.sqrt(dh)
@@ -98,11 +98,11 @@ def ref_stack(weights, cfg, x, loop_index, shared):
         x = x + attn_out @ weights[p + "wo"]
         mlp_out = np.zeros((n, d))
         for i in range(n):
-            hm = ref_rms(x[i], weights[p + "mlp_norm"], cfg.norm_eps)
+            hm = ref_rms(x[i], weights[p + "mlp_norm"], 1e-6)
             mlp_out[i] = (ref_silu(hm @ weights[p + "w_gate"])
                           * (hm @ weights[p + "w_up"])) @ weights[p + "w_down"]
         x = x + mlp_out
-    hidden = np.stack([ref_rms(x[i], weights["final_norm"], cfg.norm_eps)
+    hidden = np.stack([ref_rms(x[i], weights["final_norm"], 1e-6)
                        for i in range(n)])
     return hidden, own_kv
 

@@ -15,6 +15,7 @@ from acceptance_report import record
 from reference_impl import ref_forward, weights_of
 
 from parloop.attention import gate_values
+from parloop.checkpoint import save_checkpoint
 from parloop.costmodel import (decode_step_cost, default_profile,
                                latency_ratio, standin_config)
 from parloop.decode import prefill
@@ -290,10 +291,11 @@ def test_c10_identical_seeds_identical_artifacts(tmp_path):
     for sub in ("a", "b"):
         d = tmp_path / sub
         d.mkdir()
-        tcfg = TrainConfig(steps=30, batch_size=16, seed=3,
-                           log_path=str(d / "loss.csv"),
-                           checkpoint_path=str(d / "model.ckpt"))
-        train(init_parameters(cfg, seed=3), task, tcfg)
+        params = init_parameters(cfg, seed=3)
+        result = train(params, task, TrainConfig(steps=30, batch_size=16, seed=3))
+        (d / "loss.csv").write_text(result.log_csv())
+        save_checkpoint(d / "model.ckpt", params,   # as `parloop train` writes it
+                        extra={"steps": 30, "final_loss": result.final_loss, "seed": 3})
         blobs.append(((d / "model.ckpt").read_bytes(),
                       (d / "loss.csv").read_bytes()))
     ok = blobs[0] == blobs[1]

@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from parloop.checkpoint import save_checkpoint
+from parloop.checkpoint import load_checkpoint, save_checkpoint
 from parloop.cli import run
 from parloop.model import ModelConfig, init_parameters
 
@@ -47,6 +47,8 @@ def test_train_writes_checkpoint_losses_and_manifest(tmp_path, capsys):
     assert manifest["task"] == {"name": "copy", "src_len": 4, "symbols": 8}
     assert manifest["train"]["steps"] == 25
     assert np.isfinite(manifest["results"]["final_loss"])
+    assert load_checkpoint(out / "model.ckpt")[1] == {
+        "steps": 25, "final_loss": manifest["results"]["final_loss"], "seed": 0}
 
     lines = (out / "loss.csv").read_text().strip().splitlines()
     assert lines[0] == "step,loss,lr,grad_norm"
@@ -273,6 +275,26 @@ def test_verify_with_good_checkpoint(tmp_path, capsys):
                 str(out / "model.ckpt")])
     assert code == 0
     assert "checkpoint_load" in capsys.readouterr().out
+
+
+def test_verify_json_carries_the_text_fields(tmp_path, capsys):
+    out = train_into(tmp_path, "run")
+    argv = ["verify", "--skip-grad", "--checkpoint", str(out / "model.ckpt")]
+    capsys.readouterr()
+    assert run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert run([*argv, "--json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks] == [line.split()[1] for line in lines[:-1]]
+    assert all(set(c) == {"name", "max_err", "tol", "passed", "detail"} for c in checks)
+    assert all(c["passed"] for c in checks)
+    assert checks[0] == {"name": "checkpoint_load", "max_err": 0.0, "tol": 0.0,
+                         "passed": True, "detail": str(out / "model.ckpt")}
+    for c, line in zip(checks[1:], lines[1:-1], strict=True):
+        assert f"max_err={c['max_err']:.3e} tol={c['tol']:.1e}" in line
+        assert line.endswith(c["detail"])
+    assert run(["verify", "--skip-grad", "--tolerance", "0", "--json"]) == 1
+    assert not all(c["passed"] for c in json.loads(capsys.readouterr().out)["checks"])
 
 
 def test_verify_with_corrupt_checkpoint_exits_2(tmp_path):

@@ -252,7 +252,7 @@ class TestSessionStateHandoff:
         suffix = prefill(params, tokens)
         assert suffix.prefill_rows < loops * len(tokens)
         monkeypatch.setattr("parloop.model.prefill_table",   # no row trimmed anywhere
-                            lambda cfg, n: [[0] * (cfg.n_layers + 1)] * cfg.loops)
+                            lambda cfg, n, top: [[0] * (cfg.n_layers + 1)] * cfg.loops)
         full = prefill(params, tokens)
         assert full.prefill_rows == loops * len(tokens)
         assert np.max(np.abs(suffix.last_logits - full.last_logits)) <= 1e-9

@@ -307,6 +307,23 @@ class TestCheckpoint:
         assert np.array_equal(forward(params, np.arange(6)).data,
                               forward(loaded, np.arange(6)).data)
 
+    def test_manifest_with_rope_theta_and_norm_eps_loads(self, tmp_path):
+        # manifests written while the rotary base and norm epsilon were config
+        # fields carry them, at the values the model now fixes
+        params = init_parameters(small(mode="plt", loops=2, gswa=True, window=3), seed=3)
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, params)
+        data = path.read_bytes()
+        (mlen,) = struct.unpack("<Q", data[8:16])
+        manifest = json.loads(data[16:16 + mlen])
+        manifest["config"].update(rope_theta=10000.0, norm_eps=1e-6)
+        blob = json.dumps(manifest, sort_keys=True).encode()
+        path.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + mlen:])
+        loaded, _ = load_checkpoint(path)
+        assert loaded.config == params.config
+        assert np.array_equal(forward(params, np.arange(6)).data,
+                              forward(loaded, np.arange(6)).data)
+
     def test_float32_payload_is_widened_to_float64(self, tmp_path):
         params = init_parameters(small(), seed=3)
         path = tmp_path / "f32.ckpt"
@@ -361,6 +378,10 @@ class TestCheckpoint:
                      id="tensors-not-a-list"),
         pytest.param(lambda m: [1, 2], "not a JSON object", id="manifest-not-an-object"),
         pytest.param(lambda m: m.update(dtype="int8"), "dtype 'int8'", id="int8-dtype"),
+        pytest.param(lambda m: m["config"].update(rope_theta=500.0), "rope_theta 500.0",
+                     id="other-rope-theta"),
+        pytest.param(lambda m: m["config"].update(norm_eps=1e-5), "norm_eps 1e-05",
+                     id="other-norm-eps"),
         pytest.param(lambda m: m["tensors"].insert(2, m["tensors"][-1]),
                      "entry 2 is .*'final_norm'.*implies .*'layers.0.wq'",
                      id="entry-out-of-place"),

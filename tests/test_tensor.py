@@ -233,17 +233,17 @@ class TestRmsnorm:
     def test_forward_matches_definition(self, rng):
         x = rng.normal(size=(2, 4, 8))
         gain = rng.normal(size=(8,))
-        y = rmsnorm(Tensor(x), Tensor(gain), eps=1e-6)
+        y = rmsnorm(Tensor(x), Tensor(gain))
         want = x / np.sqrt((x ** 2).mean(axis=-1, keepdims=True) + 1e-6) * gain
         assert np.allclose(y.data, want, atol=1e-12)
-        assert np.array_equal(y.data, rmsnorm(x, gain, 1e-6))
+        assert np.array_equal(y.data, rmsnorm(x, gain))
 
     def test_forward_is_bitwise_the_written_out_formula(self, rng):
         x = rng.normal(size=(3, 5, 8))
         gain = rng.normal(size=(8,))
         want = x * (1.0 / np.sqrt((x * x).sum(axis=-1, keepdims=True) / 8 + 1e-6)) * gain
-        assert np.array_equal(rmsnorm(x, gain, 1e-6), want)
-        y = rmsnorm(Tensor(x, requires_grad=True), Tensor(gain, requires_grad=True), 1e-6)
+        assert np.array_equal(rmsnorm(x, gain), want)
+        y = rmsnorm(Tensor(x, requires_grad=True), Tensor(gain, requires_grad=True))
         assert np.array_equal(y.data, want)
 
     def test_grads_against_central_differences(self, rng):
@@ -269,11 +269,11 @@ class TestRmsnorm:
         x = rng.normal(size=(3, 8))
         x[1, 2] = bad
         with pytest.raises(NumericError):
-            rmsnorm(x, np.ones(8), 1e-6)
+            rmsnorm(x, np.ones(8))
         with pytest.raises(NumericError):
             rmsnorm(Tensor(x), Tensor(np.ones(8)))
         x[1, 2] = 1e150   # squares stay finite: a normal result
-        assert np.isfinite(rmsnorm(x, np.ones(8), 1e-6)).all()
+        assert np.isfinite(rmsnorm(x, np.ones(8))).all()
 
 
 class TestEmbeddingAndGather:

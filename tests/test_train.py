@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from parloop.checkpoint import load_checkpoint
+from parloop.checkpoint import load_checkpoint, save_checkpoint
 from parloop.errors import CapacityError, ConfigError, DivergenceError, NumericError
 from parloop.model import ModelConfig, forward, init_parameters, prefill_table
 from parloop.tasks import cross_entropy_loss, eval_accuracy, make_task, scored_rows
@@ -311,10 +311,10 @@ class TestTrainLoop(FastSetup):
         outs = []
         for run in ("a", "b"):
             params = init_parameters(self.cfg(task), seed=3)
-            tcfg = TrainConfig(steps=15, batch_size=8, seed=3,
-                               log_path=str(tmp_path / f"{run}.csv"),
-                               checkpoint_path=str(tmp_path / f"{run}.ckpt"))
-            train(params, task, tcfg)
+            result = train(params, task, TrainConfig(steps=15, batch_size=8, seed=3))
+            (tmp_path / f"{run}.csv").write_text(result.log_csv())
+            save_checkpoint(tmp_path / f"{run}.ckpt", params,
+                            extra={"final_loss": result.final_loss})
             outs.append(((tmp_path / f"{run}.csv").read_bytes(),
                          (tmp_path / f"{run}.ckpt").read_bytes()))
         assert outs[0][0] == outs[1][0]
@@ -324,8 +324,8 @@ class TestTrainLoop(FastSetup):
         task = self.task()
         params = init_parameters(self.cfg(task), seed=1)
         path = tmp_path / "m.ckpt"
-        train(params, task, TrainConfig(steps=10, batch_size=8, seed=1,
-                                        checkpoint_path=str(path)))
+        train(params, task, TrainConfig(steps=10, batch_size=8, seed=1))
+        save_checkpoint(path, params, extra={"steps": 10})
         loaded, extra = load_checkpoint(path)
         assert extra["steps"] == 10
         tokens, _ = task.sample(Rng(0), 2)

@@ -35,10 +35,10 @@ def test_prefill_reach_passes():
 def test_a_reach_one_layer_short_fails(monkeypatch):
     table = parloop.model.prefill_table
 
-    def short(cfg, n):   # the last loop's first layer takes in window - 1 rows too few
-        rows = table(cfg, n)
+    def short(cfg, n, top=None):   # the last loop's first layer takes in window - 1 rows
+        rows = table(cfg, n, top)    # too few: no further back than the layer above
         if cfg.gswa:
-            rows[-1][0] += cfg.window - 1
+            rows[-1][0] = rows[-1][1]
         return rows
 
     monkeypatch.setattr(parloop.model, "prefill_table", short)
@@ -57,7 +57,7 @@ def test_a_train_reach_one_layer_short_fails(monkeypatch):
     def short(cfg, n, top=None):   # as above, on the training step's table
         rows = table(cfg, n, top)
         if cfg.gswa:
-            rows[-1][0] += cfg.window - 1
+            rows[-1][0] = rows[-1][1]
         return rows
 
     monkeypatch.setattr(parloop.model, "prefill_table", short)
