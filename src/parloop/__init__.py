@@ -52,7 +52,6 @@ from .model import (
     ModelConfig,
     Parameters,
     count_flops_per_token,
-    count_params,
     count_params_from_config,
     forward,
     init_parameters,
@@ -78,12 +77,11 @@ __all__ = [
     "InvalidLoopError", "ModelConfig", "NumericError", "Parameters",
     "ParloopError", "PositionError", "Rng", "SharedKVCache", "StepCost",
     "TaskSpec", "Tensor", "TokenError", "TrainConfig", "TrainResult",
-    "WindowKVCache", "ablation_run",
-    "band_mask", "causal_mask", "count_flops_per_token", "count_params",
-    "count_params_from_config", "cross_entropy_loss", "decode_step_cost",
-    "default_profile", "eval_accuracy", "format_ablation", "forward",
-    "gate_values", "gated_fuse", "generate", "grad_check", "init_parameters",
-    "latency_ratio", "load_checkpoint", "make_task", "no_grad", "prefill",
-    "report_csv", "report_text", "run_all", "save_checkpoint",
-    "standin_config", "sweep", "train", "variant_config",
+    "WindowKVCache", "ablation_run", "band_mask", "causal_mask",
+    "count_flops_per_token", "count_params_from_config", "cross_entropy_loss",
+    "decode_step_cost", "default_profile", "eval_accuracy", "format_ablation",
+    "forward", "gate_values", "gated_fuse", "generate", "grad_check",
+    "init_parameters", "latency_ratio", "load_checkpoint", "make_task",
+    "no_grad", "prefill", "report_csv", "report_text", "run_all",
+    "save_checkpoint", "standin_config", "sweep", "train", "variant_config",
 ]

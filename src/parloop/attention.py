@@ -262,6 +262,11 @@ def _run_length(store: np.ndarray, k, v) -> int:
     return want[-2]
 
 
+def _check_index(what: str, value, stop: float = math.inf) -> None:
+    if not is_int(value) or not 0 <= value < stop:
+        raise PositionError(f"{what} {value!r}, expected an integer in [0, {stop})")
+
+
 class SharedKVCache:
     """Append-only per-layer key/value store, preallocated to max_seq.
 
@@ -278,8 +283,8 @@ class SharedKVCache:
 
     def write(self, layer: int, start: int, k: np.ndarray, v: np.ndarray) -> None:
         """Store a layer's keys/values ([n_kv_heads, n, d_head]) from position `start`."""
-        if not is_int(start) or start < 0:
-            raise PositionError(f"cache write at position {start!r}, expected an integer >= 0")
+        _check_index("cache layer", layer, len(self.k))
+        _check_index("cache write at position", start)
         end = start + _run_length(self.k[layer], k, v)
         if end > self.max_seq:
             raise CapacityError(f"cache full: {end} > max_seq {self.max_seq}")
@@ -288,6 +293,8 @@ class SharedKVCache:
 
     def view(self, layer: int, upto: int):
         """Keys/values for positions [0, upto) as [n_kv_heads, upto, d_head]."""
+        _check_index("cache layer", layer, len(self.k))
+        _check_index("cache view up to", upto, self.max_seq + 1)
         return self.k[layer, :, :upto, :], self.v[layer, :, :upto, :]
 
 
@@ -323,8 +330,7 @@ class WindowKVCache:
 
     def write(self, start: int, k: np.ndarray, v: np.ndarray) -> None:
         """Store keys/values ([*heads, n, d_head]) from `start` on; keep the last `window`."""
-        if not is_int(start) or start < 0:
-            raise PositionError(f"ring write at position {start!r}, expected an integer >= 0")
+        _check_index("ring write at position", start)
         n = _run_length(self.k, k, v)   # checked before _hold records the run
         self._hold(start, start + n - 1)
         for i in range(max(0, n - self.window), n):

@@ -149,10 +149,7 @@ class DecodeSession:
                 "per_loop": cached if serial else 0, "total": cached + window}
 
 
-def prefill(params: Parameters, prompt: np.ndarray) -> DecodeSession:
-    """Run the forward over the prompt (each layer over the rows decode
-    reads) and seed a session from it."""
-    return DecodeSession(params, prompt)
+prefill = DecodeSession   # runs the prompt's forward and seeds a session from it
 
 
 def _select(logits: np.ndarray, temperature: float, rng: Rng | None) -> int:

@@ -2,9 +2,9 @@
 
 Central differences with a per-coordinate step scaled by parameter
 magnitude. The comparison is relative error with an absolute floor on
-the denominator: central differences on an O(1) loss at h=1e-5 carry
+the denominator: central differences on an O(1) loss at step H carry
 about 1e-11 of float64 cancellation noise, so gradients below the floor
-are effectively compared absolutely against tol * FLOOR rather than
+are effectively compared absolutely against TOL * FLOOR rather than
 drowned in that noise.
 """
 
@@ -17,6 +17,8 @@ import numpy as np
 from .tensor import Tensor
 
 FLOOR = 1e-6
+H = 1e-5     # central-difference step, scaled by max(1, |parameter|)
+TOL = 1e-4   # largest relative error a gradient passes with
 
 
 @dataclass
@@ -30,14 +32,14 @@ class GradReport:
     numeric: float
     n_checked: int
 
-    def ok(self, tol: float) -> bool:
-        return self.max_err < tol
+    def ok(self) -> bool:
+        return self.max_err < TOL
 
 
 @dataclass
 class GradCheckResult:
     reports: list = field(default_factory=list)
-    tol: float = 1e-4
+    tol = TOL   # a class constant, not a field
 
     @property
     def max_err(self) -> float:
@@ -45,12 +47,12 @@ class GradCheckResult:
 
     @property
     def passed(self) -> bool:
-        return all(r.ok(self.tol) for r in self.reports)
+        return all(r.ok() for r in self.reports)
 
     def summary(self) -> str:
         lines = []
         for r in self.reports:
-            status = "ok" if r.ok(self.tol) else "FAIL"
+            status = "ok" if r.ok() else "FAIL"
             lines.append(f"{status:4s} {r.name:30s} max_err={r.max_err:.3e} "
                          f"(analytic={r.analytic:+.6e} numeric={r.numeric:+.6e} "
                          f"at {r.worst_index}, {r.n_checked} coords)")
@@ -61,8 +63,8 @@ def _err(a: float, n: float) -> float:
     return abs(a - n) / max(abs(a), abs(n), FLOOR)
 
 
-def grad_check(loss_fn, params: dict, h: float = 1e-5, tol: float = 1e-4,
-               max_coords: int | None = None, seed: int = 0) -> GradCheckResult:
+def grad_check(loss_fn, params: dict, max_coords: int | None = None,
+               seed: int = 0) -> GradCheckResult:
     """Compare analytic gradients of ``loss_fn()`` against central differences.
 
     loss_fn: zero-argument callable returning a scalar Tensor built from
@@ -79,7 +81,7 @@ def grad_check(loss_fn, params: dict, h: float = 1e-5, tol: float = 1e-4,
                 for k, p in params.items()}
 
     rng = np.random.Generator(np.random.PCG64(seed))
-    result = GradCheckResult(tol=tol)
+    result = GradCheckResult()
     for name, p in params.items():
         flat = p.data.reshape(-1)
         n = flat.size
@@ -90,7 +92,7 @@ def grad_check(loss_fn, params: dict, h: float = 1e-5, tol: float = 1e-4,
         worst = (0.0, (0,), 0.0, 0.0)
         for i in idxs:
             orig = flat[i]
-            step = h * max(1.0, abs(orig))
+            step = H * max(1.0, abs(orig))
             flat[i] = orig + step
             lo_hi = float(loss_fn().data)
             flat[i] = orig - step

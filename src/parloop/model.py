@@ -408,10 +408,6 @@ def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False,
 # ---------------------------------------------------------------------------
 
 
-def count_params(params: Parameters) -> int:
-    return sum(t.size for t in params.named_tensors().values())
-
-
 def count_params_from_config(cfg: ModelConfig) -> int:
     """Parameter count from the shapes of ``param_shapes`` alone, with no
     allocation and without naming every layer's entries."""

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import ConfigError, EmptyInputError
 from .tensor import Rng, Tensor, cross_entropy, is_int
 
+EVAL_BATCHES, EVAL_BATCH_SIZE = 4, 32   # eval_accuracy's sample
+
 
 @dataclass
 class TaskSpec:
@@ -140,16 +142,15 @@ def cross_entropy_loss(logits: Tensor, tokens: np.ndarray,
     return cross_entropy(logits, targets, use)
 
 
-def eval_accuracy(forward_fn, task: TaskSpec, seed: int, batches: int = 4,
-                  batch_size: int = 32) -> float:
+def eval_accuracy(forward_fn, task: TaskSpec, seed: int) -> float:
     """Teacher-forced argmax accuracy over the task's scored positions.
     ``forward_fn`` maps token ids to logits, a plain array (a forward run
     on ``Parameters.arrays``, which records no tape) or a Tensor."""
     rng = Rng(seed)
     hit = 0
     total = 0
-    for _ in range(batches):
-        tokens, mask = task.sample(rng, batch_size)
+    for _ in range(EVAL_BATCHES):
+        tokens, mask = task.sample(rng, EVAL_BATCH_SIZE)
         logits = forward_fn(tokens)
         if isinstance(logits, Tensor):
             logits = logits.data

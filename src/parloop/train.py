@@ -43,19 +43,15 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
-class Adam:
-    """Standard Adam with bias correction; tensors without a gradient are
-    left untouched. Raises ConfigError unless 0 <= beta1, beta2 < 1 and eps
-    is positive and finite."""
+BETA1, BETA2, EPS = 0.9, 0.95, 1e-8   # Adam's moment decays and denominator floor
 
-    def __init__(self, tensors: dict, beta1: float = 0.9, beta2: float = 0.95,
-                 eps: float = 1e-8):
-        if not all(is_real(b) and 0.0 <= b < 1.0 for b in (beta1, beta2)):
-            raise ConfigError(f"beta1 and beta2 must be in [0, 1), got {beta1!r}, {beta2!r}")
-        if not (is_real(eps) and 0.0 < eps < math.inf):
-            raise ConfigError(f"eps must be positive and finite, got {eps!r}")
+
+class Adam:
+    """Standard Adam with bias correction (``BETA1``, ``BETA2``, ``EPS``);
+    tensors without a gradient are left untouched."""
+
+    def __init__(self, tensors: dict):
         self.tensors = dict(tensors)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(t.data) for k, t in self.tensors.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in self.tensors.items()}
         self.t = 0
@@ -66,17 +62,17 @@ class Adam:
 
     def step(self, lr: float) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         for k, t in self.tensors.items():
             if t.grad is None:
                 continue
             g, m, v = t.grad, self.m[k], self.v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            t.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            t.data -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
 
 def clip_global_norm(tensors, max_norm: float) -> float:

@@ -22,6 +22,8 @@ from .tasks import cross_entropy_loss
 from .tensor import Rng
 from .train import scored_loss
 
+CAUSALITY_TRIALS = 12   # random (model, position) perturbations
+
 
 @dataclass
 class CheckResult:
@@ -128,12 +130,12 @@ def check_train_reach(seed: int = 0, tol: float = 1e-9) -> CheckResult:
                        f"gated-window wirings, std 0.3")
 
 
-def check_causality(seed: int = 0, trials: int = 12) -> CheckResult:
+def check_causality(seed: int = 0) -> CheckResult:
     """Changing a token must not move any logit at an earlier position."""
     rng = Rng(seed).fork("causality")
     worst = 0.0
     cfgs = _configs(seed)
-    for t in range(trials):
+    for t in range(CAUSALITY_TRIALS):
         cfg = cfgs[t % len(cfgs)]
         params = init_parameters(cfg, seed + t)
         n = 10
@@ -146,7 +148,7 @@ def check_causality(seed: int = 0, trials: int = 12) -> CheckResult:
         b = forward(arrays, bumped)[0]
         worst = max(worst, float(np.max(np.abs(a[:pos] - b[:pos]))))
     return CheckResult("causality", worst, 0.0, worst == 0.0,
-                       f"{trials} random (model, position) perturbations")
+                       f"{CAUSALITY_TRIALS} random (model, position) perturbations")
 
 
 def check_gate_limits(seed: int = 0) -> CheckResult:
@@ -203,7 +205,7 @@ def check_cache_bounds(seed: int = 0) -> CheckResult:
                        f"30 steps, window {cfg.window}")
 
 
-def check_gradients(seed: int = 0, tol: float = 1e-4) -> CheckResult:
+def check_gradients(seed: int = 0) -> CheckResult:
     """Backprop through the full loss against central differences."""
     cfg = ModelConfig(vocab=13, d_model=16, n_layers=1, n_heads=4, n_kv_heads=2,
                       d_ff=24, loops=3, mode="plt", gswa=True, window=2, max_seq=16)
@@ -213,10 +215,9 @@ def check_gradients(seed: int = 0, tol: float = 1e-4) -> CheckResult:
     def loss_fn():
         return cross_entropy_loss(forward(params, tokens), tokens)
 
-    res = grad_check(loss_fn, params.named_tensors(), tol=tol, max_coords=3,
-                     seed=seed)
+    res = grad_check(loss_fn, params.named_tensors(), max_coords=3, seed=seed)
     n = sum(r.n_checked for r in res.reports)
-    return CheckResult("gradients", res.max_err, tol, res.passed,
+    return CheckResult("gradients", res.max_err, res.tol, res.passed,
                        f"{n} coordinates across {len(res.reports)} tensors")
 
 

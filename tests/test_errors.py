@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from parloop import (Adam, CheckpointError, ConfigError, DimensionError, EmptyInputError,
+from parloop import (CheckpointError, ConfigError, DimensionError, EmptyInputError,
                      HardwareProfile, ModelConfig, ParloopError, PositionError, Rng,
                      SharedKVCache, TaskSpec, TokenError, TrainConfig, WindowKVCache,
                      decode_step_cost, default_profile, forward, generate, init_parameters,
@@ -192,8 +192,6 @@ CASES = [
     ("train-negative-lr", lambda _: train_tiny(steps=1, lr=-1), ConfigError),
     ("train-inf-lr", lambda _: train_tiny(steps=1, lr=float("inf")), ConfigError),
     ("train-negative-clip-norm", lambda _: train_tiny(steps=1, clip_norm=-1), ConfigError),
-    ("adam-beta1-above-one", lambda _: Adam(params().named_tensors(), beta1=2.0), ConfigError),
-    ("adam-negative-eps", lambda _: Adam(params().named_tensors(), eps=-1), ConfigError),
     ("train-mask-scores-nothing", lambda _: train_unscored(), EmptyInputError),
     ("forward-first-row-past-the-tokens",
      lambda _: forward(params(), np.arange(4), first_row=4), PositionError),
@@ -286,6 +284,18 @@ CASES = [
      PositionError),
     ("cache-write-float-start",
      lambda _: SharedKVCache(1, 1, 2, max_seq=4).write(0, 1.0, kv_run(1), kv_run(1)),
+     PositionError),
+    ("cache-write-negative-layer",   # would wrap round to the last layer
+     lambda _: SharedKVCache(2, 1, 2, max_seq=4).write(-1, 0, kv_run(1), kv_run(1)),
+     PositionError),
+    ("cache-write-layer-past-the-end",
+     lambda _: SharedKVCache(2, 1, 2, max_seq=4).write(5, 0, kv_run(1), kv_run(1)),
+     PositionError),
+    ("cache-view-layer-past-the-end", lambda _: SharedKVCache(2, 1, 2, max_seq=4).view(2, 1),
+     PositionError),
+    ("cache-view-negative-upto", lambda _: SharedKVCache(2, 1, 2, max_seq=4).view(0, -1),
+     PositionError),
+    ("cache-view-upto-past-max-seq", lambda _: SharedKVCache(2, 1, 2, max_seq=4).view(0, 5),
      PositionError),
     ("ring-write-wrong-d-head",
      lambda _: WindowKVCache(2, 1, 2).write(0, np.zeros((1, 1, 3)), np.zeros((1, 1, 3))),

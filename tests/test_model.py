@@ -13,7 +13,6 @@ from parloop.errors import CapacityError, CheckpointError, ConfigError, EmptyInp
 from parloop.model import (
     ModelConfig,
     count_flops_per_token,
-    count_params,
     count_params_from_config,
     forward,
     init_parameters,
@@ -207,7 +206,8 @@ class TestAccounting:
     @pytest.mark.parametrize("cfg_kw", LAYOUTS)
     def test_config_count_matches_allocation(self, cfg_kw):
         cfg = small(**cfg_kw)
-        assert count_params_from_config(cfg) == count_params(init_parameters(cfg, 0))
+        sizes = [t.size for t in init_parameters(cfg, 0).named_tensors().values()]
+        assert count_params_from_config(cfg) == sum(sizes)
 
     @pytest.mark.parametrize("cfg_kw", LAYOUTS)
     def test_shape_table_names_every_tensor_in_order(self, cfg_kw):
