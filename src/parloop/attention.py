@@ -70,15 +70,16 @@ def apply_rope(x: Tensor, positions, tables: RopeTables) -> Tensor:
     the tape it is one op whose backward is the inverse rotation."""
     plain = not isinstance(x, Tensor)
     xd = x if plain else x.data
+    cos, sin = tables.cos[positions], tables.sin[positions]   # [seq, d_head], broadcast
     half = xd.shape[-1] // 2
     out = np.concatenate([xd[..., half:], xd[..., :half]], axis=-1)
-    out *= tables.sin[positions]   # [seq, d_head], broadcasts over leading dims
-    out += xd * tables.cos[positions]
+    out *= sin
+    out += xd * cos
     if plain:
         return out
 
-    def bwd(g):
-        x._accum(apply_rope(g, positions, RopeTables(tables.cos, -tables.sin)))
+    def bwd(g):   # the inverse rotation, negating only the rows gathered above
+        x._accum(apply_rope(g, slice(None), RopeTables(cos, -sin)))
 
     return node(out, (x,), bwd)
 
@@ -302,7 +303,7 @@ class WindowKVCache:
     """Fixed-size ring of the last `window` positions of keys/values.
 
     ``n_kv_heads`` is the head count or, for a ring that serves several
-    loops at once, the leading axes (a decode session's is [loops - 1,
+    loops at once, the leading axes (a decode session's is [window_loops,
     n_kv_heads]). The ring is mirrored: keys/values are [*heads, 2 * window,
     d_head], and position p is written to slot p % window and again to slot
     p % window + window. Any run of at most `window` consecutive positions

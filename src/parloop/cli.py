@@ -223,9 +223,9 @@ def cmd_train(args) -> int:
     cfg = _model_from_args(args, task.vocab)
     tcfg = TrainConfig(**{k: getattr(args, k) for k in SECTIONS["train"]})
     params = init_parameters(cfg, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)   # once every input check has passed
     result = train(params, task, tcfg)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)   # once training has succeeded
     (out / "loss.csv").write_text(result.log_csv())
     save_checkpoint(out / "model.ckpt", params, extra={
         "steps": tcfg.steps, "final_loss": result.final_loss, "seed": tcfg.seed})
@@ -298,9 +298,7 @@ def cmd_cost(args) -> int:
                      kv_bytes_per_entry=args.kv_bytes)
     profile = replace(default_profile(), **{k: v for k, v in overrides.items() if v is not None})
     costs = sweep(cfg, profile, args.batch, args.context, tuple(args.arch))
-    print(report_csv(costs) if args.csv else report_text(costs), end="")
-    if not args.csv:
-        print()
+    print(report_csv(costs) if args.csv else report_text(costs) + "\n", end="")
     return 0
 
 

@@ -5,10 +5,10 @@ Every row is ``passes`` serial passes of one two-ceiling roofline,
 the passes adding up: L for the serial loop, 1 for every fused row. Each
 pass reads the block weights and its share of the cache and activation
 bytes; the output head's bytes and flops land on the last pass. A row's
-traffic comes from its ``variant_config``, as its flops do: a plt loop
-after the first reads loop 1's cache (``kv_share``) plus, with ``gswa``, a
-bounded window of its own, and every other loop reads its own full cache.
-Five wirings are compared:
+traffic comes from its ``variant_config``, as its flops do: ``cache_loops``
+loops read a full cache of their own and ``window_loops`` loops a bounded
+window ring, so a sequence's cache bytes are ``cache_loops * full +
+window_loops * window``. Five wirings are compared:
 
 - ``vanilla``: one pass, one cache.
 - ``loop``: the stack applied L times in sequence, each pass re-reading the
@@ -135,8 +135,7 @@ def decode_step_cost(arch: str, cfg: ModelConfig, profile: HardwareProfile,
     if batch < 1 or context < 1:
         raise ConfigError("batch and context must be >= 1")
     vcfg = variant_config(cfg, arch)
-    L = vcfg.loops
-    passes = L if arch == "loop" else 1   # a fused row runs every loop in one pass
+    passes = vcfg.loops if arch == "loop" else 1   # a fused row runs every loop in one pass
     wb = profile.weight_bytes_per_param
     emb_params = vcfg.vocab * vcfg.d_model
     head_bytes = emb_params * wb
@@ -144,12 +143,9 @@ def decode_step_cost(arch: str, cfg: ModelConfig, profile: HardwareProfile,
     block_bytes = block_params * wb
 
     kv_full = context * profile.kv_bytes_per_entry * vcfg.n_layers
-    if vcfg.kv_share:   # later loops read loop 1's cache, with gswa plus a window of their own
-        window = min(vcfg.window, context) * profile.kv_bytes_per_entry * vcfg.n_layers
-        kv = batch * (kv_full + (L - 1) * (window if vcfg.gswa else 0))
-    else:               # every loop reads its own full cache
-        kv = batch * L * kv_full
-    act = batch * L * (vcfg.n_layers * vcfg.d_model * profile.act_bytes_per_value * 2)
+    window = min(vcfg.window, context) * profile.kv_bytes_per_entry * vcfg.n_layers
+    kv = batch * (vcfg.cache_loops * kv_full + vcfg.window_loops * window)
+    act = batch * vcfg.loops * (vcfg.n_layers * vcfg.d_model * profile.act_bytes_per_value * 2)
     flops = count_flops_per_token(vcfg, context)
     flops_total, head_flops = batch * flops["total"], batch * flops["head"]
 

@@ -49,10 +49,9 @@ class DecodeSession:
     """Mutable decoding state over a fixed prompt; see module docstring.
 
     ``caches`` holds one ``SharedKVCache`` per loop that keeps its own keys
-    (one for ``vanilla`` and ``plt``, ``loops`` for ``vanilla_loop``);
-    ``rings`` holds, with gswa, one window ring per layer over [loops 2..L,
-    kv heads]; ``inflight`` holds the carries
-    [loops - 1, d_model] of the parallel wiring (no rows for the others).
+    (``cache_loops``); ``rings`` holds, with gswa, one window ring per layer
+    over [``window_loops`` (loops 2..L), kv heads]; ``inflight`` holds the
+    carries [loops - 1, d_model] of the parallel wiring (none for the others).
 
     Counters: ``steps`` counts tokens pushed through ``step``; ``passes``
     counts block-stack passes those steps cost (the parallel wiring pays 1
@@ -76,21 +75,19 @@ class DecodeSession:
         dh, kh = cfg.d_head, cfg.n_kv_heads
         states = forward(self.weights, prompt, return_states=True)
 
-        serial = cfg.mode == "vanilla_loop"
         self.caches = [SharedKVCache(cfg.n_layers, kh, dh, cfg.max_seq)
-                       for _ in range(cfg.loops if serial else 1)]
+                       for _ in range(cfg.cache_loops)]
         for cache, kv in zip(self.caches, states.own_kv_per_loop):
             for li, (k, v) in enumerate(kv):
                 cache.write(li, 0, k[0], v[0])
-        self.rings = [WindowKVCache(cfg.window, (cfg.loops - 1, kh), dh)
-                      for _ in range(cfg.n_layers if cfg.gswa and cfg.loops > 1 else 0)]
+        self.rings = [WindowKVCache(cfg.window, (cfg.window_loops, kh), dh)
+                      for _ in range(cfg.n_layers if cfg.window_loops else 0)]
         m = min(n, cfg.window)   # every later loop made keys on at least these rows
-        for li, ring in enumerate(self.rings):
-            ks, vs = zip(*(loop_kv[li] for loop_kv in states.own_kv_per_loop[1:]))
-            ring.write(n - m, np.stack([k[0, :, -m:] for k in ks]),
-                       np.stack([v[0, :, -m:] for v in vs]))
+        for li, ring in enumerate(self.rings):   # keys, then values, of loops 2..L
+            kv = zip(*(loop_kv[li] for loop_kv in states.own_kv_per_loop[1:]))
+            ring.write(n - m, *(np.stack([t[0, :, -m:] for t in ts]) for ts in kv))
 
-        rows = 1 if serial else cfg.loops
+        rows = cfg.loops // cfg.cache_loops   # one pass per cache, one row per loop it runs
         self.inflight = np.array([h[0, -1] for h in states.hidden_per_loop[:rows - 1]]
                                  ).reshape(rows - 1, cfg.d_model)
         self.last_logits = states.hidden_per_loop[-1][0, -1] @ head_weight(self.weights)
@@ -142,9 +139,9 @@ class DecodeSession:
     def kv_entry_count(self) -> dict:
         """Live cache positions per kind, summed over layers (and, for the
         window rings, over the loops that share each ring)."""
-        cached = self.cfg.n_layers * len(self.caches) * self.position
-        window = (self.cfg.loops - 1) * sum(r.entries() for r in self.rings)
-        serial = self.cfg.mode == "vanilla_loop"
+        cached = self.cfg.n_layers * self.cfg.cache_loops * self.position
+        window = self.cfg.window_loops * sum(r.entries() for r in self.rings)
+        serial = self.cfg.mode == "vanilla_loop"   # each loop keeps its own cache
         return {"shared": 0 if serial else cached, "window": window,
                 "per_loop": cached if serial else 0, "total": cached + window}
 

@@ -98,16 +98,21 @@ class ModelConfig:
         return self.d_model // self.n_heads
 
     @property
-    def kv_share(self) -> bool:
-        """Whether later loops read the first loop's keys/values (plt only)."""
-        return self.mode == "plt"
+    def cache_loops(self) -> int:
+        """Loops with a full key/value cache of their own; the rest read loop 1's."""
+        return self.loops if self.mode == "vanilla_loop" else 1
+
+    @property
+    def window_loops(self) -> int:
+        """Loops with a gated window ring of their own keys: loops 2..L with gswa."""
+        return self.loops - 1 if self.gswa else 0
 
 
 def param_shapes(cfg: ModelConfig) -> dict:
     """The parameter layout of ``cfg``: name -> shape, in the order weights
     are drawn, checkpointed and optimised. With gswa each layer holds its
     gates stacked, ``gate_weight`` [G, d_model, n_heads] and ``gate_bias``
-    [G, n_heads], where G is loops - 1 with per-loop gates, else 1."""
+    [G, n_heads], where G is ``window_loops`` with per-loop gates, else 1."""
     before, layer, after = _shape_parts(cfg)
     shapes = dict(before)
     for i in range(cfg.n_layers):
@@ -120,8 +125,8 @@ def _shape_parts(cfg: ModelConfig) -> tuple:
     layer's (named within the layer) and the entries after them."""
     d, kv, ff = cfg.d_model, cfg.n_kv_heads * cfg.d_head, cfg.d_ff
     layer = {"attn_norm": (d,), "wq": (d, d), "wk": (d, kv), "wv": (d, kv), "wo": (d, d)}
-    if cfg.gswa and cfg.loops > 1:
-        g = cfg.loops - 1 if cfg.per_loop_gates else 1
+    if cfg.window_loops:
+        g = cfg.window_loops if cfg.per_loop_gates else 1
         layer.update(gate_weight=(g, d, cfg.n_heads), gate_bias=(g, cfg.n_heads))
     layer.update(mlp_norm=(d,), w_gate=(d, ff), w_up=(d, ff), w_down=(ff, d))
     after = {"final_norm": (d,)}
@@ -177,8 +182,13 @@ def build_parameters(cfg: ModelConfig, weight) -> Parameters:
             return np.ones(shape)
         return np.zeros(shape) if name.endswith("gate_bias") else weight(shape)
 
-    return Parameters(cfg, {name: Tensor(value(name, shape), requires_grad=True)
-                            for name, shape in param_shapes(cfg).items()})
+    try:
+        tensors = {name: Tensor(value(name, shape), requires_grad=True)
+                   for name, shape in param_shapes(cfg).items()}
+    except (MemoryError, ValueError) as e:   # ValueError: past numpy's largest array
+        raise ConfigError(f"vocab {cfg.vocab}, d_model {cfg.d_model} and d_ff {cfg.d_ff} "
+                          f"are too large to allocate: {e}") from e
+    return Parameters(cfg, tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +303,8 @@ class LoopActivations:
     ``rows`` is the ``prefill_table`` prefill ran: loop l's layer j took
     in rows [rows[l][j - 1], n) and made its keys/values there, so
     ``own_kv_per_loop`` covers at least each cache and ring seed, and the
-    loop's hidden state covers [rows[l][-1], n). With kv sharing, the first
-    loop's keys/values are the ones every later loop read.
+    loop's hidden state covers [rows[l][-1], n). Loops past
+    ``cache_loops`` read loop 1's keys/values.
     """
 
     hidden_per_loop: list          # loops x [b, n - rows[l][-1], d_model]
@@ -316,25 +326,23 @@ def prefill_table(cfg: ModelConfig, n: int, top: int | None = None) -> list:
       row before where the next loop starts, since that loop reads its
       output one position back; an earlier ``vanilla_loop`` loop's is
       where the next starts, 0.
-    - A loop that fills its own full cache (loop 1, and every
-      ``vanilla_loop`` loop) needs every layer's keys on every row, so only
-      its top layer trims, and it starts at 0 even with no layers.
-    - A later plt loop without gswa reads loop 1's keys, so each of its
-      layers takes in just the rows the layer above needs.
-    - A later gswa layer's queries from row r see their own keys back to
-      r - (window - 1), so the layer below starts there. As r <= n - 1,
-      that also covers the ring seeds on the last window rows.
+    - A loop that fills its own full cache (the first ``cache_loops``)
+      needs every layer's keys on every row, so only its top layer trims,
+      and it starts at 0 even with no layers.
+    - A later loop reads loop 1's keys, so each layer takes in just the
+      rows the layer above needs or, with a window ring, window - 1 more:
+      queries from row r see their own keys back to r - (window - 1). As
+      r <= n - 1, that also covers the ring seeds on the last window rows.
     """
-    depth, w = cfg.n_layers, cfg.window
+    depth = cfg.n_layers
+    reach = cfg.window - 1 if cfg.window_loops else 0   # rows a later layer's queries look back
     table = []
     top = n - 1 if top is None else top
     for loop in range(cfg.loops, 0, -1):
-        if loop == 1 or cfg.mode != "plt":   # fills its own full cache
+        if loop <= cfg.cache_loops:   # fills its own full cache
             rows = [0] * depth + [top if depth else 0]
         else:
-            rows = [top]
-            for _ in range(depth):
-                rows.insert(0, max(0, rows[0] - (w - 1)) if cfg.gswa else rows[0])
+            rows = [max(0, top - reach * (depth - j)) for j in range(depth + 1)]
         table.insert(0, rows)
         top = max(0, rows[0] - 1) if cfg.mode == "plt" else rows[0]
     return table
@@ -381,7 +389,7 @@ def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False,
     hidden, own_kv = block_stack_forward(params, e, positions, loop_index=1, rows=table[0])
     hiddens = [hidden]
     kv_per_loop = [own_kv]
-    shared = own_kv if cfg.kv_share else None
+    shared = own_kv if cfg.cache_loops < cfg.loops else None   # later loops read loop 1's keys
     for loop_index in range(2, cfg.loops + 1):
         rows, below = table[loop_index - 1], table[loop_index - 2]
         s, prev_s = rows[0], below[-1]   # prev covers [prev_s, n)
@@ -423,14 +431,12 @@ def count_flops_per_token(cfg: ModelConfig, context: int | None = None) -> dict:
     """
     n = cfg.max_seq if context is None else context
     d, kv, h, dh = cfg.d_model, cfg.n_kv_heads * cfg.d_head, cfg.n_heads, cfg.d_head
-    shared = cfg.loops - 1 if cfg.kv_share else 0   # passes reading loop 1's keys
-    windowed = shared if cfg.gswa else 0            # ... that also project their own
+    own_kv = cfg.cache_loops + cfg.window_loops   # loops projecting keys/values of their own
     counts = {
-        "projections": cfg.n_layers * (cfg.loops * 4 * d * d
-                                       + (cfg.loops - shared + windowed) * 4 * d * kv),
+        "projections": cfg.n_layers * (cfg.loops * 4 * d * d + own_kv * 4 * d * kv),
         "attention": cfg.n_layers * (cfg.loops * 4 * n * h * dh
-                                     + windowed * 4 * min(cfg.window, n) * h * dh),
-        "gate": cfg.n_layers * windowed * 2 * d * h,
+                                     + cfg.window_loops * 4 * min(cfg.window, n) * h * dh),
+        "gate": cfg.n_layers * cfg.window_loops * 2 * d * h,
         "mlp": cfg.n_layers * cfg.loops * 3 * 2 * d * cfg.d_ff,
         "head": 2 * d * cfg.vocab,
     }

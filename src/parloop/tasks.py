@@ -147,8 +147,7 @@ def eval_accuracy(forward_fn, task: TaskSpec, seed: int) -> float:
     ``forward_fn`` maps token ids to logits, a plain array (a forward run
     on ``Parameters.arrays``, which records no tape) or a Tensor."""
     rng = Rng(seed)
-    hit = 0
-    total = 0
+    hit = total = 0
     for _ in range(EVAL_BATCHES):
         tokens, mask = task.sample(rng, EVAL_BATCH_SIZE)
         logits = forward_fn(tokens)

@@ -310,14 +310,14 @@ def rmsnorm(x: Tensor, gain: Tensor) -> Tensor:
     xd, gd = (x, gain) if plain else (x.data, gain.data)
     if gd.shape != xd.shape[-1:]:
         raise DimensionError(f"rmsnorm gain shape {gd.shape} != ({xd.shape[-1]},)")
-    y = xd * _inv_rms(xd)
+    inv = _inv_rms(xd)
+    y = xd * inv
     y *= gd
     if plain:
         return y
     d = xd.shape[-1]
 
-    def bwd(g):
-        inv = _inv_rms(xd)
+    def bwd(g):   # reuses the forward's inverse RMS
         if gain.requires_grad:
             gain._accum((g * xd * inv).reshape(-1, d).sum(axis=0))
         if x.requires_grad:

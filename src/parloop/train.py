@@ -133,7 +133,10 @@ def train(params, task: TaskSpec, cfg: TrainConfig) -> TrainResult:
     data_rng = Rng(cfg.seed).fork("task-data")
     result = TrainResult()
     for step in range(cfg.steps):
-        tokens, mask = task.sample(data_rng, cfg.batch_size)
+        try:
+            tokens, mask = task.sample(data_rng, cfg.batch_size)
+        except (MemoryError, ValueError) as e:   # ValueError: past numpy's largest array
+            raise ConfigError(f"batch_size {cfg.batch_size} is too large to sample: {e}") from e
         opt.zero_grad()
         try:
             loss = scored_loss(params, tokens, mask)

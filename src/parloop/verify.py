@@ -197,9 +197,9 @@ def check_cache_bounds(seed: int = 0) -> CheckResult:
     for t in range(30):
         sess.step(t % cfg.vocab)
         counts = sess.kv_entry_count()   # every ring holds the same positions
-        occ = counts["window"] / (cfg.n_layers * (cfg.loops - 1))
+        occ = counts["window"] / (cfg.n_layers * cfg.window_loops)
         overflow = max(overflow, occ - cfg.window)
-    shared_err = abs(counts["shared"] / cfg.n_layers - sess.position)
+    shared_err = abs(counts["shared"] / (cfg.n_layers * cfg.cache_loops) - sess.position)
     err = float(max(overflow, shared_err))
     return CheckResult("cache_bounds", err, 0.0, err == 0.0,
                        f"30 steps, window {cfg.window}")

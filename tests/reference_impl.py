@@ -113,7 +113,7 @@ def ref_forward(weights, cfg, tokens):
     n = len(tokens)
     E = np.stack([weights["embedding"][t] for t in tokens])
     hidden, own_kv = ref_stack(weights, cfg, E.copy(), 1, None)
-    shared = own_kv if cfg.kv_share else None
+    shared = own_kv if cfg.mode == "plt" else None
     for loop_index in range(2, cfg.loops + 1):
         if cfg.mode == "plt":
             b = E.copy()

@@ -1,6 +1,7 @@
 """Attention primitives against brute-force per-position oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,18 @@ class TestRope:
         (y * w).sum().backward()
         g = numeric_grad(lambda v: float((apply_rope(v, pos, tables) * w).sum()), xv.copy())
         assert rel(x.grad, g) < 1e-6
+
+    def test_backward_allocates_only_the_gathered_rows(self, rng):
+        tables = build_rope_tables(200_000, 8)   # 12.8 MB per table
+        x = Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True)
+        loss = (apply_rope(x, np.arange(4), tables) * rng.normal(size=(2, 4, 8))).sum()
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_odd_head_dim_rejected(self):
         with pytest.raises(ConfigError):

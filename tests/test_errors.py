@@ -163,6 +163,9 @@ CASES = [
     ("config-none-d-model", lambda _: ModelConfig(**{**CFG, "d_model": None}), ConfigError),
     ("init-max-seq-past-numpy",   # rotary tables larger than numpy's largest array
      lambda _: init_parameters(ModelConfig(**{**CFG, "max_seq": 10**19}), 0), ConfigError),
+    ("init-d-model-past-memory",   # wq alone would need 8 TiB
+     lambda _: init_parameters(ModelConfig(vocab=2, d_model=2**20, n_layers=1, n_heads=1,
+                                           max_seq=8), 0), ConfigError),
     ("forward-out-of-range-id", lambda _: forward(params(), np.array([1, 17])), TokenError),
     ("forward-float-ids", lambda _: forward(params(), np.array([1.5, 2.0])), TokenError),
     ("prefill-2d-prompt", lambda _: prefill(params(), np.zeros((2, 2), int)), DimensionError),
@@ -192,6 +195,10 @@ CASES = [
     ("train-negative-lr", lambda _: train_tiny(steps=1, lr=-1), ConfigError),
     ("train-inf-lr", lambda _: train_tiny(steps=1, lr=float("inf")), ConfigError),
     ("train-negative-clip-norm", lambda _: train_tiny(steps=1, clip_norm=-1), ConfigError),
+    ("train-batch-size-past-memory", lambda _: train_tiny(steps=1, batch_size=10**12),
+     ConfigError),
+    ("train-batch-size-past-numpy", lambda _: train_tiny(steps=1, batch_size=10**19),
+     ConfigError),
     ("train-mask-scores-nothing", lambda _: train_unscored(), EmptyInputError),
     ("forward-first-row-past-the-tokens",
      lambda _: forward(params(), np.arange(4), first_row=4), PositionError),
@@ -329,6 +336,13 @@ CASES = [
                                         "--prompt", ""]), EXIT_2),
     ("cli-train-huge-max-seq",
      cli(lambda p: ["train", "--max-seq", str(10**13), "--out", str(p / "o")]), EXIT_2),
+    ("cli-train-huge-d-model",
+     cli(lambda p: ["train", "--d-model", str(2**20), "--n-heads", "1", "--symbols", "2",
+                    "--out", str(p / "o")]), EXIT_2),
+    ("cli-train-huge-batch-size",
+     cli(lambda p: ["train", "--batch-size", str(10**12), "--out", str(p / "o")]), EXIT_2),
+    ("cli-bench-huge-d-model",
+     cli(lambda _: ["bench", "--d-model", str(2**20), "--n-heads", "1", "--vocab", "2"]), EXIT_2),
     ("cli-zero-steps", cli(lambda p: ["train", "--steps", "0", "--out", str(p / "o")]), EXIT_2),
     ("cli-negative-seed", cli(lambda p: ["train", "--seed", "-1", "--out", str(p / "o")]),
      EXIT_2),
@@ -367,6 +381,16 @@ def test_bad_input_raises_a_parloop_error(call, expected, tmp_path):
     assert issubclass(expected, ParloopError)
     with pytest.raises(expected):
         call(tmp_path)
+
+
+@pytest.mark.parametrize("call, setting", [
+    (lambda: init_parameters(ModelConfig(vocab=2, d_model=2**20, n_layers=1, n_heads=1,
+                                         max_seq=8), 0), "d_model 1048576"),
+    (lambda: train_tiny(steps=1, batch_size=10**12), "batch_size 1000000000000"),
+], ids=["d-model", "batch-size"])
+def test_a_size_numpy_cannot_allocate_names_its_setting(call, setting):
+    with pytest.raises(ConfigError, match=setting):
+        call()
 
 
 def test_a_refused_cache_write_stores_nothing():

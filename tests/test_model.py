@@ -65,10 +65,10 @@ class TestConfigValidation:
         cfg = ModelConfig(vocab=10, d_model=8, n_layers=1, n_heads=2)
         assert cfg.n_kv_heads == 2
         assert cfg.d_ff == 32
-        assert cfg.kv_share is False
+        assert (cfg.cache_loops, cfg.window_loops) == (1, 0)
         plt = ModelConfig(vocab=10, d_model=8, n_layers=1, n_heads=2,
                           loops=2, mode="plt")
-        assert plt.kv_share is True
+        assert (plt.cache_loops, plt.window_loops) == (1, 0)   # loop 2 reads loop 1's cache
 
 
 class TestAgainstReference:
@@ -303,7 +303,8 @@ class TestCheckpoint:
         blob = json.dumps(manifest).encode()
         path.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + mlen:])
         loaded, _ = load_checkpoint(path)
-        assert loaded.config == params.config and loaded.config.kv_share
+        assert loaded.config == params.config
+        assert (loaded.config.cache_loops, loaded.config.window_loops) == (1, 0)
         assert np.array_equal(forward(params, np.arange(6)).data,
                               forward(loaded, np.arange(6)).data)
 

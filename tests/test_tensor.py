@@ -4,12 +4,14 @@ differences computed directly on numpy arrays, independent of the tape."""
 import numpy as np
 import pytest
 
+import parloop.tensor
 from parloop.attention import apply_rope, attention, build_rope_tables
 from parloop.errors import DimensionError, EmptyInputError, NumericError
 from parloop.gradcheck import grad_check
 from parloop.tensor import (
     Rng,
     Tensor,
+    _inv_rms,
     concat,
     cross_entropy,
     embedding,
@@ -258,6 +260,19 @@ class TestRmsnorm:
             return float((y * w).sum())
         assert rel(x.grad, numeric_grad(lambda v: f(v, gv), xv.copy())) < 1e-5
         assert rel(gain.grad, numeric_grad(lambda v: f(xv, v), gv.copy())) < 1e-5
+
+    def test_backward_reuses_the_forward_inverse_rms(self, rng, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape)
+            return _inv_rms(x)
+
+        monkeypatch.setattr(parloop.tensor, "_inv_rms", counted)
+        x = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+        gain = Tensor(rng.normal(size=(6,)), requires_grad=True)
+        rmsnorm(x, gain).sum().backward()
+        assert calls == [(3, 6)]
 
     def test_gain_shape_mismatch_raises(self):
         with pytest.raises(DimensionError):
