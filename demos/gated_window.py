@@ -22,8 +22,8 @@ print("--- ring buffer: bounded, ordered, overwrites oldest ---")
 ring = WindowKVCache(window=4, n_kv_heads=1, d_head=6)
 for pos in range(7):
     ring.write(pos, rng.normal((1, 1, 6)), rng.normal((1, 1, 6)))
-    k, v, positions = ring.gather(query_pos=pos)
-    print(f"after writing position {pos}: holds {positions.tolist()}")
+    k, v, start = ring.gather(query_pos=pos)   # entry i holds position start + i
+    print(f"after writing position {pos}: holds {list(range(start, start + k.shape[-2]))}")
 print("seven writes, never more than four entries, always the newest four\n")
 
 print("--- gate values at init: near 0.5, one scalar per head ---")

@@ -41,7 +41,6 @@ from .errors import (
     DivergenceError,
     EmptyContextError,
     EmptyInputError,
-    InvalidLoopError,
     NumericError,
     ParloopError,
     PositionError,
@@ -74,10 +73,10 @@ __all__ = [
     "ARCH_ROWS", "Adam", "CapacityError", "CheckResult", "CheckpointError",
     "ConfigError", "DecodeSession", "DimensionError", "DivergenceError",
     "EmptyContextError", "EmptyInputError", "HardwareProfile",
-    "InvalidLoopError", "ModelConfig", "NumericError", "Parameters",
-    "ParloopError", "PositionError", "Rng", "SharedKVCache", "StepCost",
-    "TaskSpec", "Tensor", "TokenError", "TrainConfig", "TrainResult",
-    "WindowKVCache", "ablation_run", "band_mask", "causal_mask",
+    "ModelConfig", "NumericError", "Parameters", "ParloopError",
+    "PositionError", "Rng", "SharedKVCache", "StepCost", "TaskSpec",
+    "Tensor", "TokenError", "TrainConfig", "TrainResult", "WindowKVCache",
+    "ablation_run", "band_mask", "causal_mask",
     "count_flops_per_token", "count_params_from_config", "cross_entropy_loss",
     "decode_step_cost", "default_profile", "eval_accuracy", "format_ablation",
     "forward", "gate_values", "gated_fuse", "generate", "grad_check",

@@ -1,6 +1,7 @@
 """Attention primitives: rotary embeddings, causal and banded masks, the
-attention kernel, head-wise gate fusion, and the two decode-time caches
-(append-only per-layer, sliding-window ring), each with one ``write`` of a run.
+attention kernel, head-wise gate fusion, and the two decode-time stores of
+one layer (an append-only cache, a sliding-window ring), each with one
+``write`` of a run.
 
 ``attention`` is the only attention implementation; prefill, training and
 decode all run it, on plain arrays or, as one tape op with its own
@@ -14,7 +15,7 @@ after the value product, by dividing the output by the row sums.
 
 The window ring is mirrored (each position is stored twice, ``window``
 slots apart), so the positions it holds are always one ordered, contiguous
-run that ``gather`` returns as views.
+run that ``gather`` returns as views, with the position the run starts at.
 
 Conventions: query/key/value tensors are [..., heads, seq, d_head]; masks
 are additive float arrays broadcastable to the score shape, 0 where allowed
@@ -269,34 +270,32 @@ def _check_index(what: str, value, stop: float = math.inf) -> None:
 
 
 class SharedKVCache:
-    """Append-only per-layer key/value store, preallocated to max_seq.
+    """Append-only key/value store of one layer, preallocated to max_seq.
 
     Written by the first loop, the prompt's run of positions and then one
-    per step, and read by every loop. Entry layout is [n_layers, n_kv_heads,
-    max_seq, d_head]. A position is visible once its layer writes it (queries
-    in the same step slice up to pos + 1); ``position`` counts complete ones.
+    per step, and read by every loop. Entry layout is [n_kv_heads, max_seq,
+    d_head]. A position is visible once it is written (queries in the same
+    step slice up to pos + 1).
     """
 
-    def __init__(self, n_layers: int, n_kv_heads: int, d_head: int, max_seq: int):
+    def __init__(self, n_kv_heads: int, d_head: int, max_seq: int):
         self.max_seq = max_seq
-        self.k = np.zeros((n_layers, n_kv_heads, max_seq, d_head))
+        self.k = np.zeros((n_kv_heads, max_seq, d_head))
         self.v = np.zeros_like(self.k)
 
-    def write(self, layer: int, start: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Store a layer's keys/values ([n_kv_heads, n, d_head]) from position `start`."""
-        _check_index("cache layer", layer, len(self.k))
+    def write(self, start: int, k: np.ndarray, v: np.ndarray) -> None:
+        """Store keys/values ([n_kv_heads, n, d_head]) from position `start`."""
         _check_index("cache write at position", start)
-        end = start + _run_length(self.k[layer], k, v)
+        end = start + _run_length(self.k, k, v)
         if end > self.max_seq:
             raise CapacityError(f"cache full: {end} > max_seq {self.max_seq}")
-        self.k[layer, :, start:end, :] = k
-        self.v[layer, :, start:end, :] = v
+        self.k[:, start:end, :] = k
+        self.v[:, start:end, :] = v
 
-    def view(self, layer: int, upto: int):
+    def view(self, upto: int):
         """Keys/values for positions [0, upto) as [n_kv_heads, upto, d_head]."""
-        _check_index("cache layer", layer, len(self.k))
         _check_index("cache view up to", upto, self.max_seq + 1)
-        return self.k[layer, :, :upto, :], self.v[layer, :, :upto, :]
+        return self.k[:, :upto, :], self.v[:, :upto, :]
 
 
 class WindowKVCache:
@@ -342,14 +341,13 @@ class WindowKVCache:
     def gather(self, query_pos: int):
         """All held entries visible from `query_pos`, ordered by position.
 
-        Returns (k, v, positions) with k/v as [*heads, m, d_head] views of
-        the ring.
+        Returns (k, v, start): k/v as [*heads, m, d_head] views of the ring,
+        whose entry i holds position start + i.
         """
         lo = max(self.lo, query_pos - self.window + 1)
-        hi = min(self.hi, query_pos)
+        m = max(min(self.hi, query_pos) - lo + 1, 0)
         s = lo % self.window
-        m = max(hi - lo + 1, 0)
-        return self.k[..., s:s + m, :], self.v[..., s:s + m, :], np.arange(lo, lo + m)
+        return self.k[..., s:s + m, :], self.v[..., s:s + m, :], lo
 
     def entries(self) -> int:
         return self.hi - self.lo + 1

@@ -253,8 +253,8 @@ def cmd_generate(args) -> int:
     else:
         try:
             prompt = np.array([int(t) for t in args.prompt.split()], dtype=np.int64)
-        except ValueError as e:
-            raise ConfigError(f"prompt must be space-separated integers: {e}") from e
+        except (ValueError, OverflowError) as e:   # OverflowError: past int64
+            raise ConfigError(f"prompt must be space-separated int64 token ids: {e}") from e
     if prompt.size == 0:
         raise ConfigError("empty prompt")
     sess = prefill(params, prompt)

@@ -5,32 +5,34 @@ wiring it runs one batched pass over a micro-batch of displaced rows: row 0
 is the newest token entering its first loop, row r is the token from r
 steps ago entering loop r+1 (its carry arrives through the ``inflight``
 array). All rows query the same position, and the first row's keys/values
-extend the shared cache. With gswa, rows 1..L-1 also keep at most
+extend the layer's shared cache. With gswa, rows 1..L-1 also keep at most
 ``window`` of their own entries in one mirrored ring per layer, whose
 leading axes are [loops 2..L, kv heads]; each layer writes, gathers and
 attends over that ring once for all of those rows and forms their gates in
 one matmul. One token therefore costs one pass regardless of the loop
 count. ``vanilla`` is the single-row special case; ``vanilla_loop`` keeps
-one cache per loop and runs one single-row pass per cache.
+one cache per loop and runs one single-row pass per cache. Every store
+holds one layer, so a layer reads its cache and its ring the same way, by
+layer index.
 
 Every pass is ``model.block_stack_forward``, the layer body that training
-and prefill run too: a step hands it the rows, their one position, the
-cache and the rings, and no layer math is written here. The session runs
-it on ``Parameters.arrays``, the weights as plain arrays, so neither
-prefill nor a step builds a ``Tensor``.
+and prefill run too: a step hands it the rows, their one (integer)
+position, the caches and the rings, and no layer math is written here.
+The session runs it on ``Parameters.arrays``, the weights as plain
+arrays, so neither prefill nor a step builds a ``Tensor``.
 
-Prefill is the training forward asked for its loop states
-(``forward(..., return_states=True)``). A session reads each cache's
-keys/values, the carries and logits at n - 1 and, with gswa, the ring
-seeds at [n - window, n); ``model.prefill_table`` gives, per loop and
-layer, the first row that feeds one of them. Every layer makes keys and
-values on all the rows it takes in and runs its queries, attention and MLP
-only from its table row on. Loop 1 (every loop of ``vanilla_loop``) thus
-fills its cache over the whole prompt and runs its top layer on the rows
-the next loop reads, and each later plt loop runs only a suffix that
-narrows layer by layer to the last row. The rows it drops feed nothing a
-step reads, so the handoff is exact, and a session seeds each ring from
-the prompt through the ring's one ``write``.
+Prefill is the training forward asked for its loop states from the last
+row on (``forward(..., return_states=True, first_row=n - 1)``). A session
+reads each cache's keys/values, the carries and logits at n - 1 and, with
+gswa, the ring seeds at [n - window, n); ``model.prefill_table`` gives,
+per loop and layer, the first row that feeds one of them. Every layer
+makes keys and values on all the rows it takes in and runs its queries,
+attention and MLP only from its table row on. Loop 1 (every loop of
+``vanilla_loop``) thus fills its cache over the whole prompt and runs its
+top layer on the rows the next loop reads, and each later plt loop runs
+only a suffix that narrows layer by layer to the last row. The rows it
+drops feed nothing a step reads, so the handoff is exact, and a session
+seeds each ring from the prompt through the ring's one ``write``.
 """
 
 from __future__ import annotations
@@ -48,10 +50,11 @@ from .tensor import Rng, is_int, is_real
 class DecodeSession:
     """Mutable decoding state over a fixed prompt; see module docstring.
 
-    ``caches`` holds one ``SharedKVCache`` per loop that keeps its own keys
-    (``cache_loops``); ``rings`` holds, with gswa, one window ring per layer
-    over [``window_loops`` (loops 2..L), kv heads]; ``inflight`` holds the
-    carries [loops - 1, d_model] of the parallel wiring (none for the others).
+    ``caches[c][li]`` is the ``SharedKVCache`` of layer li in the c-th loop
+    that keeps its own keys (``cache_loops`` of them); ``rings[li]`` is,
+    with gswa, layer li's window ring over [``window_loops`` (loops 2..L),
+    kv heads]; ``inflight`` holds the carries [loops - 1, d_model] of the
+    parallel wiring (none for the others).
 
     Counters: ``steps`` counts tokens pushed through ``step``; ``passes``
     counts block-stack passes those steps cost (the parallel wiring pays 1
@@ -73,13 +76,13 @@ class DecodeSession:
         self.weights = params.arrays()
         n = len(prompt)
         dh, kh = cfg.d_head, cfg.n_kv_heads
-        states = forward(self.weights, prompt, return_states=True)
+        states = forward(self.weights, prompt, return_states=True, first_row=n - 1)
 
-        self.caches = [SharedKVCache(cfg.n_layers, kh, dh, cfg.max_seq)
+        self.caches = [[SharedKVCache(kh, dh, cfg.max_seq) for _ in range(cfg.n_layers)]
                        for _ in range(cfg.cache_loops)]
-        for cache, kv in zip(self.caches, states.own_kv_per_loop):
-            for li, (k, v) in enumerate(kv):
-                cache.write(li, 0, k[0], v[0])
+        for caches, kv in zip(self.caches, states.own_kv_per_loop):
+            for cache, (k, v) in zip(caches, kv):
+                cache.write(0, k[0], v[0])
         self.rings = [WindowKVCache(cfg.window, (cfg.window_loops, kh), dh)
                       for _ in range(cfg.n_layers if cfg.window_loops else 0)]
         m = min(n, cfg.window)   # every later loop made keys on at least these rows
@@ -108,8 +111,8 @@ class DecodeSession:
         x = np.empty((len(self.inflight) + 1, len(e)))
         x[:] = e
         x[1:] += self.inflight
-        for cache in self.caches:   # more than one only for the serial loop
-            hidden = block_stack_forward(self.weights, x, p, shared_kv=cache,
+        for caches in self.caches:   # more than one only for the serial loop
+            hidden = block_stack_forward(self.weights, x, p, shared_kv=caches,
                                          rings=self.rings)[0]
             x = e + hidden
             self.passes += 1

@@ -17,10 +17,6 @@ class EmptyContextError(ParloopError):
     """A query position has no attendable key."""
 
 
-class InvalidLoopError(ParloopError):
-    """Operation called with a loop index outside its valid range."""
-
-
 class EmptyInputError(ParloopError):
     """A token sequence was empty where at least one token is required."""
 

@@ -32,10 +32,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .attention import (SharedKVCache, apply_rope, attention, build_rope_tables, gate_values,
-                        gated_fuse)
-from .errors import (CapacityError, ConfigError, EmptyInputError, InvalidLoopError, PositionError,
-                     TokenError)
+from .attention import apply_rope, attention, build_rope_tables, gate_values, gated_fuse
+from .errors import CapacityError, ConfigError, EmptyInputError, PositionError, TokenError
 from .tensor import Rng, Tensor, concat, embedding as gather_rows, is_int, rmsnorm, silu
 
 MODES = ("vanilla", "vanilla_loop", "plt")
@@ -74,6 +72,7 @@ class ModelConfig:
             self.n_kv_heads = self.n_heads
         if self.d_ff is None:
             self.d_ff = 4 * self.d_model
+        self.window = min(self.window, self.max_seq)   # no key lies further back
         for name in SWITCHES:
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
@@ -159,11 +158,13 @@ class Parameters:
         return self._tensors
 
     def arrays(self) -> Parameters:
-        """These parameters as the tensors' current arrays, shared rather
-        than copied. The ops run on them build no Tensor and no tape, which
-        is how prefill and decode run the model body."""
+        """These parameters as the tensors' current arrays (plain arrays as
+        they are), shared rather than copied. The ops run on them build no
+        Tensor and no tape, which is how prefill and decode run the model
+        body."""
         out = copy.copy(self)
-        out._bind({name: t.data for name, t in self._tensors.items()})
+        out._bind({name: t.data if isinstance(t, Tensor) else t
+                   for name, t in self._tensors.items()})
         return out
 
 
@@ -208,18 +209,19 @@ def block_stack_forward(params: Parameters, x, positions, loop_index: int = 1,
     body of training, prefill and every decode step. Tensor operands run on
     the tape; plain arrays (``Parameters.arrays``) give plain arrays.
 
-    x: [b, n, d_model], row i at position positions[i]. Each layer attends
-    over its own keys (``shared_kv`` None), over a list of per-layer
-    (roped_k, v) [b, kv_heads, m, d_head] at positions 0 .. m - 1 (loop
-    1's, read by a later plt loop, which may start past position 0), or
-    over a ``SharedKVCache``: a decode step, whose rows x [rows, d_model]
-    all sit at the int position ``positions``, and whose row 0 writes its
-    keys there.
+    x: [b, n, d_model], row i at position positions[i]; or, when
+    ``positions`` is an int, a decode step, whose rows x [rows, d_model] all
+    sit at that one position. Layer li attends over its own keys
+    (``shared_kv`` None) or over ``shared_kv[li]``: in a step, the layer's
+    ``SharedKVCache``, into which row 0 first writes its keys; otherwise
+    loop 1's (roped_k, v) [b, kv_heads, m, d_head] at positions 0 .. m - 1,
+    read by a later plt loop, which may start past position 0.
     With gswa, the rows of later loops also attend a window of their own
     keys, mixed in through their gate (``_window_mix``): every row of a
-    later plt loop, banded over the pass's keys, with loop ``loop_index``'s
-    gate; or rows 1.. of a decode step, which run loops 2..L, each over its
-    loop's heads of the layer's ring in ``rings`` and with its loop's gate.
+    later plt loop (``loop_index`` >= 2), banded over the pass's keys, with
+    its loop's gate; or rows 1.. of a decode step, which run loops 2..L,
+    each over its loop's heads of the layer's ring ``rings[li]`` and with
+    its loop's gate.
 
     ``rows`` is given by prefill and the training step: the loop's row of
     ``prefill_table``, whose entry j is the first row of the layer-j
@@ -233,12 +235,9 @@ def block_stack_forward(params: Parameters, x, positions, loop_index: int = 1,
     entries when it had no use for them).
     """
     cfg = params.config
-    step = isinstance(shared_kv, SharedKVCache)
-    use_local = cfg.gswa and (len(rings) > 0 if step else shared_kv is not None)
-    if use_local and not step and loop_index < 2:
-        raise InvalidLoopError(
-            f"sliding-window path is defined for loops >= 2, got {loop_index}")
-    own = use_local or not isinstance(shared_kv, list)   # the pass needs its own keys
+    step = is_int(positions)
+    use_local = len(rings) > 0 if step else cfg.gswa and shared_kv is not None
+    own = step or use_local or shared_kv is None   # the pass needs its own keys
     gi = loop_index - 2 if cfg.per_loop_gates else 0
     heads, kv_heads, rope = cfg.n_heads, cfg.n_kv_heads, params.rope
     at = positions if step else positions[:, None]   # each row's rotary row, across its heads
@@ -257,20 +256,19 @@ def block_stack_forward(params: Parameters, x, positions, loop_index: int = 1,
         q_full = h @ layer.wq
         q = apply_rope(split_heads(q_full, heads), at, rope).swapaxes(-3, -2)
         if step:
-            shared_kv.write(li, positions, k[:, :1], v[:, :1])
-            kv = shared_kv.view(li, positions + 1)
+            shared_kv[li].write(positions, k[:, :1], v[:, :1])
+            kv = shared_kv[li].view(positions + 1)
         else:
             kv = (k, v) if shared_kv is None else shared_kv[li]
         y = attention(q, *kv, positions)
         if use_local and step:
             ring = rings[li]
             ring.write(positions, _later(k), _later(v))
-            kw, vw, _ = ring.gather(positions)
             y[:, 1:] = _window_mix(cfg, layer, slice(None), _later(q_full), _later(q), _later(y),
-                                   kw, vw, positions, ring.lo).swapaxes(0, 1)[:, :, 0]
+                                   *ring.gather(positions), positions).swapaxes(0, 1)[:, :, 0]
         elif use_local:
             y = _window_mix(cfg, layer, slice(gi, gi + 1), q_full, q, y, k, v,
-                            positions, positions[0] - cut)   # k starts at the first input row
+                            positions[0] - cut, positions)   # k starts at the first input row
         x = x + y.swapaxes(-3, -2).reshape(x.shape) @ layer.wo   # heads merged back
         hm = rmsnorm(x, layer.mlp_norm)
         x = x + (silu(hm @ layer.w_gate) * (hm @ layer.w_up)) @ layer.w_down
@@ -282,7 +280,7 @@ def _later(t):
     return t[..., 1:, None, :].swapaxes(0, -3)
 
 
-def _window_mix(cfg, layer, gates, q_full, q, y, kw, vw, positions, k_start):
+def _window_mix(cfg, layer, gates, q_full, q, y, kw, vw, k_start, positions):
     """Mix attention over window keys ``kw`` / ``vw`` (from ``k_start``) into
     the global output ``y``, through the layer's gates ``[gates]``."""
     g = gate_values(layer.gate_weight[gates], layer.gate_bias[gates, None], q_full)
@@ -312,15 +310,15 @@ class LoopActivations:
     rows: list                     # loops x (n_layers + 1) first rows
 
 
-def prefill_table(cfg: ModelConfig, n: int, top: int | None = None) -> list:
+def prefill_table(cfg: ModelConfig, n: int, top: int) -> list:
     """For n tokens, the first row each layer of each loop must compute so
     that every later read is served. Entry [l][j] is the first row whose
     layer-j output in loop l + 1 is read later (j = 0: the loop's input,
     j = n_layers: its hidden state). ``top`` is the first row whose logits
-    are read: n - 1 (the default) for a decode session, which also reads
-    each cache's keys/values, the carries at n - 1 and, with gswa, the
-    ring seeds at [n - window, n); the first scored row for the training
-    loss, which reads logits on [top, n).
+    are read: n - 1 for a decode session, which also reads each cache's
+    keys/values, the carries at n - 1 and, with gswa, the ring seeds at
+    [n - window, n); the first scored row for the training loss, which
+    reads logits on [top, n).
 
     - The top of the last loop is ``top``. An earlier plt loop's top is one
       row before where the next loop starts, since that loop reads its
@@ -337,7 +335,6 @@ def prefill_table(cfg: ModelConfig, n: int, top: int | None = None) -> list:
     depth = cfg.n_layers
     reach = cfg.window - 1 if cfg.window_loops else 0   # rows a later layer's queries look back
     table = []
-    top = n - 1 if top is None else top
     for loop in range(cfg.loops, 0, -1):
         if loop <= cfg.cache_loops:   # fills its own full cache
             rows = [0] * depth + [top if depth else 0]
@@ -364,8 +361,8 @@ def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False,
     (``prefill_table``): the rows that feed the returned logits, which is
     how the training step runs on its scored rows (for ``first_row`` 0 the
     table is all zeros and trims nothing). With return_states=True, returns
-    LoopActivations for a decode session instead, whose caches and last row
-    take the table's default top, and no logits are formed.
+    the LoopActivations of that table instead, and no logits are formed: a
+    decode session asks for them with ``first_row`` n - 1.
     """
     cfg = params.config
     tokens = np.asarray(tokens)
@@ -380,9 +377,9 @@ def forward(params: Parameters, tokens: np.ndarray, return_states: bool = False,
         raise CapacityError(f"sequence length {n} exceeds max_seq {cfg.max_seq}")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab:
         raise TokenError(f"token ids must be in [0, {cfg.vocab})")
-    if not 0 <= first_row < n:
-        raise PositionError(f"first_row {first_row} outside the {n} token rows")
-    table = prefill_table(cfg, n, None if return_states else first_row)
+    if not is_int(first_row) or not 0 <= first_row < n:
+        raise PositionError(f"first_row {first_row!r} is not one of the {n} token rows")
+    table = prefill_table(cfg, n, first_row)
     positions = np.arange(n)
     e = gather_rows(params.embedding, tokens)
 

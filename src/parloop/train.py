@@ -20,7 +20,7 @@ from .decode import prefill
 from .errors import CapacityError, ConfigError, DivergenceError, NumericError
 from .model import ModelConfig, forward, init_parameters
 from .tasks import TaskSpec, cross_entropy_loss, eval_accuracy, scored_rows
-from .tensor import Rng, global_grad_norm, is_int, is_real
+from .tensor import Rng, Tensor, global_grad_norm, is_int, is_real
 
 
 @dataclass(frozen=True)   # checked once, when built
@@ -129,6 +129,8 @@ def train(params, task: TaskSpec, cfg: TrainConfig) -> TrainResult:
     the step and recent loss history in the message.
     """
     named = params.named_tensors()
+    if not all(isinstance(t, Tensor) for t in named.values()):
+        raise ConfigError("train needs the parameters' Tensors, not Parameters.arrays()")
     opt = Adam(named)
     data_rng = Rng(cfg.seed).fork("task-data")
     result = TrainResult()

@@ -22,11 +22,10 @@ from parloop.errors import (
     CapacityError,
     ConfigError,
     EmptyContextError,
-    InvalidLoopError,
     NumericError,
 )
 from parloop.gradcheck import grad_check
-from parloop.model import ModelConfig, block_stack_forward, forward, init_parameters
+from parloop.model import ModelConfig, forward, init_parameters
 from parloop.tensor import Tensor
 
 from test_tensor import numeric_grad, rel
@@ -180,15 +179,6 @@ class TestAttendCore:
             attention(q, k, k, np.arange(2), k_start=1)
         with pytest.raises(EmptyContextError):   # query 5 is past keys 0, 1
             attention(q, k, k, np.array([4, 5]), window=4)
-
-    def test_window_before_first_loop_rejected(self):
-        cfg = ModelConfig(vocab=11, d_model=8, n_layers=1, n_heads=2, mode="plt",
-                          loops=2, gswa=True, window=2, max_seq=8)
-        params = init_parameters(cfg, 0)
-        states = forward(params, np.arange(3), return_states=True)
-        with pytest.raises(InvalidLoopError):
-            block_stack_forward(params, states.hidden_per_loop[0], np.arange(3),
-                                loop_index=1, shared_kv=states.own_kv_per_loop[0])
 
     def test_nan_score_raises(self, rng):
         q = rng.normal(size=(2, 3, 4))
@@ -372,33 +362,33 @@ class TestGate:
 
 class TestSharedKVCache:
     def test_write_then_view_roundtrip(self, rng):
-        c = SharedKVCache(n_layers=2, n_kv_heads=3, d_head=4, max_seq=8)
+        c = SharedKVCache(n_kv_heads=3, d_head=4, max_seq=8)
         k0 = rng.normal(size=(3, 1, 4))
         v0 = rng.normal(size=(3, 1, 4))
-        c.write(layer=1, start=0, k=k0, v=v0)
-        k, v = c.view(layer=1, upto=1)
+        c.write(start=0, k=k0, v=v0)
+        k, v = c.view(upto=1)
         assert np.array_equal(k, k0)
         assert np.array_equal(v, v0)
 
     def test_block_write_matches_loop_of_writes(self, rng):
         # a run equals the same positions written as one-position runs
-        a = SharedKVCache(1, 2, 4, max_seq=6)
-        b = SharedKVCache(1, 2, 4, max_seq=6)
+        a = SharedKVCache(2, 4, max_seq=6)
+        b = SharedKVCache(2, 4, max_seq=6)
         ks = rng.normal(size=(2, 5, 4))
         vs = rng.normal(size=(2, 5, 4))
-        a.write(0, 0, ks, vs)
+        a.write(0, ks, vs)
         for p in range(5):
-            b.write(0, p, ks[:, p:p + 1], vs[:, p:p + 1])
+            b.write(p, ks[:, p:p + 1], vs[:, p:p + 1])
         assert np.array_equal(a.k, b.k) and np.array_equal(a.v, b.v)
 
     def test_capacity_exceeded_raises(self):
-        c = SharedKVCache(1, 1, 2, max_seq=2)
-        c.write(0, 0, np.zeros((1, 1, 2)), np.zeros((1, 1, 2)))
-        c.write(0, 1, np.zeros((1, 1, 2)), np.zeros((1, 1, 2)))
+        c = SharedKVCache(1, 2, max_seq=2)
+        c.write(0, np.zeros((1, 1, 2)), np.zeros((1, 1, 2)))
+        c.write(1, np.zeros((1, 1, 2)), np.zeros((1, 1, 2)))
         with pytest.raises(CapacityError):
-            c.write(0, 2, np.zeros((1, 1, 2)), np.zeros((1, 1, 2)))
+            c.write(2, np.zeros((1, 1, 2)), np.zeros((1, 1, 2)))
         with pytest.raises(CapacityError):
-            c.write(0, 1, np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
+            c.write(1, np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
 
 
 class TestWindowKVCache:
@@ -417,9 +407,9 @@ class TestWindowKVCache:
             v = rng.normal(size=(2, 1, 3))
             stored[p] = (k, v)
             c.write(p, k, v)
-        k, v, pos = c.gather(query_pos=8)
-        assert list(pos) == [5, 6, 7, 8]
-        for i, p in enumerate(pos):
+        k, v, start = c.gather(query_pos=8)
+        assert start == 5 and k.shape[-2] == v.shape[-2] == 4
+        for i, p in enumerate(range(start, start + 4)):
             assert np.array_equal(k[:, i:i + 1, :], stored[p][0])
             assert np.array_equal(v[:, i:i + 1, :], stored[p][1])
 
@@ -427,8 +417,8 @@ class TestWindowKVCache:
         c = WindowKVCache(window=5, n_kv_heads=1, d_head=2)
         c.write(0, rng.normal(size=(1, 1, 2)), rng.normal(size=(1, 1, 2)))
         c.write(1, rng.normal(size=(1, 1, 2)), rng.normal(size=(1, 1, 2)))
-        k, v, pos = c.gather(query_pos=1)
-        assert list(pos) == [0, 1]
+        k, v, start = c.gather(query_pos=1)
+        assert start == 0
         assert k.shape == (1, 2, 2)
 
     def test_minimum_window_rejected(self):
@@ -442,8 +432,9 @@ class TestWindowKVCache:
         for p in range(4 * window + 2):     # partly filled first, then 4 wraps
             stored[p] = rng.normal(size=(2, 2, 1, 3))
             c.write(p, *stored[p])
-            k, v, pos = c.gather(query_pos=p)
+            k, v, start = c.gather(query_pos=p)
             assert np.shares_memory(k, c.k) and np.shares_memory(v, c.v)
+            pos = range(start, start + k.shape[-2])
             assert list(pos) == list(range(max(0, p - window + 1), p + 1))
             assert c.entries() == len(pos) == min(p + 1, window)
             for i, q in enumerate(pos):

@@ -56,6 +56,9 @@ def test_the_two_numbers():
 def test_session_caches_and_rings(wiring):
     cfg, sess = wiring
     assert len(sess.caches) == cfg.cache_loops
+    for caches in sess.caches:   # one store per layer, like the rings
+        assert [c.k.shape for c in caches] == \
+            [(cfg.n_kv_heads, cfg.max_seq, cfg.d_head)] * cfg.n_layers
     assert len(sess.rings) == (cfg.n_layers if cfg.window_loops else 0)
     for ring in sess.rings:
         assert ring.k.shape[:2] == (cfg.window_loops, cfg.n_kv_heads)

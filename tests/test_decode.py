@@ -120,10 +120,10 @@ class TestSuffixPrefill:
                 cfg = small(mode="plt", loops=loops, gswa=gswa, window=window,
                             per_loop_gates=per_loop_gates, n_kv_heads=n_kv_heads,
                             n_layers=n_layers, max_seq=128)
-                suffix = 1000 - prefill_table(cfg, 1000)[1][0]
+                suffix = 1000 - prefill_table(cfg, 1000, 999)[1][0]
                 params = init_parameters(cfg, seed=loops + window)
                 for n in (max(1, suffix - 2), suffix + 5):
-                    assert (prefill_table(cfg, n)[1][0] > 0) == (n > suffix)
+                    assert (prefill_table(cfg, n, n - 1)[1][0] > 0) == (n > suffix)
                     worst = suffix_parity_gap(cfg, params, n, 2 * window + 3)
                     assert worst < 1e-9, (per_loop_gates, n_kv_heads, n)
 
@@ -138,13 +138,13 @@ class TestSuffixPrefill:
             cfg = small(mode=mode, loops=loops, n_kv_heads=n_kv_heads, n_layers=n_layers)
             params = init_parameters(cfg, seed=loops + n_layers)
             for n in (1, 2, 9):
-                assert prefill_table(cfg, n)[-1][-1] == (n - 1 if n_layers else 0)
+                assert prefill_table(cfg, n, n - 1)[-1][-1] == (n - 1 if n_layers else 0)
                 worst = suffix_parity_gap(cfg, params, n, 6)
                 assert worst < 1e-9, (n_kv_heads, n)
 
     def test_starts_follow_the_rule(self):
         def starts(n, **kw):
-            return [rows[0] for rows in prefill_table(small(max_seq=512, **kw), n)]
+            return [rows[0] for rows in prefill_table(small(max_seq=512, **kw), n, n - 1)]
         # plt2 runs loop 2 on the last row; with window 16 over 2 layers the
         # last row's 2 * 15 receptive field takes 31 rows, which covers the
         # ring seeds too
@@ -158,15 +158,15 @@ class TestSuffixPrefill:
         # the benchmark geometries, layer by layer
         long = dict(d_model=128, n_heads=8, n_kv_heads=2, max_seq=544)
         short = dict(d_model=256, n_layers=4, n_heads=8, n_kv_heads=2, max_seq=96)
-        assert prefill_table(small(**long), 512) == [[0, 0, 511]]
+        assert prefill_table(small(**long), 512, 511) == [[0, 0, 511]]
         assert prefill_table(small(mode="plt", loops=2, gswa=True, window=16, **long),
-                             512) == [[0, 0, 480], [481, 496, 511]]
+                             512, 511) == [[0, 0, 480], [481, 496, 511]]
         assert prefill_table(small(mode="plt", loops=2, gswa=True, window=16, **short),
-                             64) == [[0, 0, 0, 0, 2], [3, 18, 33, 48, 63]]
+                             64, 63) == [[0, 0, 0, 0, 2], [3, 18, 33, 48, 63]]
         # a loop that fills its own cache starts at 0, even with no layers
-        assert prefill_table(small(mode="plt", loops=3, n_layers=0), 40) == [[0], [38], [39]]
-        assert prefill_table(small(mode="vanilla_loop", loops=2, n_layers=0), 40) == [[0], [0]]
-        assert prefill_table(small(mode="vanilla_loop", loops=2), 40) == [[0, 0, 0], [0, 0, 39]]
+        assert prefill_table(small(mode="plt", loops=3, n_layers=0), 40, 39) == [[0], [38], [39]]
+        assert prefill_table(small(mode="vanilla_loop", loops=2, n_layers=0), 40, 39) == [[0], [0]]
+        assert prefill_table(small(mode="vanilla_loop", loops=2), 40, 39) == [[0, 0, 0], [0, 0, 39]]
 
     @pytest.mark.parametrize("mode, gswa", [("vanilla", False), ("vanilla_loop", False),
                                             ("plt", False), ("plt", True)])
@@ -178,7 +178,7 @@ class TestSuffixPrefill:
                     cfg = small(mode=mode, loops=loops, n_layers=n_layers, gswa=gswa,
                                 window=window, max_seq=16)
                     for n in range(1, 13):
-                        assert prefill_table(cfg, n) == ref_prefill_table(cfg, n, n - 1)
+                        assert prefill_table(cfg, n, n - 1) == ref_prefill_table(cfg, n, n - 1)
                         for top in range(n):
                             assert prefill_table(cfg, n, top) == ref_prefill_table(cfg, n, top), \
                                 (loops, n_layers, window, n, top)
@@ -187,7 +187,7 @@ class TestSuffixPrefill:
         cfg = small(mode="plt", loops=3, gswa=True, window=3)
         params = init_parameters(cfg, seed=0)
         tokens = np.arange(30) % cfg.vocab
-        states = forward(params, tokens, return_states=True)
+        states = forward(params, tokens, return_states=True, first_row=29)
         assert [h.shape[1] for h in states.hidden_per_loop] == \
             [30 - rows[-1] for rows in states.rows]
         assert [[k.shape[-2] for k, _ in kv] for kv in states.own_kv_per_loop] == \
@@ -234,13 +234,13 @@ class TestSessionStateHandoff:
         assert np.max(np.abs(a.last_logits - b.last_logits)) < 1e-9
         for x, y in zip(a.inflight, b.inflight):
             assert np.max(np.abs(x - y)) < 1e-9
-        ka, _ = a.caches[0].view(0, a.position)
-        kb, _ = b.caches[0].view(0, b.position)
+        ka, _ = a.caches[0][0].view(a.position)
+        kb, _ = b.caches[0][0].view(b.position)
         assert np.max(np.abs(ka - kb)) < 1e-9
         for ring_a, ring_b in zip(a.rings, b.rings):
             ga = ring_a.gather(a.position - 1)
             gb = ring_b.gather(b.position - 1)
-            assert np.array_equal(ga[2], gb[2])
+            assert ga[2] == gb[2] and ga[0].shape == gb[0].shape
             assert np.max(np.abs(ga[0] - gb[0])) < 1e-9
 
     @pytest.mark.parametrize("loops", [2, 3])
@@ -258,9 +258,9 @@ class TestSessionStateHandoff:
         assert np.max(np.abs(suffix.last_logits - full.last_logits)) <= 1e-9
         assert np.max(np.abs(suffix.inflight - full.inflight)) <= 1e-9
         for ring_s, ring_f in zip(suffix.rings, full.rings, strict=True):
-            ks, vs, ps = ring_s.gather(len(tokens) - 1)
-            kf, vf, pf = ring_f.gather(len(tokens) - 1)
-            assert np.array_equal(ps, pf)
+            ks, vs, start_s = ring_s.gather(len(tokens) - 1)
+            kf, vf, start_f = ring_f.gather(len(tokens) - 1)
+            assert start_s == start_f and ks.shape == kf.shape
             assert max(np.max(np.abs(ks - kf)), np.max(np.abs(vs - vf))) <= 1e-9
 
 
@@ -466,6 +466,16 @@ class TestModeEquivalences:
         for x, y in zip(la, lb):
             assert np.max(np.abs(x - y)) < 1e-12
 
+    @pytest.mark.parametrize("cfg_kw", ALL_MODES)
+    def test_plain_array_parameters_decode_bitwise(self, cfg_kw):
+        # a session runs on params.arrays() anyway; arrays of arrays are the same arrays
+        params = init_parameters(small(**cfg_kw), seed=6)
+        tokens = np.arange(9) % 17
+        a, b = prefill(params, tokens[:5]), prefill(params.arrays(), tokens[:5])
+        assert np.array_equal(a.last_logits, b.last_logits)
+        for t in tokens[5:]:
+            assert np.array_equal(a.step(int(t)), b.step(int(t)))
+
 
 def repeat_einsum_attend(q, k, v):
     """Reference: repeat every key/value head to the query-head count."""
@@ -488,19 +498,19 @@ class TestGroupedAttend:
         rng = np.random.default_rng(groups)
         kh, dh, rows = 2, 6, 3
         if source == "shared":   # strided view of a partly written cache
-            cache = SharedKVCache(1, kh, dh, max_seq=16)
-            cache.write(0, 0, rng.standard_normal((kh, 10, dh)),
+            cache = SharedKVCache(kh, dh, max_seq=16)
+            cache.write(0, rng.standard_normal((kh, 10, dh)),
                         rng.standard_normal((kh, 10, dh)))
-            k, v = cache.view(0, 10)
+            k, v = cache.view(10)
             k_start, window = 0, 0
         else:                    # ring holding 5 of its 8 slots
             ring = WindowKVCache(8, kh, dh)
             for pos in range(5):
                 ring.write(pos, rng.standard_normal((kh, 1, dh)),
                            rng.standard_normal((kh, 1, dh)))
-            k, v, pos = ring.gather(4)
+            k, v, k_start = ring.gather(4)
             assert k.shape == (kh, 5, dh)
-            k_start, window = pos[0], 8
+            window = 8
         q = rng.standard_normal((rows, kh * groups, dh))
         at = k_start + k.shape[1] - 1
         got = attention(q.transpose(1, 0, 2), k, v, np.full(rows, at),

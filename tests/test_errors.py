@@ -200,8 +200,15 @@ CASES = [
     ("train-batch-size-past-numpy", lambda _: train_tiny(steps=1, batch_size=10**19),
      ConfigError),
     ("train-mask-scores-nothing", lambda _: train_unscored(), EmptyInputError),
+    ("train-plain-array-parameters",   # Adam updates Tensors in place
+     lambda _: train(params().arrays(), make_task("copy", src_len=2, symbols=4),
+                     TrainConfig(steps=1, batch_size=2)), ConfigError),
     ("forward-first-row-past-the-tokens",
      lambda _: forward(params(), np.arange(4), first_row=4), PositionError),
+    ("forward-float-first-row",
+     lambda _: forward(params(), np.arange(4), first_row=1.5), PositionError),
+    ("forward-bool-first-row",   # would run as row 1
+     lambda _: forward(params(), np.arange(4), first_row=True), PositionError),
     ("rng-negative-seed", lambda _: init_parameters(ModelConfig(**CFG), -1), ConfigError),
     ("rng-float-seed", lambda _: Rng(2.5), ConfigError),
     ("make-task-unknown", lambda _: make_task("sorting"), ConfigError),
@@ -287,22 +294,12 @@ CASES = [
     ("ring-write-float-start",
      lambda _: WindowKVCache(2, 1, 2).write(1.5, kv_run(1), kv_run(1)), PositionError),
     ("cache-write-negative-start",
-     lambda _: SharedKVCache(1, 1, 2, max_seq=4).write(0, -1, kv_run(1), kv_run(1)),
-     PositionError),
+     lambda _: SharedKVCache(1, 2, max_seq=4).write(-1, kv_run(1), kv_run(1)), PositionError),
     ("cache-write-float-start",
-     lambda _: SharedKVCache(1, 1, 2, max_seq=4).write(0, 1.0, kv_run(1), kv_run(1)),
+     lambda _: SharedKVCache(1, 2, max_seq=4).write(1.0, kv_run(1), kv_run(1)), PositionError),
+    ("cache-view-negative-upto", lambda _: SharedKVCache(1, 2, max_seq=4).view(-1),
      PositionError),
-    ("cache-write-negative-layer",   # would wrap round to the last layer
-     lambda _: SharedKVCache(2, 1, 2, max_seq=4).write(-1, 0, kv_run(1), kv_run(1)),
-     PositionError),
-    ("cache-write-layer-past-the-end",
-     lambda _: SharedKVCache(2, 1, 2, max_seq=4).write(5, 0, kv_run(1), kv_run(1)),
-     PositionError),
-    ("cache-view-layer-past-the-end", lambda _: SharedKVCache(2, 1, 2, max_seq=4).view(2, 1),
-     PositionError),
-    ("cache-view-negative-upto", lambda _: SharedKVCache(2, 1, 2, max_seq=4).view(0, -1),
-     PositionError),
-    ("cache-view-upto-past-max-seq", lambda _: SharedKVCache(2, 1, 2, max_seq=4).view(0, 5),
+    ("cache-view-upto-past-max-seq", lambda _: SharedKVCache(1, 2, max_seq=4).view(5),
      PositionError),
     ("ring-write-wrong-d-head",
      lambda _: WindowKVCache(2, 1, 2).write(0, np.zeros((1, 1, 3)), np.zeros((1, 1, 3))),
@@ -313,18 +310,19 @@ CASES = [
     ("ring-write-values-differ-from-keys",
      lambda _: WindowKVCache(2, 1, 2).write(0, kv_run(1), kv_run(2)), DimensionError),
     ("cache-write-wrong-d-head",
-     lambda _: SharedKVCache(1, 1, 2, max_seq=4).write(0, 0, np.zeros((1, 1, 3)),
-                                                       np.zeros((1, 1, 3))), DimensionError),
+     lambda _: SharedKVCache(1, 2, max_seq=4).write(0, np.zeros((1, 1, 3)),
+                                                    np.zeros((1, 1, 3))), DimensionError),
     ("cache-write-too-few-heads",
-     lambda _: SharedKVCache(1, 2, 2, max_seq=4).write(0, 0, kv_run(1), kv_run(1)),
-     DimensionError),
+     lambda _: SharedKVCache(2, 2, max_seq=4).write(0, kv_run(1), kv_run(1)), DimensionError),
     ("cache-write-values-differ-from-keys",
-     lambda _: SharedKVCache(1, 1, 2, max_seq=4).write(0, 0, kv_run(1), np.zeros((1, 1, 3))),
+     lambda _: SharedKVCache(1, 2, max_seq=4).write(0, kv_run(1), np.zeros((1, 1, 3))),
      DimensionError),
     ("cli-nan-temperature", cli(lambda p: ["generate", "--checkpoint", checkpoint(p),
                                            "--prompt", "1 2", "--temperature", "nan"]), EXIT_2),
     ("cli-out-of-range-prompt", cli(lambda p: ["generate", "--checkpoint", checkpoint(p),
                                                "--prompt", "1 99"]), EXIT_2),
+    ("cli-prompt-past-int64", cli(lambda p: ["generate", "--checkpoint", checkpoint(p),
+                                             "--prompt", "99999999999999999999999"]), EXIT_2),
     ("cli-garbage-checkpoint", cli(lambda p: ["generate", "--checkpoint", garbage(p),
                                               "--prompt", "1"]), EXIT_2),
     ("cli-generate-other-norm-eps",
@@ -400,7 +398,7 @@ def test_a_refused_cache_write_stores_nothing():
     assert ring.entries() == 0
     ring.write(0, kv_run(1), kv_run(1))   # the retry at position 0 is accepted
     assert ring.entries() == 1
-    cache = SharedKVCache(1, 1, 2, max_seq=4)
+    cache = SharedKVCache(1, 2, max_seq=4)
     with pytest.raises(DimensionError):
-        cache.write(0, 0, kv_run(1) + 1, np.zeros((1, 1, 3)))
+        cache.write(0, kv_run(1) + 1, np.zeros((1, 1, 3)))
     assert not cache.k.any() and not cache.v.any()

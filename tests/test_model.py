@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from parloop.checkpoint import load_checkpoint, save_checkpoint
+from parloop.decode import prefill
 from parloop.errors import CapacityError, CheckpointError, ConfigError, EmptyInputError
 from parloop.model import (
     ModelConfig,
@@ -19,7 +20,9 @@ from parloop.model import (
     param_shapes,
     shift_right,
 )
+from parloop.tasks import make_task
 from parloop.tensor import Rng, Tensor, cross_entropy
+from parloop.train import TrainConfig, train
 
 from reference_impl import ref_forward, save_per_gate_checkpoint, weights_of
 
@@ -148,6 +151,25 @@ class TestSinglePassEquivalences:
         a = forward(params_g, tokens).data
         b = forward(params_p, tokens).data
         assert np.max(np.abs(a - b)) < 1e-15
+
+
+class TestWindowPastMaxSeq:
+    def test_a_window_past_max_seq_runs_as_max_seq_bitwise(self):
+        # no key lies more than max_seq positions back, so both see every key
+        task = make_task("copy", src_len=3, symbols=5)
+        tokens = np.arange(12) % task.vocab
+        runs = []
+        for window in (12, 10**20):
+            cfg = small(mode="plt", loops=3, gswa=True, per_loop_gates=True, window=window,
+                        vocab=task.vocab, max_seq=12)
+            params = init_parameters(cfg, seed=4)
+            out = [forward(params.arrays(), tokens)]
+            sess = prefill(params, tokens[:7])
+            out += [sess.step(int(t)) for t in tokens[7:]]
+            out.append(train(params, task, TrainConfig(steps=2, batch_size=4)).losses)
+            runs.append(out)
+        for x, y in zip(*runs, strict=True):
+            assert np.array_equal(x, y)
 
 
 class TestLoopChainReach:

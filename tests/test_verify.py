@@ -35,7 +35,7 @@ def test_prefill_reach_passes():
 def test_a_reach_one_layer_short_fails(monkeypatch):
     table = parloop.model.prefill_table
 
-    def short(cfg, n, top=None):   # the last loop's first layer takes in window - 1 rows
+    def short(cfg, n, top):   # the last loop's first layer takes in window - 1 rows
         rows = table(cfg, n, top)    # too few: no further back than the layer above
         if cfg.gswa:
             rows[-1][0] = rows[-1][1]
@@ -54,7 +54,7 @@ def test_train_reach_passes():
 def test_a_train_reach_one_layer_short_fails(monkeypatch):
     table = parloop.model.prefill_table
 
-    def short(cfg, n, top=None):   # as above, on the training step's table
+    def short(cfg, n, top):   # as above, on the training step's table
         rows = table(cfg, n, top)
         if cfg.gswa:
             rows[-1][0] = rows[-1][1]
