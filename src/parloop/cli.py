@@ -21,7 +21,7 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .costmodel import (
     ARCH_ROWS,
+    REPORT_FIELDS,
     default_profile,
     report_csv,
     report_text,
@@ -137,7 +138,10 @@ def build_parser():
                     default=[4, 8, 16, 32, 64])
     sp.add_argument("--context", type=positive_int, default=5000)
     sp.add_argument("--arch", choices=ARCH_ROWS, nargs="+", default=list(ARCH_ROWS))
-    sp.add_argument("--csv", action="store_true")
+    fmt = sp.add_mutually_exclusive_group()
+    fmt.add_argument("--csv", action="store_true")
+    fmt.add_argument("--json", action="store_true",
+                     help='print {"rows": [...]}, the CSV fields as numbers')
     g = sp.add_argument_group("hardware profile overrides")
     g.add_argument("--bandwidth", type=float, default=None, help="bytes/s")
     g.add_argument("--peak-flops", type=float, default=None)
@@ -298,7 +302,10 @@ def cmd_cost(args) -> int:
                      kv_bytes_per_entry=args.kv_bytes)
     profile = replace(default_profile(), **{k: v for k, v in overrides.items() if v is not None})
     costs = sweep(cfg, profile, args.batch, args.context, tuple(args.arch))
-    print(report_csv(costs) if args.csv else report_text(costs) + "\n", end="")
+    if args.json:
+        print(json.dumps({"rows": [dict(zip(REPORT_FIELDS, astuple(c))) for c in costs]}))
+    else:
+        print(report_csv(costs) if args.csv else report_text(costs) + "\n", end="")
     return 0
 
 

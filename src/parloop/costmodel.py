@@ -38,6 +38,8 @@ from .model import ModelConfig, count_flops_per_token, count_params_from_config
 from .tensor import is_real
 
 ARCH_ROWS = ("vanilla", "loop", "loop_clp", "loop_clp_kvshare", "plt")
+REPORT_FIELDS = ("arch", "batch", "context", "passes", "weight_bytes", "kv_bytes",
+                 "act_bytes", "flops", "latency_s", "bound")   # StepCost's fields, in order
 
 
 @dataclass(frozen=True)
@@ -192,8 +194,7 @@ def report_text(costs: list) -> str:
 def report_csv(costs: list) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
-    w.writerow(["arch", "batch", "context", "passes", "weight_bytes",
-                "kv_bytes", "act_bytes", "flops", "latency_s", "bound"])
+    w.writerow(REPORT_FIELDS)
     for c in costs:
         w.writerow([c.arch, c.batch, c.context, c.passes,
                     f"{c.weight_bytes:.1f}", f"{c.kv_bytes:.1f}",

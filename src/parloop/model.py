@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -41,6 +42,13 @@ MODES = ("vanilla", "vanilla_loop", "plt")
 SIZES = (("vocab", 2), ("d_model", 1), ("n_layers", 0), ("n_heads", 1), ("loops", 1),
          ("n_kv_heads", 1), ("d_ff", 1), ("window", 0), ("max_seq", 1))
 SWITCHES = ("gswa", "weight_tying", "per_loop_gates")
+# A decode step of 2..ROWWISE_ROWS rows multiplies each weight over ROWWISE_BYTES
+# one row at a time. Its weight products in ms, timed inside plt steps on a 2-vCPU
+# Xeon (4 MiB L2), one OpenBLAS 0.3.31 thread, float64, as `x @ W` / per row / this
+# rule: decode_short (29 MiB stack, 2 MiB MLP weights) plt-2 5.3 / 2.9 / 3.0, plt-3
+# 6.4 / 4.0 / 4.0, plt-4 4.1 / 4.5 / 4.1; decode_long (0.5 MiB) 0.22 / 0.25 / 0.22.
+# Per row costs up to 1.17x `@` while a stack stays cached: <= 12% on a small one.
+ROWWISE_ROWS, ROWWISE_BYTES = 3, 1 << 20
 
 
 @dataclass
@@ -203,19 +211,27 @@ def split_heads(x: Tensor, n_heads: int) -> Tensor:
     return x.reshape(x.shape[:-1] + (n_heads, -1))
 
 
+def step_matmul(rows: int):
+    """A decode step's weight product ``a @ w``; 2..ROWWISE_ROWS rows take a weight
+    over ROWWISE_BYTES one row at a time, each row bitwise a one-row step's."""
+    if 1 < rows <= ROWWISE_ROWS:
+        return lambda a, w: np.matmul(a[:, None, :], w)[:, 0] if w.nbytes > ROWWISE_BYTES else a @ w
+    return operator.matmul
+
+
 def block_stack_forward(params: Parameters, x, positions, loop_index: int = 1,
                         shared_kv=None, rings=(), rows=None):
     """One pass of the shared block stack plus the final norm: the one layer
     body of training, prefill and every decode step. Tensor operands run on
     the tape; plain arrays (``Parameters.arrays``) give plain arrays.
 
-    x: [b, n, d_model], row i at position positions[i]; or, when
-    ``positions`` is an int, a decode step, whose rows x [rows, d_model] all
-    sit at that one position. Layer li attends over its own keys
-    (``shared_kv`` None) or over ``shared_kv[li]``: in a step, the layer's
-    ``SharedKVCache``, into which row 0 first writes its keys; otherwise
-    loop 1's (roped_k, v) [b, kv_heads, m, d_head] at positions 0 .. m - 1,
-    read by a later plt loop, which may start past position 0.
+    x: [b, n, d_model], row i at position positions[i]; or, when ``positions``
+    is an int, a decode step, whose rows x [rows, d_model] all sit at that one
+    position and use ``step_matmul``, not ``@``. Layer li attends over its own
+    keys (``shared_kv`` None) or over ``shared_kv[li]``: in a step, the
+    layer's ``SharedKVCache``, into which row 0 first writes its keys;
+    otherwise loop 1's (roped_k, v) [b, kv_heads, m, d_head] at positions
+    0 .. m - 1, read by a later plt loop, which may start past position 0.
     With gswa, the rows of later loops also attend a window of their own
     keys, mixed in through their gate (``_window_mix``): every row of a
     later plt loop (``loop_index`` >= 2), banded over the pass's keys, with
@@ -241,19 +257,20 @@ def block_stack_forward(params: Parameters, x, positions, loop_index: int = 1,
     gi = loop_index - 2 if cfg.per_loop_gates else 0
     heads, kv_heads, rope = cfg.n_heads, cfg.n_kv_heads, params.rope
     at = positions if step else positions[:, None]   # each row's rotary row, across its heads
+    mm = step_matmul(len(x) if step else 1)
     own_kv = []
     for li, layer in enumerate(params.layers):
         h = rmsnorm(x, layer.attn_norm)
         k = v = None
         if own:   # on every row the layer takes in
-            k = apply_rope(split_heads(h @ layer.wk, kv_heads), at, rope).swapaxes(-3, -2)
-            v = split_heads(h @ layer.wv, kv_heads).swapaxes(-3, -2)
+            k = apply_rope(split_heads(mm(h, layer.wk), kv_heads), at, rope).swapaxes(-3, -2)
+            v = split_heads(mm(h, layer.wv), kv_heads).swapaxes(-3, -2)
         own_kv.append((k, v))
         cut = 0 if rows is None else rows[li + 1] - rows[li]
         if cut:   # the rest runs only on the rows read above this layer
             x, h, positions = x[:, cut:], h[:, cut:], positions[cut:]
             at = positions[:, None]
-        q_full = h @ layer.wq
+        q_full = mm(h, layer.wq)
         q = apply_rope(split_heads(q_full, heads), at, rope).swapaxes(-3, -2)
         if step:
             shared_kv[li].write(positions, k[:, :1], v[:, :1])
@@ -269,9 +286,9 @@ def block_stack_forward(params: Parameters, x, positions, loop_index: int = 1,
         elif use_local:
             y = _window_mix(cfg, layer, slice(gi, gi + 1), q_full, q, y, k, v,
                             positions[0] - cut, positions)   # k starts at the first input row
-        x = x + y.swapaxes(-3, -2).reshape(x.shape) @ layer.wo   # heads merged back
+        x = x + mm(y.swapaxes(-3, -2).reshape(x.shape), layer.wo)   # heads merged back
         hm = rmsnorm(x, layer.mlp_norm)
-        x = x + (silu(hm @ layer.w_gate) * (hm @ layer.w_up)) @ layer.w_down
+        x = x + mm(silu(mm(hm, layer.w_gate)) * mm(hm, layer.w_up), layer.w_down)
     return rmsnorm(x, params.final_norm), own_kv
 
 

@@ -326,6 +326,28 @@ def test_cost_csv_is_parseable_and_complete(capsys):
     assert all(v > 0 for v in latencies)
 
 
+def test_cost_json_carries_the_csv_fields_as_numbers(capsys):
+    argv = ["cost", "--batch", "2", "8", "--context", "1000"]
+    assert run([*argv, "--csv"]) == 0
+    header, *lines = capsys.readouterr().out.strip().splitlines()
+    assert run([*argv, "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == len(lines) == 2 * 5
+    for row, line in zip(rows, lines):
+        assert list(row) == header.split(",")
+        for key, text in zip(row, line.split(",")):
+            if key in ("arch", "bound"):
+                assert row[key] == text
+            else:
+                assert type(row[key]) in (int, float)   # the CSV rounds to 9 or 1 decimals
+                assert abs(row[key] - float(text)) <= (1e-9 if key == "latency_s" else 0.051)
+
+
+def test_cost_json_and_csv_together_rejected(capsys):
+    assert run(["cost", "--json", "--csv"]) == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_cost_rejects_zero_batch():
     assert run(["cost", "--batch", "0"]) == 2
 

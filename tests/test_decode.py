@@ -12,7 +12,8 @@ from parloop.attention import SharedKVCache, WindowKVCache, attention
 from parloop.decode import DecodeSession, _select, generate, prefill
 from parloop.errors import (CapacityError, ConfigError, DimensionError, EmptyInputError,
                             TokenError)
-from parloop.model import ModelConfig, forward, init_parameters, prefill_table
+from parloop.model import (ROWWISE_BYTES, ModelConfig, forward, init_parameters, prefill_table,
+                           step_matmul)
 
 from reference_impl import ref_prefill_table
 
@@ -475,6 +476,41 @@ class TestModeEquivalences:
         assert np.array_equal(a.last_logits, b.last_logits)
         for t in tokens[5:]:
             assert np.array_equal(a.step(int(t)), b.step(int(t)))
+
+
+class TestLargeWeightSteps:
+    """At d_model 128 and d_ff 1040 each MLP weight is 1,064,960 bytes, over
+    ROWWISE_BYTES, so a step of 2 or 3 rows multiplies it one row at a
+    time; 4 rows and one-row passes keep ``a @ w``."""
+
+    @pytest.mark.parametrize("cfg_kw", [
+        dict(mode="plt", loops=2),
+        dict(mode="plt", loops=2, gswa=True, window=4),
+        dict(mode="plt", loops=3),
+        dict(mode="plt", loops=4),
+        dict(mode="vanilla_loop", loops=2),
+    ])
+    def test_step_logits_match_full_forward(self, cfg_kw):
+        cfg = ModelConfig(vocab=17, d_model=128, n_layers=2, n_heads=4, n_kv_heads=2,
+                          d_ff=1040, max_seq=32, **cfg_kw)
+        assert cfg.d_model * cfg.d_ff * 8 > ROWWISE_BYTES
+        tokens = np.random.default_rng(7).integers(0, cfg.vocab, size=14)
+        assert teacher_forcing_gap(cfg, seed=7, tokens=tokens, split=5) < 1e-9   # 9 steps
+
+    def test_product_form_by_rows_and_weight_size(self):
+        rng = np.random.default_rng(0)
+        large = rng.standard_normal((128, 1040))
+        at_limit = rng.standard_normal((128, 1024))   # 1 MiB exactly
+        assert at_limit.nbytes == ROWWISE_BYTES
+        for rows in (2, 3):
+            a = rng.standard_normal((rows, 128))
+            out = step_matmul(rows)(a, large)
+            for r in range(rows):
+                assert np.array_equal(out[r], (a[r:r + 1] @ large)[0])
+            assert np.array_equal(step_matmul(rows)(a, at_limit), a @ at_limit)
+        for rows in (1, 4):
+            a = rng.standard_normal((rows, 128))
+            assert np.array_equal(step_matmul(rows)(a, large), a @ large)
 
 
 def repeat_einsum_attend(q, k, v):
