@@ -47,7 +47,7 @@ SWITCHES = ("gswa", "weight_tying", "per_loop_gates")
 # Xeon (4 MiB L2), one OpenBLAS 0.3.31 thread, float64, as `x @ W` / per row / this
 # rule: decode_short (29 MiB stack, 2 MiB MLP weights) plt-2 5.3 / 2.9 / 3.0, plt-3
 # 6.4 / 4.0 / 4.0, plt-4 4.1 / 4.5 / 4.1; decode_long (0.5 MiB) 0.22 / 0.25 / 0.22.
-# Per row costs up to 1.17x `@` while a stack stays cached: <= 12% on a small one.
+# While a stack stays cached, per row costs 0.97-1.17x `@`: up to 12% on a small one.
 ROWWISE_ROWS, ROWWISE_BYTES = 3, 1 << 20
 
 
