@@ -42,13 +42,14 @@ MODES = ("vanilla", "vanilla_loop", "plt")
 SIZES = (("vocab", 2), ("d_model", 1), ("n_layers", 0), ("n_heads", 1), ("loops", 1),
          ("n_kv_heads", 1), ("d_ff", 1), ("window", 0), ("max_seq", 1))
 SWITCHES = ("gswa", "weight_tying", "per_loop_gates")
-# A decode step of 2..ROWWISE_ROWS rows multiplies each weight over ROWWISE_BYTES
-# one row at a time. Its weight products in ms, timed inside plt steps on a 2-vCPU
-# Xeon (4 MiB L2), one OpenBLAS 0.3.31 thread, float64, as `x @ W` / per row / this
-# rule: decode_short (29 MiB stack, 2 MiB MLP weights) plt-2 5.3 / 2.9 / 3.0, plt-3
-# 6.4 / 4.0 / 4.0, plt-4 4.1 / 4.5 / 4.1; decode_long (0.5 MiB) 0.22 / 0.25 / 0.22.
-# While a stack stays cached, per row costs 0.97-1.17x `@`: up to 12% on a small one.
-ROWWISE_ROWS, ROWWISE_BYTES = 3, 1 << 20
+# A decode step of 2 or more rows multiplies each weight over PANEL_BYTES whose K
+# is a multiple of PANEL as one batched product over its PANEL-row K panels,
+# summed: OpenBLAS packs each panel once and runs every row against it. Step ms
+# (over vanilla) on decode_short, 2-vCPU Xeon (4 MiB L2), one OpenBLAS 0.3.31
+# thread, float64, per row -> panels: plt-2 3.97 (1.40) -> 3.08 (1.21), plt-3
+# 4.39 (1.55) -> 3.45 (1.35), plt-4 5.21 (1.84) -> 3.84 (1.51). Cached weights
+# (decode_long) keep `@`: panels there read 0.97-1.06x.
+PANEL, PANEL_BYTES = 32, 1 << 20
 
 
 @dataclass
@@ -212,10 +213,12 @@ def split_heads(x: Tensor, n_heads: int) -> Tensor:
 
 
 def step_matmul(rows: int):
-    """A decode step's weight product ``a @ w``; 2..ROWWISE_ROWS rows take a weight
-    over ROWWISE_BYTES one row at a time, each row bitwise a one-row step's."""
-    if 1 < rows <= ROWWISE_ROWS:
-        return lambda a, w: np.matmul(a[:, None, :], w)[:, 0] if w.nbytes > ROWWISE_BYTES else a @ w
+    """A decode step's weight product ``a @ w``; 2 or more rows take a weight over
+    PANEL_BYTES, K a multiple of PANEL, as a sum of products over its K panels."""
+    if rows > 1:
+        return lambda a, w: (np.matmul(a.reshape(rows, -1, PANEL).swapaxes(0, 1),
+                                       w.reshape(-1, PANEL, w.shape[1])).sum(axis=0)
+                             if w.nbytes > PANEL_BYTES and len(w) % PANEL == 0 else a @ w)
     return operator.matmul
 
 
@@ -227,17 +230,16 @@ def block_stack_forward(params: Parameters, x, positions, loop_index: int = 1,
 
     x: [b, n, d_model], row i at position positions[i]; or, when ``positions``
     is an int, a decode step, whose rows x [rows, d_model] all sit at that one
-    position and use ``step_matmul``, not ``@``. Layer li attends over its own
-    keys (``shared_kv`` None) or over ``shared_kv[li]``: in a step, the
-    layer's ``SharedKVCache``, into which row 0 first writes its keys;
-    otherwise loop 1's (roped_k, v) [b, kv_heads, m, d_head] at positions
-    0 .. m - 1, read by a later plt loop, which may start past position 0.
-    With gswa, the rows of later loops also attend a window of their own
-    keys, mixed in through their gate (``_window_mix``): every row of a
-    later plt loop (``loop_index`` >= 2), banded over the pass's keys, with
-    its loop's gate; or rows 1.. of a decode step, which run loops 2..L,
-    each over its loop's heads of the layer's ring ``rings[li]`` and with
-    its loop's gate.
+    position and use ``step_matmul`` (K panels), not ``@``. Layer li attends
+    over its own keys (``shared_kv`` None) or over ``shared_kv[li]``: in a
+    step, the layer's ``SharedKVCache``, into which row 0 first writes its
+    keys; otherwise loop 1's (roped_k, v) [b, kv_heads, m, d_head] at positions
+    0 .. m - 1, read by a later plt loop, which may start past position 0. With
+    gswa, the rows of later loops also attend a window of their own keys, mixed
+    in through their gate (``_window_mix``): every row of a later plt loop
+    (``loop_index`` >= 2), banded over the pass's keys, with its loop's gate;
+    or rows 1.. of a decode step, which run loops 2..L, each over its loop's
+    heads of the layer's ring ``rings[li]`` and with its loop's gate.
 
     ``rows`` is given by prefill and the training step: the loop's row of
     ``prefill_table``, whose entry j is the first row of the layer-j

@@ -12,8 +12,8 @@ from parloop.attention import SharedKVCache, WindowKVCache, attention
 from parloop.decode import DecodeSession, _select, generate, prefill
 from parloop.errors import (CapacityError, ConfigError, DimensionError, EmptyInputError,
                             TokenError)
-from parloop.model import (ROWWISE_BYTES, ModelConfig, forward, init_parameters, prefill_table,
-                           step_matmul)
+from parloop.model import (PANEL, PANEL_BYTES, ModelConfig, forward, init_parameters,
+                           prefill_table, step_matmul)
 
 from reference_impl import ref_prefill_table
 
@@ -479,9 +479,10 @@ class TestModeEquivalences:
 
 
 class TestLargeWeightSteps:
-    """At d_model 128 and d_ff 1040 each MLP weight is 1,064,960 bytes, over
-    ROWWISE_BYTES, so a step of 2 or 3 rows multiplies it one row at a
-    time; 4 rows and one-row passes keep ``a @ w``."""
+    """At d_model 128 and d_ff 1040, ``w_gate`` and ``w_up`` are 1,064,960
+    bytes, over PANEL_BYTES, with K 128, so a step of 2 or more rows sums
+    their product over K panels of PANEL rows; ``w_down`` (K 1040, not a
+    multiple of PANEL), every smaller weight and one-row passes keep ``@``."""
 
     @pytest.mark.parametrize("cfg_kw", [
         dict(mode="plt", loops=2),
@@ -489,28 +490,54 @@ class TestLargeWeightSteps:
         dict(mode="plt", loops=3),
         dict(mode="plt", loops=4),
         dict(mode="vanilla_loop", loops=2),
+        dict(mode="plt", loops=4, gswa=True, window=4),
     ])
-    def test_step_logits_match_full_forward(self, cfg_kw):
+    def test_step_logits_match_full_forward(self, cfg_kw, monkeypatch):
         cfg = ModelConfig(vocab=17, d_model=128, n_layers=2, n_heads=4, n_kv_heads=2,
                           d_ff=1040, max_seq=32, **cfg_kw)
-        assert cfg.d_model * cfg.d_ff * 8 > ROWWISE_BYTES
+        assert cfg.d_model * cfg.d_ff * 8 > PANEL_BYTES
+        step_weights, panel_weights = [], []
+        form, matmul = parloop.model.step_matmul, np.matmul
+
+        def spied_form(rows):
+            mm = form(rows)
+            return lambda a, w: (step_weights.append((rows, w.shape)), mm(a, w))[1]
+
+        def spied_matmul(a, w):
+            if np.ndim(w) == 3 and w.shape[1] == PANEL:   # a weight viewed as its K panels
+                panel_weights.append(w.shape)
+            return matmul(a, w)
+
+        monkeypatch.setattr(parloop.model, "step_matmul", spied_form)
+        monkeypatch.setattr(np, "matmul", spied_matmul)
         tokens = np.random.default_rng(7).integers(0, cfg.vocab, size=14)
         assert teacher_forcing_gap(cfg, seed=7, tokens=tokens, split=5) < 1e-9   # 9 steps
+        multi = [shape for rows, shape in step_weights if rows > 1]
+        assert len(panel_weights) == multi.count((128, 1040))   # w_gate, w_up
+        if cfg.mode == "plt":
+            assert set(panel_weights) == {(128 // PANEL, PANEL, 1040)}
+            assert (1040, 128) in multi   # w_down keeps @
+        else:   # vanilla_loop steps one row at a time
+            assert not multi
 
     def test_product_form_by_rows_and_weight_size(self):
         rng = np.random.default_rng(0)
         large = rng.standard_normal((128, 1040))
         at_limit = rng.standard_normal((128, 1024))   # 1 MiB exactly
-        assert at_limit.nbytes == ROWWISE_BYTES
-        for rows in (2, 3):
+        ragged = rng.standard_normal((1040, 128))     # over 1 MiB, K not a multiple of PANEL
+        assert large.nbytes > PANEL_BYTES and at_limit.nbytes == PANEL_BYTES
+        assert ragged.nbytes > PANEL_BYTES and len(ragged) % PANEL
+        for rows in (2, 3, 4, 8):
             a = rng.standard_normal((rows, 128))
+            want = a @ large
             out = step_matmul(rows)(a, large)
-            for r in range(rows):
-                assert np.array_equal(out[r], (a[r:r + 1] @ large)[0])
+            assert out.shape == want.shape
+            assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
             assert np.array_equal(step_matmul(rows)(a, at_limit), a @ at_limit)
-        for rows in (1, 4):
-            a = rng.standard_normal((rows, 128))
-            assert np.array_equal(step_matmul(rows)(a, large), a @ large)
+            a = rng.standard_normal((rows, 1040))
+            assert np.array_equal(step_matmul(rows)(a, ragged), a @ ragged)
+        a = rng.standard_normal((1, 128))
+        assert np.array_equal(step_matmul(1)(a, large), a @ large)
 
 
 def repeat_einsum_attend(q, k, v):

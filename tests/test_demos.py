@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["decode_costs.py", "gated_window.py",
-                                  "parallel_decoding.py"])
+                                  "loop_curve.py", "parallel_decoding.py"])
 def test_demo_exits_0(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
