@@ -18,8 +18,9 @@ layer index.
 Every pass is ``model.block_stack_forward``, the layer body that training
 and prefill run too: a step hands it the rows, their one (integer)
 position, the caches and the rings, and no layer math is written here.
-A step of 2 or more rows sums each weight over 1 MiB over its 32-row K
-panels (``model.step_matmul``); every other product, prefill's included, is ``@``.
+A step of 2 or more rows sums its product with each weight over 1 MiB over
+32-row K panels (``model.step_matmul``); every other product, prefill's
+included, is ``@``.
 The session runs it on ``Parameters.arrays``, the weights as plain
 arrays, so neither prefill nor a step builds a ``Tensor``.
 

@@ -44,11 +44,11 @@ SIZES = (("vocab", 2), ("d_model", 1), ("n_layers", 0), ("n_heads", 1), ("loops"
 SWITCHES = ("gswa", "weight_tying", "per_loop_gates")
 # A decode step of 2 or more rows multiplies each weight over PANEL_BYTES whose K
 # is a multiple of PANEL as one batched product over its PANEL-row K panels,
-# summed: OpenBLAS packs each panel once and runs every row against it. Step ms
-# (over vanilla) on decode_short, 2-vCPU Xeon (4 MiB L2), one OpenBLAS 0.3.31
-# thread, float64, per row -> panels: plt-2 3.97 (1.40) -> 3.08 (1.21), plt-3
-# 4.39 (1.55) -> 3.45 (1.35), plt-4 5.21 (1.84) -> 3.84 (1.51). Cached weights
-# (decode_long) keep `@`: panels there read 0.97-1.06x.
+# summed: OpenBLAS packs each panel once and runs every row against it. Step time
+# over vanilla's on decode_short (demos/loop_curve.py; 2-vCPU Xeon, 4 MiB L2, one
+# OpenBLAS 0.3.31 thread, SkylakeX kernels), per row (`@` at 4 rows) -> panels:
+# plt-2 1.42 -> 1.20, plt-3 1.65 -> 1.30, plt-4 1.80 -> 1.40. Cached weights
+# (decode_long) keep `@`: panels there cost 3-7% more per plt-2 step.
 PANEL, PANEL_BYTES = 32, 1 << 20
 
 
