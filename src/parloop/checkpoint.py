@@ -1,17 +1,11 @@
-"""Single-file checkpoint format.
+"""Single-file checkpoint format, the one form ``load_checkpoint`` reads.
 
 Layout: 8-byte magic, little-endian uint64 manifest length, UTF-8 JSON
-manifest, then the raw tensor payload. The manifest records the model
-config, the payload dtype and the tensor table: name/shape/offset per
-tensor, offsets relative to the start of the payload. The payload is the
-``model.param_shapes`` table at contiguous offsets, little-endian, and
-nothing else. Saves write float64; a float32 payload is read and widened
-to float64, the only dtype a Tensor holds.
-
-Each gswa layer holds its gates stacked (``layers.{i}.gate_weight`` /
-``gate_bias``). Files in the older per-gate layout still load: there each
-gate's ``layers.{i}.gates.{g}.weight``, then ``.bias``, sit where the
-stacked tensors sit now.
+manifest (version, model config, payload dtype, the caller's ``extra``
+object, and name/shape/offset per tensor, offsets relative to the start of
+the payload), then the payload: the ``model.param_shapes`` table at
+contiguous offsets as little-endian float64, and nothing else. Any other
+form (version, config key, dtype or tensor table) raises CheckpointError.
 """
 
 from __future__ import annotations
@@ -24,48 +18,37 @@ from itertools import accumulate, zip_longest
 
 import numpy as np
 
-from .attention import ROPE_THETA
 from .errors import CheckpointError, ConfigError
 from .model import (ModelConfig, Parameters, build_parameters, count_params_from_config,
                     param_shapes)
-from .tensor import NORM_EPS
+from .tensor import is_int
 
 MAGIC = b"PLTCKPT1"
 VERSION = 1
-DTYPES = ("float64", "float32")
+DTYPE = "float64"
+ITEMSIZE = 8   # bytes per float64
 
 
-def _layout(cfg: ModelConfig, itemsize: int, per_gate: bool = False) -> tuple:
-    """(entries, slots): the manifest's ``tensors`` entries for ``cfg`` in
-    file order at contiguous offsets, and the (tensor name, index) each
-    fills, the index being ``...`` or, for a per-gate entry, its gate."""
-    shapes, parts = param_shapes(cfg), []   # (file name, shape, slot)
-    for name, shape in shapes.items():
-        stem, gate, kind = name.rpartition(".gate_")
-        if not (per_gate and gate):
-            parts.append((name, shape, (name, ...)))
-        elif kind == "weight":   # each gate's weight, then its bias
-            parts += [(f"{stem}.gates.{g}.{k}", shapes[f"{stem}.gate_{k}"][1:],
-                       (f"{stem}.gate_{k}", g))
-                      for g in range(shape[0]) for k in ("weight", "bias")]
-    offsets = accumulate((math.prod(shape) * itemsize for _, shape, _ in parts), initial=0)
-    entries = [{"name": n, "shape": list(s), "offset": o} for (n, s, _), o in zip(parts, offsets)]
-    return entries, [slot for _, _, slot in parts]
+def _layout(cfg: ModelConfig) -> list:
+    """The manifest's ``tensors`` entries for ``cfg``: the ``param_shapes``
+    table in order, at contiguous offsets."""
+    shapes = param_shapes(cfg)
+    offsets = accumulate((math.prod(shape) * ITEMSIZE for shape in shapes.values()), initial=0)
+    return [{"name": name, "shape": list(shape), "offset": offset}
+            for (name, shape), offset in zip(shapes.items(), offsets)]
 
 
 def save_checkpoint(path, params: Parameters, extra: dict | None = None) -> None:
     manifest = {
         "version": VERSION,
         "config": asdict(params.config),
-        "dtype": "float64",
+        "dtype": DTYPE,
         "extra": extra or {},
-        "tensors": _layout(params.config, 8)[0],
+        "tensors": _layout(params.config),
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
+        f.write(MAGIC + struct.pack("<Q", len(blob)) + blob)
         for t in params.named_tensors().values():
             f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
@@ -89,44 +72,35 @@ def load_checkpoint(path):
         raise CheckpointError(f"unreadable manifest: {e}") from e
     if not isinstance(manifest, dict):
         raise CheckpointError("manifest is not a JSON object")
-    if manifest.get("version") != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {manifest.get('version')}")
+    version, extra = manifest.get("version"), manifest.get("extra", {})
+    if not (is_int(version) and version == VERSION):   # JSON true and 1.0 both == 1
+        raise CheckpointError(f"unsupported checkpoint version {version!r}")
+    if not isinstance(extra, dict):
+        raise CheckpointError("manifest 'extra' is not a JSON object")
     try:
-        config = manifest["config"]
-        config.pop("kv_share", None)   # older manifests stored it; mode now implies it
-        for key, fixed in (("rope_theta", ROPE_THETA), ("norm_eps", NORM_EPS)):
-            if (value := config.pop(key, fixed)) != fixed:   # older manifests stored them
-                raise CheckpointError(f"config {key} {value!r} is not the model's {fixed}")
-        cfg = ModelConfig(**config)
-    except (TypeError, KeyError, AttributeError, ConfigError) as e:
+        cfg = ModelConfig(**manifest["config"])
+    except (TypeError, KeyError, ConfigError) as e:
         raise CheckpointError(f"bad config in manifest: {e}") from e
-    if manifest.get("dtype") not in DTYPES:
+    if manifest.get("dtype") != DTYPE:
         raise CheckpointError(
-            f"unsupported payload dtype {manifest.get('dtype')!r}, expected one of {DTYPES}")
-    dtype = np.dtype(manifest["dtype"]).newbyteorder("<")
+            f"unsupported payload dtype {manifest.get('dtype')!r}, expected {DTYPE!r}")
     payload = data[16 + mlen:]
     n_params = count_params_from_config(cfg)
-    if len(payload) != n_params * dtype.itemsize:   # checked before the model is allocated
+    if len(payload) != n_params * ITEMSIZE:   # checked before the model is allocated
         raise CheckpointError(f"payload of {len(payload)} bytes is not the config's "
-                              f"{n_params} parameters of {dtype.name}")
-    tensors = manifest.get("tensors")
+                              f"{n_params} parameters of {DTYPE}")
+    tensors, entries = manifest.get("tensors"), _layout(cfg)
     if not isinstance(tensors, list):
         raise CheckpointError("manifest 'tensors' is not a list")
-    layouts = [_layout(cfg, dtype.itemsize, per_gate) for per_gate in (False, True)]
-    differ = [next((i for i, (a, b) in enumerate(zip_longest(tensors, entries)) if a != b),
-                   None) for entries, _ in layouts]
-    if None not in differ:   # name the first difference from the table followed longest
-        i = max(differ)
-        entries = layouts[differ.index(i)][0]
-        raise CheckpointError(f"tensor entry {i} is {(tensors + [None])[i]}, "
-                              f"the config implies {(entries + [None])[i]}")
-    entries, slots = layouts[differ.index(None)]
+    for i, (got, want) in enumerate(zip_longest(tensors, entries)):
+        if got != want:
+            raise CheckpointError(f"tensor entry {i} is {got}, the config implies {want}")
     try:
         params = build_parameters(cfg, np.zeros)
     except ConfigError as e:
         raise CheckpointError(f"bad config in manifest: {e}") from e
     named = params.named_tensors()
-    for entry, (name, index) in zip(entries, slots):
-        view = named[name].data[index]   # the whole tensor, or one gate of it
-        view[...] = np.frombuffer(payload, dtype, view.size, entry["offset"]).reshape(view.shape)
-    return params, manifest.get("extra", {})
+    for entry in entries:
+        view = named[entry["name"]].data
+        view[...] = np.frombuffer(payload, "<f8", view.size, entry["offset"]).reshape(view.shape)
+    return params, extra

@@ -19,8 +19,7 @@ a single batched pass over displaced tokens.
 
 ``param_shapes`` is the one description of the parameter layout; building,
 naming, counting and checkpointing parameters all walk it. Each gswa layer
-stacks its gates into ``gate_weight`` / ``gate_bias``, and checkpoints that
-name one gate per loop still load (see ``checkpoint``).
+stacks its gates into ``gate_weight`` / ``gate_bias``.
 """
 
 from __future__ import annotations

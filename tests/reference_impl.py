@@ -1,13 +1,9 @@
 """Straight-line numpy re-derivation of the model forward used as a test
 oracle. Everything is written position by position and head by head, with
 no shared code, tapes, or batching tricks, so agreement with the library
-is meaningful. Also a dependency oracle for ``model.prefill_table`` and a
-writer for the checkpoint layout that predates the stacked gate tensors."""
+is meaningful. Also a dependency oracle for ``model.prefill_table``."""
 
-import json
 import math
-import struct
-from dataclasses import asdict
 
 import numpy as np
 
@@ -189,31 +185,3 @@ def ref_prefill_table(cfg, n, top):
 
 def weights_of(params):
     return {k: t.data.copy() for k, t in params.named_tensors().items()}
-
-
-def save_per_gate_checkpoint(path, params, drop=()):
-    """Write ``params`` as checkpoints were written before each layer's
-    gates were stacked: one ``layers.{i}.gates.{g}.weight`` / ``.bias``
-    entry per gate, each gate's weight then its bias, where the stacked
-    tensors now sit. Entries named in ``drop`` are left out of the
-    manifest; their bytes stay, so the payload keeps its full size."""
-    named = params.named_tensors()
-    entries = []
-    for name, t in named.items():
-        if name.endswith(".gate_weight"):
-            p = name[:-len("gate_weight")]
-            for g, (w, b) in enumerate(zip(t.data, named[p + "gate_bias"].data)):
-                entries += [(f"{p}gates.{g}.weight", w), (f"{p}gates.{g}.bias", b)]
-        elif not name.endswith(".gate_bias"):
-            entries.append((name, t.data))
-    tensors, chunks, offset = [], [], 0
-    for name, a in entries:
-        chunks.append(np.ascontiguousarray(a, dtype="<f8").tobytes())
-        if name not in drop:
-            tensors.append({"name": name, "shape": list(a.shape), "offset": offset})
-        offset += len(chunks[-1])
-    manifest = {"version": 1, "config": asdict(params.config), "dtype": "float64",
-                "extra": {}, "tensors": tensors}
-    blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(b"PLTCKPT1" + struct.pack("<Q", len(blob)) + blob + b"".join(chunks))

@@ -16,8 +16,6 @@ from parloop import (CheckpointError, ConfigError, DimensionError, EmptyInputErr
                      load_checkpoint, make_task, prefill, save_checkpoint, train)
 from parloop.cli import run
 
-from reference_impl import save_per_gate_checkpoint
-
 CFG = dict(vocab=17, d_model=16, n_layers=1, n_heads=2, mode="plt", loops=2,
            gswa=True, window=4, max_seq=32)
 
@@ -81,14 +79,16 @@ def header(manifest: bytes, length=None) -> bytes:
     return b"PLTCKPT1" + struct.pack("<Q", len(manifest) if length is None else length) + manifest
 
 
-def tampered(tmp_path, edit):
-    """A checkpoint of ``params()`` whose manifest went through ``edit``."""
+def tampered(tmp_path, edit, payload=None):
+    """A checkpoint of ``params()`` whose manifest went through ``edit``,
+    then its own payload or ``payload``."""
     data = open(checkpoint(tmp_path), "rb").read()
     (length,) = struct.unpack("<Q", data[8:16])
     manifest = json.loads(data[16:16 + length])
     edit(manifest)
     path = tmp_path / "tampered.ckpt"
-    path.write_bytes(header(json.dumps(manifest).encode()) + data[16 + length:])
+    payload = data[16 + length:] if payload is None else payload
+    path.write_bytes(header(json.dumps(manifest).encode()) + payload)
     return path
 
 
@@ -109,13 +109,23 @@ def overlap(manifest):
     entries["layers.0.mlp_norm"]["offset"] = entries["layers.0.attn_norm"]["offset"]
 
 
-def per_gate_file_missing_a_loop(tmp_path):
-    """A checkpoint in the pre-stacking layout that lacks loop 3's gate."""
-    path = tmp_path / "per_gate.ckpt"
-    cfg = ModelConfig(**{**CFG, "loops": 3}, per_loop_gates=True)
-    save_per_gate_checkpoint(path, init_parameters(cfg, 0),
-                             drop=("layers.0.gates.1.weight", "layers.0.gates.1.bias"))
-    return path
+def per_gate(manifest):
+    """Name the gate as files did before gates were stacked: one
+    ``gates.{g}`` weight and bias per loop, without the loop axis."""
+    for entry in manifest["tensors"]:
+        if entry["name"] in ("layers.0.gate_weight", "layers.0.gate_bias"):
+            entry.update(name=entry["name"].replace("gate_", "gates.0."), shape=entry["shape"][1:])
+
+
+def float32_file(tmp_path):
+    """A checkpoint of ``params()`` whose payload is stored as float32."""
+    def edit(manifest):
+        manifest["dtype"] = "float32"
+        for entry in manifest["tensors"]:
+            entry["offset"] //= 2
+
+    payload = b"".join(t.data.astype("<f4").tobytes() for t in params().named_tensors().values())
+    return tampered(tmp_path, edit, payload)
 
 
 def garbage(tmp_path):
@@ -224,8 +234,22 @@ CASES = [
     ("make-task-float-seq-len", lambda _: make_task("char_lm", seq_len=3.5), ConfigError),
     ("load-checkpoint-missing", lambda p: load_checkpoint(p / "absent.ckpt"), CheckpointError),
     ("load-checkpoint-garbage", lambda p: load_checkpoint(garbage(p)), CheckpointError),
-    ("load-checkpoint-per-gate-missing-a-loop",
-     lambda p: load_checkpoint(per_gate_file_missing_a_loop(p)), CheckpointError),
+    ("load-checkpoint-per-gate-layout",   # the layout before gates were stacked
+     lambda p: load_checkpoint(tampered(p, per_gate)), CheckpointError),
+    ("load-checkpoint-kv-share",   # manifests once carried it
+     lambda p: load_checkpoint(tampered(p, lambda m: m["config"].update(kv_share=False))),
+     CheckpointError),
+    ("load-checkpoint-model-rope-theta-and-norm-eps",   # the model's own values
+     lambda p: load_checkpoint(tampered(p, lambda m: m["config"].update(rope_theta=10000.0,
+                                                                        norm_eps=1e-6))),
+     CheckpointError),
+    ("load-checkpoint-float32", lambda p: load_checkpoint(float32_file(p)), CheckpointError),
+    ("load-checkpoint-extra-not-an-object",
+     lambda p: load_checkpoint(tampered(p, lambda m: m.update(extra=[1, 2]))), CheckpointError),
+    ("load-checkpoint-version-true",
+     lambda p: load_checkpoint(tampered(p, lambda m: m.update(version=True))), CheckpointError),
+    ("load-checkpoint-version-float",
+     lambda p: load_checkpoint(tampered(p, lambda m: m.update(version=1.0))), CheckpointError),
     ("load-checkpoint-truncated-manifest",
      lambda p: load_checkpoint(raw_file(p, header(b"{}", length=99))), CheckpointError),
     ("load-checkpoint-manifest-not-json",
@@ -328,6 +352,8 @@ CASES = [
     ("cli-generate-other-norm-eps",
      cli(lambda p: ["generate", "--prompt", "1 2", "--checkpoint",
                     str(tampered(p, lambda m: m["config"].update(norm_eps=1e-5)))]), EXIT_2),
+    ("cli-generate-float32-checkpoint",
+     cli(lambda p: ["generate", "--prompt", "1 2", "--checkpoint", str(float32_file(p))]), EXIT_2),
     ("cli-verify-json-garbage-checkpoint",
      cli(lambda p: ["verify", "--json", "--skip-grad", "--checkpoint", garbage(p)]), EXIT_2),
     ("cli-empty-prompt", cli(lambda p: ["generate", "--checkpoint", checkpoint(p),
