@@ -84,7 +84,7 @@ def load_checkpoint(path):
     if manifest.get("dtype") != DTYPE:
         raise CheckpointError(
             f"unsupported payload dtype {manifest.get('dtype')!r}, expected {DTYPE!r}")
-    payload = data[16 + mlen:]
+    payload = memoryview(data)[16 + mlen:]   # a view: no copy of the payload
     n_params = count_params_from_config(cfg)
     if len(payload) != n_params * ITEMSIZE:   # checked before the model is allocated
         raise CheckpointError(f"payload of {len(payload)} bytes is not the config's "
@@ -93,7 +93,7 @@ def load_checkpoint(path):
     if not isinstance(tensors, list):
         raise CheckpointError("manifest 'tensors' is not a list")
     for i, (got, want) in enumerate(zip_longest(tensors, entries)):
-        if got != want:
+        if json.dumps(got, sort_keys=True) != json.dumps(want, sort_keys=True):   # 8.0 != 8
             raise CheckpointError(f"tensor entry {i} is {got}, the config implies {want}")
     try:
         params = build_parameters(cfg, np.zeros)

@@ -291,6 +291,12 @@ CASES = [
      CheckpointError),
     ("load-checkpoint-overlapping-offsets", lambda p: load_checkpoint(tampered(p, overlap)),
      CheckpointError),
+    ("load-checkpoint-float-offset",   # JSON 8.0 == 8 in Python
+     lambda p: load_checkpoint(tampered(p, lambda m: m["tensors"][1].update(
+         offset=float(m["tensors"][1]["offset"])))), CheckpointError),
+    ("load-checkpoint-false-offset",   # JSON false == 0 in Python
+     lambda p: load_checkpoint(tampered(p, lambda m: m["tensors"][0].update(offset=False))),
+     CheckpointError),
     ("load-checkpoint-reordered",
      lambda p: load_checkpoint(tampered(p, lambda m: m["tensors"].reverse())), CheckpointError),
     ("cost-zero-batch", lambda _: decode_step_cost("plt", ModelConfig(**CFG),
